@@ -22,18 +22,19 @@ cargo test -q --features property-tests --test proptest_pipeline
 
 echo "==> bench-smoke (snapshot + noise-aware regression gate)"
 # Fresh snapshots against the committed baselines. The modeled VM is
-# deterministic, so a loose +/-25% gate only trips on real metric
-# changes (after which the baselines need re-recording; see README
-# "Benchmark snapshots"). Two wall-clock samples keep this step cheap.
+# deterministic, so every deterministic metric gates exactly (the
+# comparator's default thresholds): any change means the baselines need
+# re-recording (see README "Benchmark snapshots"), and a flake is
+# non-determinism to fix. Two wall-clock samples keep this step cheap.
 # The committed baselines were recorded on a different machine, where
 # wall-clock deltas mean nothing — so these compares disarm the
 # statistical wall gate with --wall-advisory. The same-machine gate is
 # exercised by the wall-stability step below.
 cargo build --release -q -p oi-bench --bins
 OI_BENCH_SAMPLES=2 target/release/oi-bench snapshot --size small --out target/bench_smoke_small.json
-target/release/oi-bench compare BENCH_baseline_small.json target/bench_smoke_small.json --threshold-pct 25 --wall-advisory
+target/release/oi-bench compare BENCH_baseline_small.json target/bench_smoke_small.json --wall-advisory
 OI_BENCH_SAMPLES=2 target/release/oi-bench snapshot --size default --out target/bench_smoke_default.json
-target/release/oi-bench compare BENCH_baseline.json target/bench_smoke_default.json --threshold-pct 25 --wall-advisory
+target/release/oi-bench compare BENCH_baseline.json target/bench_smoke_default.json --wall-advisory
 
 echo "==> prof-smoke (hierarchical profiler end to end)"
 # `oic prof` on the example program: the oi.prof.v1 document and the

@@ -21,6 +21,7 @@
 //! real tier, 1 when any finding survived (a panicked or non-compiling
 //! job), 2 on usage errors.
 
+use crate::cli::{scan_args, usage_error, Output};
 use crate::harness::time_once;
 use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
 use oi_core::ladder::{optimize_with_ladder, LadderConfig, LadderOutcome, Tier};
@@ -461,99 +462,48 @@ tier, 1 when any finding survives, 2 on usage errors.
 /// Runs the `oic batch` command-line interface on pre-split arguments and
 /// returns the process exit code.
 pub fn cli_main(args: &[String]) -> u8 {
-    use oi_support::cli::{Arg, ArgScanner};
     let mut config = BatchConfig::default();
     let mut paths: Vec<String> = Vec::new();
     let mut fuzz_corpus = 0usize;
     let mut seed = 1u64;
-    let mut json_output = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(arg) => arg,
-            Err(msg) => return usage_error(&msg),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "deadline-ms" => match flag_u64(&mut scanner, "--deadline-ms") {
-                    Ok(n) => config.deadline_ms = Some(n),
-                    Err(msg) => return usage_error(&msg),
-                },
-                "max-rounds" => match flag_u64(&mut scanner, "--max-rounds") {
-                    Ok(n) => config.max_rounds = Some(n),
-                    Err(msg) => return usage_error(&msg),
-                },
-                "jobs" => match flag_u64(&mut scanner, "--jobs") {
-                    Ok(n) => config.jobs = n as usize,
-                    Err(msg) => return usage_error(&msg),
-                },
-                "fuzz-corpus" => match flag_u64(&mut scanner, "--fuzz-corpus") {
-                    Ok(n) => fuzz_corpus = n as usize,
-                    Err(msg) => return usage_error(&msg),
-                },
-                "seed" => {
-                    let v = scanner.value_for("--seed").unwrap_or_default();
-                    match v.parse::<u64>() {
-                        Ok(s) => seed = s,
-                        _ => return usage_error(&format!("`--seed` needs an integer, got `{v}`")),
-                    }
-                }
-                "keep-going" => config.keep_going = true,
-                "json" => json_output = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                "help" => {
-                    print!("{USAGE}");
-                    return 0;
-                }
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ));
+    let mut output = Output::default();
+    let scanned = scan_args(
+        args,
+        USAGE,
+        |flag, s| {
+            match flag {
+                "--deadline-ms" => config.deadline_ms = Some(s.positive(flag)?),
+                "--max-rounds" => config.max_rounds = Some(s.positive(flag)?),
+                "--jobs" => config.jobs = s.positive(flag)? as usize,
+                "--fuzz-corpus" => fuzz_corpus = s.positive(flag)? as usize,
+                "--seed" => seed = s.integer(flag)?,
+                "--keep-going" => config.keep_going = true,
+                _ => output.flag(flag, s)?,
             }
-            Arg::Positional(p) => paths.push(p),
-        }
+            Ok(())
+        },
+        |path| {
+            paths.push(path);
+            Ok(())
+        },
+    );
+    if let Err(code) = scanned {
+        return code;
     }
     if paths.is_empty() && fuzz_corpus == 0 {
-        return usage_error("nothing to do: pass files, directories, or --fuzz-corpus N");
+        return usage_error(
+            USAGE,
+            "nothing to do: pass files, directories, or --fuzz-corpus N",
+        );
     }
-
     let mut jobs = match collect_file_jobs(&paths) {
         Ok(jobs) => jobs,
-        Err(msg) => return usage_error(&msg),
+        Err(msg) => return usage_error(USAGE, &msg),
     };
     jobs.extend(fuzz_corpus_jobs(fuzz_corpus, seed));
     eprintln!("batch: {} job(s)...", jobs.len());
     let report = run_batch(&jobs, &config);
-    let rendered = if json_output {
-        report.to_json().to_string()
-    } else {
-        render_text(&report)
-    };
-    let code = write_out(&rendered, out.as_deref());
-    if code != 0 {
-        return code;
-    }
-    u8::from(!report.ok())
-}
-
-fn flag_u64(scanner: &mut oi_support::cli::ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
-    }
-}
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
+    output.finish(|| report.to_json(), || render_text(&report), report.ok())
 }
 
 fn render_text(report: &BatchReport) -> String {
@@ -601,24 +551,6 @@ fn render_text(report: &BatchReport) -> String {
     }
     let _ = write!(out, "{}", if report.ok() { "OK" } else { "FINDINGS" });
     out
-}
-
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,95 +9,81 @@
 //! document (`oi.figures.v1`) instead of text; `--out` writes it to a
 //! file instead of stdout.
 
+use oi_bench::cli::{emit, scan_args, usage_error};
 use oi_bench::{ablations, fig14, fig15, fig16, fig17, fig17_detail, figures_json, parse_size};
 use oi_benchmarks::BenchSize;
-use oi_support::cli::{Arg, ArgScanner};
+use std::process::ExitCode;
 
-fn main() {
+const USAGE: &str = "usage: figures [fig14|fig15|fig16|fig17|detail|ablations|all] \
+     [--size small|default|large] [--json] [--out FILE]\n\
+     \n\
+     Prints the paper's tables; --json emits the Figure 14-17 tables as one\n\
+     oi.figures.v1 document, written to --out FILE instead of stdout.";
+
+fn main() -> ExitCode {
     let mut which = "all".to_owned();
     let mut size = BenchSize::Default;
     let mut json = false;
     let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::from_env();
-    while let Some(arg) = scanner.next() {
-        let arg = arg.unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        });
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "size" => {
-                    let v = scanner.value_for("--size").unwrap_or_default();
-                    match parse_size(&v) {
-                        Some(s) => size = s,
-                        None => {
-                            eprintln!("unknown size `{v}` (small|default|large)");
-                            std::process::exit(2);
-                        }
-                    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scanned = scan_args(
+        &args,
+        USAGE,
+        |flag, s| {
+            match flag {
+                "--size" => {
+                    let v = s.value_for(flag).unwrap_or_default();
+                    size = parse_size(&v)
+                        .ok_or_else(|| format!("unknown size `{v}` (small|default|large)"))?;
                 }
-                "json" => json = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => {
-                        eprintln!("`--out` needs a file path");
-                        std::process::exit(2);
-                    }
-                },
-                other => {
-                    eprintln!("unknown flag `--{other}`");
-                    std::process::exit(2);
-                }
-            },
-            Arg::Flag { name, value } => {
-                eprintln!("unknown flag `--{name}={}`", value.unwrap_or_default());
-                std::process::exit(2);
+                "--json" => json = true,
+                "--out" => out = Some(s.path(flag)?),
+                _ => return Err(format!("unknown flag `{flag}`")),
             }
-            Arg::Positional(other) => which = other,
-        }
+            Ok(())
+        },
+        |figure| {
+            which = figure;
+            Ok(())
+        },
+    );
+    if let Err(code) = scanned {
+        return ExitCode::from(code);
     }
-
     if out.is_some() && !json {
-        eprintln!("`--out` only applies to `--json` output");
-        std::process::exit(2);
+        return ExitCode::from(usage_error(
+            USAGE,
+            "`--out` only applies to `--json` output",
+        ));
+    }
+    if json && which != "all" {
+        return ExitCode::from(usage_error(
+            USAGE,
+            &format!("`--json` emits all tables in one document; drop `{which}`"),
+        ));
     }
     if json {
-        if which != "all" {
-            eprintln!("`--json` emits all tables in one document; drop `{which}`");
-            std::process::exit(2);
-        }
-        let doc = figures_json(size).to_string();
-        match out {
-            Some(path) => {
-                if let Err(e) = std::fs::write(&path, doc + "\n") {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("wrote {path}");
-            }
-            None => println!("{doc}"),
-        }
-        return;
+        return ExitCode::from(emit(&figures_json(size).to_string(), out.as_deref(), true));
     }
 
-    match which.as_str() {
-        "fig14" => print!("{}", fig14(size)),
-        "fig15" => print!("{}", fig15(size)),
-        "fig16" => print!("{}", fig16(size)),
-        "fig17" => print!("{}", fig17(size)),
-        "detail" => print!("{}", fig17_detail(size)),
-        "ablations" => print!("{}", ablations(size)),
-        "all" => {
-            println!("{}", fig14(size));
-            println!("{}", fig15(size));
-            println!("{}", fig16(size));
-            println!("{}", fig17(size));
-            println!("{}", fig17_detail(size));
-            println!("{}", ablations(size));
-        }
+    let text = match which.as_str() {
+        "fig14" => fig14(size),
+        "fig15" => fig15(size),
+        "fig16" => fig16(size),
+        "fig17" => fig17(size),
+        "detail" => fig17_detail(size),
+        "ablations" => ablations(size),
+        "all" => [fig14, fig15, fig16, fig17, fig17_detail, ablations]
+            .iter()
+            .map(|fig| fig(size) + "\n")
+            .collect(),
         other => {
-            eprintln!("unknown figure `{other}` (fig14|fig15|fig16|fig17|detail|ablations|all)");
-            std::process::exit(2);
+            return ExitCode::from(usage_error(
+                USAGE,
+                &format!("unknown figure `{other}` (fig14|fig15|fig16|fig17|detail|ablations|all)"),
+            ))
         }
-    }
+    };
+    print!("{text}");
+    ExitCode::SUCCESS
 }

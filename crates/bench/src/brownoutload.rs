@@ -21,10 +21,11 @@
 //!   `serve.requests` / `serve.shed_total` counters (every attempt
 //!   answered exactly once, every shed accounted).
 
-use crate::client::{request_with_retries, with_pump_client, Transport, RETRYABLE_KINDS};
-use crate::overload::{RetryPolicy, RetrySession};
+use crate::cli::{scan_flags, Output};
+use crate::client::{with_pump_client, Transport};
+use crate::overload::RetryPolicy;
+use crate::replay::{flood_then_retry, Flood, Line, Reply};
 use crate::serve::{ServeConfig, Server};
-use oi_support::cli::{Arg, ArgScanner};
 use oi_support::Json;
 use std::time::Duration;
 
@@ -65,25 +66,9 @@ impl Default for BrownoutLoadConfig {
 #[derive(Debug)]
 pub struct BrownoutLoadReport {
     config: BrownoutLoadConfig,
-    /// Burst requests that eventually completed `ok:true`.
-    completed: u64,
-    /// Burst requests whose retries ran out.
-    give_ups: u64,
-    /// Every request line sent (burst + retries + probes).
-    attempts: u64,
-    /// Retry attempts beyond each request's first try.
-    retries_used: u64,
-    /// Shed responses observed client-side (`overloaded` / `shedding` /
-    /// `tenant-over-concurrency`), at any attempt.
-    shed_responses: u64,
-    /// Sheds answered at the reader (id-less: never reached dispatch).
-    reader_sheds: u64,
-    /// Responses that were neither `ok:true` nor typed-retryable.
-    unexpected_errors: u64,
-    /// Unanswered or unparseable response lines.
-    protocol_errors: u64,
-    /// Total backoff slept across all retried requests (ms).
-    backoff_ms_total: u64,
+    /// What the burst and its retries (and the recovery probes) saw
+    /// client-side.
+    client: Flood,
     /// Probe round-trips spent waiting for recovery.
     recovery_probes: u64,
     /// Did the controller return to `guarded-full` before the probe
@@ -105,22 +90,25 @@ impl BrownoutLoadReport {
     /// Gate failures, empty when the run is clean.
     pub fn gate_failures(&self) -> Vec<String> {
         let mut fails = Vec::new();
-        if self.protocol_errors > 0 {
-            fails.push(format!("{} protocol errors", self.protocol_errors));
+        if self.client.protocol_errors > 0 {
+            fails.push(format!("{} protocol errors", self.client.protocol_errors));
         }
-        if self.unexpected_errors > 0 {
-            fails.push(format!("{} unexpected errors", self.unexpected_errors));
+        if self.client.unexpected_errors > 0 {
+            fails.push(format!(
+                "{} unexpected errors",
+                self.client.unexpected_errors
+            ));
         }
         if self.descends == 0 {
             fails.push("burst never forced a brownout descend".to_string());
         }
-        if self.give_ups > 0 {
-            fails.push(format!("{} retried requests gave up", self.give_ups));
+        if self.client.give_ups > 0 {
+            fails.push(format!("{} retried requests gave up", self.client.give_ups));
         }
-        if self.completed + self.give_ups != self.config.burst as u64 {
+        if self.client.completed + self.client.give_ups != self.config.burst as u64 {
             fails.push(format!(
                 "burst accounting leak: {} completed + {} gave up != {} sent",
-                self.completed, self.give_ups, self.config.burst
+                self.client.completed, self.client.give_ups, self.config.burst
             ));
         }
         let bound_ns = u128::from(self.config.target_ms) * 2_000_000;
@@ -146,16 +134,16 @@ impl BrownoutLoadReport {
         if self.breaker_open != 0 {
             fails.push(format!("{} circuit breakers left open", self.breaker_open));
         }
-        if self.serve_requests != self.attempts - self.reader_sheds {
+        if self.serve_requests != self.client.attempts - self.client.reader_sheds {
             fails.push(format!(
                 "request reconciliation: server saw {} requests, client sent {} ({} shed at reader)",
-                self.serve_requests, self.attempts, self.reader_sheds
+                self.serve_requests, self.client.attempts, self.client.reader_sheds
             ));
         }
-        if self.serve_sheds != self.shed_responses {
+        if self.serve_sheds != self.client.shed_responses {
             fails.push(format!(
                 "shed reconciliation: serve.shed_total {} != {} shed responses observed",
-                self.serve_sheds, self.shed_responses
+                self.serve_sheds, self.client.shed_responses
             ));
         }
         fails
@@ -181,15 +169,15 @@ impl BrownoutLoadReport {
             (
                 "client",
                 Json::obj(vec![
-                    ("completed", self.completed.into()),
-                    ("give_ups", self.give_ups.into()),
-                    ("attempts", self.attempts.into()),
-                    ("retries_used", self.retries_used.into()),
-                    ("shed_responses", self.shed_responses.into()),
-                    ("reader_sheds", self.reader_sheds.into()),
-                    ("unexpected_errors", self.unexpected_errors.into()),
-                    ("protocol_errors", self.protocol_errors.into()),
-                    ("backoff_ms_total", self.backoff_ms_total.into()),
+                    ("completed", self.client.completed.into()),
+                    ("give_ups", self.client.give_ups.into()),
+                    ("attempts", self.client.attempts.into()),
+                    ("retries_used", self.client.retries_used.into()),
+                    ("shed_responses", self.client.shed_responses.into()),
+                    ("reader_sheds", self.client.reader_sheds.into()),
+                    ("unexpected_errors", self.client.unexpected_errors.into()),
+                    ("protocol_errors", self.client.protocol_errors.into()),
+                    ("backoff_ms_total", self.client.backoff_ms_total.into()),
                     ("recovery_probes", self.recovery_probes.into()),
                 ]),
             ),
@@ -238,11 +226,19 @@ impl BrownoutLoadReport {
         ));
         s.push_str(&format!(
             "  completed {}  give-ups {}  attempts {}  retries {}  backoff {}ms\n",
-            self.completed, self.give_ups, self.attempts, self.retries_used, self.backoff_ms_total
+            self.client.completed,
+            self.client.give_ups,
+            self.client.attempts,
+            self.client.retries_used,
+            self.client.backoff_ms_total
         ));
         s.push_str(&format!(
             "  sheds {} (reader {})  descends {}  recovers {}  final tier {}\n",
-            self.shed_responses, self.reader_sheds, self.descends, self.recovers, self.final_tier
+            self.client.shed_responses,
+            self.client.reader_sheds,
+            self.descends,
+            self.recovers,
+            self.final_tier
         ));
         s.push_str(&format!(
             "  brownout p99 {}us  degraded compiles {}  breaker open {}\n",
@@ -281,27 +277,6 @@ fn source(i: usize) -> String {
     )
 }
 
-fn compile_line(source_ix: usize, id: u64) -> String {
-    Json::obj(vec![
-        ("id", Json::from(id)),
-        ("op", "compile".into()),
-        ("source", source(source_ix).into()),
-    ])
-    .to_string()
-}
-
-fn is_shed_kind(kind: &str) -> bool {
-    matches!(kind, "overloaded" | "shedding" | "tenant-over-concurrency")
-}
-
-fn kind_of(resp: &Json) -> &str {
-    resp.get("error_kind").and_then(Json::as_str).unwrap_or("")
-}
-
-fn is_ok(resp: &Json) -> bool {
-    resp.get("ok").and_then(Json::as_bool).unwrap_or(false)
-}
-
 /// Runs the burst, the retry convergence, and the recovery wait.
 pub fn run_brownoutload(config: &BrownoutLoadConfig) -> BrownoutLoadReport {
     let server = Server::new(ServeConfig {
@@ -311,130 +286,55 @@ pub fn run_brownoutload(config: &BrownoutLoadConfig) -> BrownoutLoadReport {
         jobs: config.jobs.max(1),
         ..ServeConfig::default()
     });
-    let mut completed = 0u64;
-    let mut give_ups = 0u64;
-    let mut attempts = 0u64;
-    let mut retries_used = 0u64;
-    let mut shed_responses = 0u64;
-    let mut reader_sheds = 0u64;
-    let mut unexpected_errors = 0u64;
-    let mut protocol_errors = 0u64;
-    let mut backoff_ms_total = 0u64;
     let mut recovery_probes = 0u64;
     let mut recovered = false;
 
-    with_pump_client(&server, |client| {
-        // Phase 1 — the burst: everything pipelined at once, cold cache,
-        // bounded queue. The reader sheds the overflow `overloaded`, the
-        // queue builds wait, and the controller must descend.
+    let client = with_pump_client(&server, |client| {
+        // The burst: everything pipelined at once, cold cache, bounded
+        // queue. The reader sheds the overflow `overloaded`, the queue
+        // builds wait, and the controller must descend. Every shed then
+        // converges lock-step under the typed retry contract; backoff
+        // gives the service air and the cache warms as retries land.
         let lines: Vec<String> = (0..config.burst)
-            .map(|i| compile_line(i % config.sources.max(1), i as u64))
+            .map(|i| Line::compile(i as u64, &source(i % config.sources.max(1))).to_string())
             .collect();
-        for line in &lines {
-            client.send_line(line);
-        }
-        let mut needs_retry: Vec<usize> = Vec::new();
-        for (i, _) in lines.iter().enumerate() {
-            attempts += 1;
-            match client.recv_line() {
-                None => protocol_errors += 1,
-                Some(resp) => {
-                    let kind = kind_of(&resp).to_string();
-                    if is_ok(&resp) {
-                        completed += 1;
-                    } else if RETRYABLE_KINDS.contains(&kind.as_str()) {
-                        if is_shed_kind(&kind) {
-                            shed_responses += 1;
-                        }
-                        if resp.get("id").is_none_or(|id| *id == Json::Null) {
-                            reader_sheds += 1;
-                        }
-                        needs_retry.push(i);
-                    } else {
-                        unexpected_errors += 1;
-                    }
-                }
-            }
-        }
-
-        // Phase 2 — convergence: every shed is retried lock-step under
-        // the typed retry contract. Backoff gives the service air; the
-        // cache warms as retries land, so pressure decays naturally.
         let policy = RetryPolicy {
             max_attempts: config.retries.saturating_add(1),
             ..RetryPolicy::default()
         };
-        for &i in &needs_retry {
-            let mut session =
-                RetrySession::new(policy, config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            let outcome = request_with_retries(client, &lines[i], &mut session);
-            attempts += u64::from(outcome.attempts);
-            retries_used += u64::from(outcome.attempts.saturating_sub(1));
-            backoff_ms_total += outcome.backoff_ms_total;
-            // Every non-final answer in the retry loop was a retryable
-            // refusal; the final one is too when the budget ran out.
-            let final_retryable = outcome
-                .response
-                .as_ref()
-                .map(|r| RETRYABLE_KINDS.contains(&kind_of(r)))
-                .unwrap_or(false);
-            let refusals =
-                u64::from(outcome.attempts.saturating_sub(1)) + u64::from(final_retryable);
-            shed_responses += refusals; // no quarantine in this scenario
-            match &outcome.response {
-                None => protocol_errors += 1,
-                Some(resp) if is_ok(resp) => completed += 1,
-                Some(resp) if final_retryable => {
-                    debug_assert!(outcome.gave_up, "retryable final implies give-up: {resp}");
-                    give_ups += 1;
-                }
-                Some(_) => unexpected_errors += 1,
-            }
-        }
+        let mut flood = flood_then_retry(client, &lines, policy, config.seed);
 
-        // Phase 3 — recovery: paced liveness probes feed the controller
-        // calm samples until it climbs back to guarded-full (or the
-        // probe budget proves it never will).
+        // Recovery: paced liveness probes feed the controller calm
+        // samples until it climbs back to guarded-full (or the probe
+        // budget proves it never will).
         for probe in 0..2_000u64 {
-            let line = Json::obj(vec![
-                ("id", Json::from(1_000_000 + probe)),
-                ("op", "health".into()),
-            ])
-            .to_string();
-            attempts += 1;
+            flood.attempts += 1;
             recovery_probes += 1;
-            let Some(resp) = client.roundtrip(&line) else {
-                protocol_errors += 1;
+            let Some(resp) = client.roundtrip(&Line::new(1_000_000 + probe, "health").to_string())
+            else {
+                flood.protocol_errors += 1;
                 break;
             };
-            if !is_ok(&resp) {
-                unexpected_errors += 1;
+            if !Reply(&resp).ok() {
+                flood.unexpected_errors += 1;
             }
             let tier = resp
                 .get("payload")
                 .and_then(|p| p.get("brownout_tier"))
-                .and_then(Json::as_str)
-                .unwrap_or("");
-            if tier == "guarded-full" {
+                .and_then(Json::as_str);
+            if tier == Some("guarded-full") {
                 recovered = true;
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
+        flood
     });
 
     let m = server.metrics();
     BrownoutLoadReport {
         config: config.clone(),
-        completed,
-        give_ups,
-        attempts,
-        retries_used,
-        shed_responses,
-        reader_sheds,
-        unexpected_errors,
-        protocol_errors,
-        backoff_ms_total,
+        client,
         recovery_probes,
         recovered,
         serve_requests: m.counter("serve.requests"),
@@ -448,7 +348,8 @@ pub fn run_brownoutload(config: &BrownoutLoadConfig) -> BrownoutLoadReport {
     }
 }
 
-const USAGE: &str = "usage: oi-bench brownoutload [--burst N] [--sources K] [--seed S] \
+/// The `oi-bench brownoutload` usage text.
+pub(crate) const USAGE: &str = "usage: oi-bench brownoutload [--burst N] [--sources K] [--seed S] \
      [--target-ms N] [--queue N] [--jobs N] [--retries N] [--json] [--out FILE]\n\
      \n\
      Replay a seeded cold-compile burst against a brownout-enabled serve\n\
@@ -458,98 +359,32 @@ const USAGE: &str = "usage: oi-bench brownoutload [--burst N] [--sources K] [--s
      unbounded brownout p99, missing recovery, or a shed/request\n\
      reconciliation mismatch).";
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}\n\n{USAGE}");
-    2
-}
-
-fn parse_flag<T: std::str::FromStr>(scanner: &mut ArgScanner, flag: &str) -> Result<T, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    v.parse::<T>()
-        .map_err(|_| format!("`{flag}` needs a valid value, got `{v}`"))
-}
-
 /// Entry point for `oic bench brownoutload`.
 pub fn cli_main(args: &[String]) -> u8 {
     let mut config = BrownoutLoadConfig::default();
-    let mut json_output = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "burst" => match parse_flag::<usize>(&mut scanner, "--burst") {
-                    Ok(n) if n > 0 => config.burst = n,
-                    _ => return usage_error("`--burst` needs a positive integer"),
-                },
-                "sources" => match parse_flag::<usize>(&mut scanner, "--sources") {
-                    Ok(n) if n > 0 => config.sources = n,
-                    _ => return usage_error("`--sources` needs a positive integer"),
-                },
-                "seed" => match parse_flag::<u64>(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "target-ms" => match parse_flag::<u64>(&mut scanner, "--target-ms") {
-                    Ok(n) if n > 0 => config.target_ms = n,
-                    _ => return usage_error("`--target-ms` needs a positive integer"),
-                },
-                "queue" => match parse_flag::<usize>(&mut scanner, "--queue") {
-                    Ok(n) if n > 0 => config.queue = n,
-                    _ => return usage_error("`--queue` needs a positive integer"),
-                },
-                "jobs" => match parse_flag::<usize>(&mut scanner, "--jobs") {
-                    Ok(n) if n > 0 => config.jobs = n,
-                    _ => return usage_error("`--jobs` needs a positive integer"),
-                },
-                "retries" => match parse_flag::<u32>(&mut scanner, "--retries") {
-                    Ok(n) => config.retries = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "json" => json_output = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ))
-            }
-            Arg::Positional(p) => return usage_error(&format!("unexpected argument `{p}`")),
+    let mut output = Output::default();
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--burst" => config.burst = s.positive(flag)? as usize,
+            "--sources" => config.sources = s.positive(flag)? as usize,
+            "--seed" => config.seed = s.integer(flag)?,
+            "--target-ms" => config.target_ms = s.positive(flag)?,
+            "--queue" => config.queue = s.positive(flag)? as usize,
+            "--jobs" => config.jobs = s.positive(flag)? as usize,
+            "--retries" => config.retries = s.integer(flag)?.min(u64::from(u32::MAX)) as u32,
+            _ => output.flag(flag, s)?,
         }
-    }
-    let report = run_brownoutload(&config);
-    let doc = if json_output {
-        report.to_json().to_string()
-    } else {
-        report.render_text().trim_end().to_string()
-    };
-    let code = match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    };
-    if code != 0 {
+        Ok(())
+    });
+    if let Err(code) = scanned {
         return code;
     }
-    u8::from(!report.gate_failures().is_empty())
+    let report = run_brownoutload(&config);
+    output.finish(
+        || report.to_json(),
+        || report.render_text(),
+        report.gate_failures().is_empty(),
+    )
 }
 
 #[cfg(test)]
@@ -566,7 +401,7 @@ mod tests {
             report.render_text()
         );
         assert!(report.descends >= 1, "burst must force a descend");
-        assert_eq!(report.completed, report.config.burst as u64);
+        assert_eq!(report.client.completed, report.config.burst as u64);
         let doc = report.to_json();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),

@@ -21,6 +21,11 @@
 //! story cannot tolerate. Exit 0 requires every fault class detected
 //! somewhere, every detection repaired, and zero escapes anywhere.
 
+use crate::cli::{scan_flags, Output};
+use crate::client::with_pump_client;
+use crate::overload::RetryPolicy;
+use crate::replay::{flood_then_retry, pump_transcript, scratch_dir, Flood, Line, Reply};
+use crate::serve::{ServeConfig, Server};
 use oi_core::cache::store::DiskStore;
 use oi_core::firewall::{optimize_guarded, Divergence, FirewallConfig};
 use oi_core::pipeline::{optimize, InlineConfig};
@@ -609,29 +614,19 @@ fn service_never_yields() -> ServiceRow {
 }
 
 /// Drives one full serve session over an in-memory transcript and
-/// returns the parsed responses plus the server's final counters.
-fn serve_session(
-    config: crate::serve::ServeConfig,
-    requests: &[String],
-) -> (Vec<Json>, Json, bool) {
-    let server = crate::serve::Server::new(config);
-    let input = std::io::Cursor::new(requests.join("\n").into_bytes());
-    let mut out: Vec<u8> = Vec::new();
-    let code = crate::serve::run_serve(&server, input, &mut out);
+/// returns the parsed responses, the drained server (for its counters),
+/// and whether the session exited cleanly.
+fn serve_session(config: ServeConfig, requests: &[String]) -> (Vec<Json>, Server, bool) {
+    let server = Server::new(config);
+    let (out, code) = pump_transcript(&server, requests);
+    // An unparseable line stays in place as `Null`, so the rows still see
+    // one answer per request and count it as a failure.
     let responses = String::from_utf8_lossy(&out)
         .lines()
         .map(|l| Json::parse(l).unwrap_or(Json::Null))
         .collect();
     let clean_exit = code == 0 && server.metrics().gauge("serve.in_flight") == 0;
-    (responses, server.metrics().to_json(), clean_exit)
-}
-
-fn counter_of(metrics: &Json, name: &str) -> i64 {
-    metrics
-        .get("counters")
-        .and_then(|c| c.get(name))
-        .and_then(Json::as_i64)
-        .unwrap_or(0)
+    (responses, server, clean_exit)
 }
 
 /// A quota-exhaustion storm through the full serve pipeline: a burst of
@@ -643,58 +638,46 @@ fn service_fuel_storm() -> ServiceRow {
                         { acc = acc + i; i = i + 1; } print acc; }";
     let mut requests: Vec<String> = (0..STORM)
         .map(|i| {
-            Json::obj(vec![
-                ("id", Json::from(i as u64 + 1)),
-                ("op", "run".into()),
-                ("source", storm_source.into()),
-                ("tenant", format!("storm{}", i % 6).into()),
-            ])
-            .to_string()
+            Line::run(i as u64 + 1, storm_source)
+                .tenant(&format!("storm{}", i % 6))
+                .to_string()
         })
         .collect();
     for (i, tenant) in ["calm0", "calm1"].iter().enumerate() {
         requests.push(
-            Json::obj(vec![
-                ("id", Json::from(100 + i as u64)),
-                ("op", "run".into()),
-                ("source", "fn main() { print 1 + 1; }".into()),
-                ("tenant", (*tenant).into()),
-            ])
-            .to_string(),
+            Line::run(100 + i as u64, "fn main() { print 1 + 1; }")
+                .tenant(tenant)
+                .to_string(),
         );
     }
-    let (responses, metrics, clean_exit) = serve_session(
-        crate::serve::ServeConfig {
+    let (responses, server, clean_exit) = serve_session(
+        ServeConfig {
             jobs: 2,
             max_instructions: Some(1_000),
-            ..crate::serve::ServeConfig::default()
+            ..ServeConfig::default()
         },
         &requests,
     );
     let killed = responses
         .iter()
         .take(STORM)
+        .map(Reply)
         .filter(|r| {
-            r.get("error_kind").and_then(Json::as_str) == Some("quota-exceeded")
-                && r.get("error")
-                    .and_then(Json::as_str)
+            r.error_kind() == "quota-exceeded"
+                && r.error()
                     .is_some_and(|e| e.contains("storm") && e.contains("instructions"))
         })
         .count();
     let calm_ok = responses
         .iter()
         .skip(STORM)
-        .filter(|r| {
-            r.get("ok").and_then(Json::as_bool) == Some(true)
-                && r.get("payload")
-                    .and_then(|p| p.get("output"))
-                    .and_then(Json::as_str)
-                    == Some("2\n")
-        })
+        .map(Reply)
+        .filter(|r| r.ok() && r.output() == Some("2\n"))
         .count();
     let detected = responses.len() == STORM + 2 && killed == STORM;
     let neighbors_ok = calm_ok == 2;
-    let reconciled = clean_exit && counter_of(&metrics, "serve.quota_kills_total") == STORM as i64;
+    let reconciled =
+        clean_exit && server.metrics().counter("serve.quota_kills_total") == STORM as u64;
     ServiceRow {
         fault: ServiceFault::FuelExhaustionStorm,
         detected,
@@ -716,44 +699,24 @@ fn service_mid_request_panic() -> ServiceRow {
     let source = "fn main() { var i = 0; var acc = 0; while (i < 5000) \
                   { acc = acc + i; i = i + 1; } print acc; }";
     let requests = vec![
-        Json::obj(vec![
-            ("id", Json::from(1u64)),
-            ("op", "run".into()),
-            ("source", source.into()),
-            ("tenant", "victim".into()),
-            (
-                "chaos",
-                Json::obj(vec![("panic_at_slice", Json::from(1u64))]),
-            ),
-        ])
-        .to_string(),
-        Json::obj(vec![
-            ("id", Json::from(2u64)),
-            ("op", "run".into()),
-            ("source", source.into()),
-            ("tenant", "bystander".into()),
-        ])
-        .to_string(),
+        Line::run(1, source)
+            .tenant("victim")
+            .chaos("panic_at_slice", 1)
+            .to_string(),
+        Line::run(2, source).tenant("bystander").to_string(),
     ];
-    let (responses, metrics, clean_exit) = serve_session(
-        crate::serve::ServeConfig {
+    let (responses, server, clean_exit) = serve_session(
+        ServeConfig {
             allow_chaos_faults: true,
             fuel_slice: 1_000,
-            ..crate::serve::ServeConfig::default()
+            ..ServeConfig::default()
         },
         &requests,
     );
-    let detected = responses.len() == 2
-        && responses[0].get("ok").and_then(Json::as_bool) == Some(false)
-        && responses[0].get("error_kind").and_then(Json::as_str) == Some("panic");
-    let neighbors_ok = responses.len() == 2
-        && responses[1].get("ok").and_then(Json::as_bool) == Some(true)
-        && responses[1]
-            .get("payload")
-            .and_then(|p| p.get("output"))
-            .and_then(Json::as_str)
-            .is_some();
-    let reconciled = clean_exit && counter_of(&metrics, "serve.errors") == 1;
+    let reply = |i: usize| Reply(&responses[i]);
+    let detected = responses.len() == 2 && !reply(0).ok() && reply(0).error_kind() == "panic";
+    let neighbors_ok = responses.len() == 2 && reply(1).ok() && reply(1).output().is_some();
+    let reconciled = clean_exit && server.metrics().counter("serve.errors") == 1;
     ServiceRow {
         fault: ServiceFault::MidRequestPanic,
         detected,
@@ -763,42 +726,11 @@ fn service_mid_request_panic() -> ServiceRow {
             "victim response: {}; bystander served afterwards: {neighbors_ok}",
             responses
                 .first()
-                .and_then(|r| r.get("error"))
-                .and_then(Json::as_str)
+                .and_then(|r| Reply(r).error())
                 .unwrap_or("<missing>"),
         ),
         wall_ms: 0,
     }
-}
-
-fn gauge_of(metrics: &Json, name: &str) -> i64 {
-    metrics
-        .get("gauges")
-        .and_then(|g| g.get(name))
-        .and_then(Json::as_i64)
-        .unwrap_or(0)
-}
-
-fn chaos_compile(id: u64, source: &str) -> String {
-    Json::obj(vec![
-        ("id", Json::from(id)),
-        ("op", "compile".into()),
-        ("source", source.into()),
-    ])
-    .to_string()
-}
-
-fn chaos_wedge(id: u64, source: &str, wedge_ms: u64) -> String {
-    Json::obj(vec![
-        ("id", Json::from(id)),
-        ("op", "compile".into()),
-        ("source", source.into()),
-        (
-            "chaos",
-            Json::obj(vec![("wedge_compile_ms", wedge_ms.into())]),
-        ),
-    ])
-    .to_string()
 }
 
 /// A repeat-offender source wedges the single worker twice: each victim
@@ -810,45 +742,36 @@ fn chaos_wedge(id: u64, source: &str, wedge_ms: u64) -> String {
 fn service_wedged_worker() -> ServiceRow {
     let offender = "class W { field a; method init(x) { self.a = x; } } \
                     fn main() { var w = new W(7); print w.a; }";
-    let requests = vec![
-        chaos_wedge(1, offender, 200),
-        chaos_compile(2, "fn main() { print 1 + 1; }"),
-        chaos_wedge(3, offender, 200),
-        chaos_compile(4, offender),
-        chaos_compile(5, "fn main() { print 2 + 2; }"),
-    ];
-    let (responses, metrics, clean_exit) = serve_session(
-        crate::serve::ServeConfig {
+    let requests: Vec<String> = [
+        Line::compile(1, offender).chaos("wedge_compile_ms", 200),
+        Line::compile(2, "fn main() { print 1 + 1; }"),
+        Line::compile(3, offender).chaos("wedge_compile_ms", 200),
+        Line::compile(4, offender),
+        Line::compile(5, "fn main() { print 2 + 2; }"),
+    ]
+    .iter()
+    .map(Line::to_string)
+    .collect();
+    let (responses, server, clean_exit) = serve_session(
+        ServeConfig {
             jobs: 1,
             allow_chaos_faults: true,
             watchdog_ms: Some(25),
             watchdog_strikes: 2,
             quarantine_cooldown_ms: 60_000,
-            ..crate::serve::ServeConfig::default()
+            ..ServeConfig::default()
         },
         &requests,
     );
-    let kind = |i: usize| {
-        responses
-            .get(i)
-            .and_then(|r| r.get("error_kind"))
-            .and_then(Json::as_str)
-            .unwrap_or("")
-    };
-    let served = |i: usize| {
-        responses
-            .get(i)
-            .and_then(|r| r.get("ok"))
-            .and_then(Json::as_bool)
-            == Some(true)
-    };
+    let kind = |i: usize| responses.get(i).map_or("", |r| Reply(r).error_kind());
+    let served = |i: usize| responses.get(i).is_some_and(|r| Reply(r).ok());
     let hint = responses
         .get(3)
-        .and_then(|r| r.get("retry_after_ms"))
-        .and_then(Json::as_i64)
+        .and_then(|r| Reply(r).retry_after_ms())
         .unwrap_or(0);
-    let kills = counter_of(&metrics, "serve.watchdog_kills_total");
-    let replacements = counter_of(&metrics, "serve.worker_replacements_total");
+    let m = server.metrics();
+    let kills = m.counter("serve.watchdog_kills_total");
+    let replacements = m.counter("serve.worker_replacements_total");
     let detected = responses.len() == 5
         && kind(0) == "watchdog-killed"
         && kind(2) == "watchdog-killed"
@@ -858,8 +781,8 @@ fn service_wedged_worker() -> ServiceRow {
     let reconciled = clean_exit
         && kills == 2
         && replacements == 2
-        && counter_of(&metrics, "serve.breaker_opened_total") == 1
-        && counter_of(&metrics, "serve.quarantined_total") == 1;
+        && m.counter("serve.breaker_opened_total") == 1
+        && m.counter("serve.quarantined_total") == 1;
     ServiceRow {
         fault: ServiceFault::WedgedWorker,
         detected,
@@ -885,39 +808,34 @@ fn service_compile_spin() -> ServiceRow {
     let spinner = "class S { field a; method init(x) { self.a = x; } } \
                    fn main() { var s = new S(3); print s.a; }";
     let requests = vec![
-        chaos_wedge(1, spinner, 250),
-        chaos_compile(2, "fn main() { print 10 + 1; }"),
-        chaos_compile(3, "fn main() { print 10 + 2; }"),
-        chaos_compile(4, "fn main() { print 10 + 3; }"),
+        Line::compile(1, spinner)
+            .chaos("wedge_compile_ms", 250)
+            .to_string(),
+        Line::compile(2, "fn main() { print 10 + 1; }").to_string(),
+        Line::compile(3, "fn main() { print 10 + 2; }").to_string(),
+        Line::compile(4, "fn main() { print 10 + 3; }").to_string(),
     ];
-    let (responses, metrics, clean_exit) = serve_session(
-        crate::serve::ServeConfig {
+    let (responses, server, clean_exit) = serve_session(
+        ServeConfig {
             jobs: 2,
             allow_chaos_faults: true,
             watchdog_ms: Some(30),
             watchdog_strikes: 10,
-            ..crate::serve::ServeConfig::default()
+            ..ServeConfig::default()
         },
         &requests,
     );
-    let victim_kind = responses
-        .first()
-        .and_then(|r| r.get("error_kind"))
-        .and_then(Json::as_str)
-        .unwrap_or("");
-    let neighbors = responses
-        .iter()
-        .skip(1)
-        .filter(|r| r.get("ok").and_then(Json::as_bool) == Some(true))
-        .count();
+    let victim_kind = responses.first().map_or("", |r| Reply(r).error_kind());
+    let neighbors = responses.iter().skip(1).filter(|r| Reply(r).ok()).count();
+    let m = server.metrics();
     let detected = responses.len() == 4 && victim_kind == "watchdog-killed";
     let neighbors_ok = neighbors == 3;
     let reconciled = clean_exit
-        && counter_of(&metrics, "serve.watchdog_kills_total") == 1
-        && counter_of(&metrics, "serve.worker_replacements_total") == 1
-        && counter_of(&metrics, "serve.breaker_opened_total") == 0
-        && counter_of(&metrics, "serve.quarantined_total") == 0
-        && counter_of(&metrics, "serve.errors") == 1;
+        && m.counter("serve.watchdog_kills_total") == 1
+        && m.counter("serve.worker_replacements_total") == 1
+        && m.counter("serve.breaker_opened_total") == 0
+        && m.counter("serve.quarantined_total") == 0
+        && m.counter("serve.errors") == 1;
     ServiceRow {
         fault: ServiceFault::CompileSpin,
         detected,
@@ -926,7 +844,7 @@ fn service_compile_spin() -> ServiceRow {
         detail: format!(
             "victim verdict: {victim_kind}; {neighbors}/3 neighbors served during the \
              wedge; one strike left the breaker closed: {}",
-            counter_of(&metrics, "serve.breaker_opened_total") == 0,
+            m.counter("serve.breaker_opened_total") == 0,
         ),
         wall_ms: 0,
     }
@@ -939,8 +857,6 @@ fn service_compile_spin() -> ServiceRow {
 /// client observed (sheds answered at the reader are id-less and never
 /// reach dispatch).
 fn service_retry_storm() -> ServiceRow {
-    use crate::client::{request_with_retries, with_pump_client, RETRYABLE_KINDS};
-    use crate::overload::{RetryPolicy, RetrySession};
     const FLOOD: usize = 24;
     let source = |i: usize| {
         let n = i % 6;
@@ -951,96 +867,38 @@ fn service_retry_storm() -> ServiceRow {
         )
     };
     let lines: Vec<String> = (0..FLOOD)
-        .map(|i| chaos_compile(i as u64 + 1, &source(i)))
+        .map(|i| Line::compile(i as u64 + 1, &source(i)).to_string())
         .collect();
-    let server = crate::serve::Server::new(crate::serve::ServeConfig {
+    let server = Server::new(ServeConfig {
         queue: 2,
         jobs: 1,
-        ..crate::serve::ServeConfig::default()
+        ..ServeConfig::default()
     });
-    let mut attempts = 0u64;
-    let mut reader_sheds = 0u64;
-    let mut shed_responses = 0u64;
-    let mut hinted = 0u64;
-    let mut first_wave_sheds = 0u64;
-    let mut completed = 0u64;
-    let mut give_ups = 0u64;
-    let mut protocol_errors = 0u64;
-    with_pump_client(&server, |client| {
-        for line in &lines {
-            client.send_line(line);
-        }
-        let mut needs_retry: Vec<usize> = Vec::new();
-        for i in 0..FLOOD {
-            attempts += 1;
-            let Some(resp) = client.recv_line() else {
-                protocol_errors += 1;
-                continue;
-            };
-            let kind = resp
-                .get("error_kind")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string();
-            if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-                completed += 1;
-            } else if RETRYABLE_KINDS.contains(&kind.as_str()) {
-                shed_responses += 1;
-                first_wave_sheds += 1;
-                if resp
-                    .get("retry_after_ms")
-                    .and_then(Json::as_i64)
-                    .unwrap_or(0)
-                    > 0
-                {
-                    hinted += 1;
-                }
-                if resp.get("id").is_none_or(|id| *id == Json::Null) {
-                    reader_sheds += 1;
-                }
-                needs_retry.push(i);
-            } else {
-                protocol_errors += 1;
-            }
-        }
-        // Lock-step retries: one request in flight at a time, so retry
-        // traffic can never itself overflow the two-slot queue (no
-        // id-less reader sheds past the first wave).
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_ms: 5,
-            cap_ms: 50,
-            budget_ms: 2_000,
-        };
-        for &i in &needs_retry {
-            let mut session = RetrySession::new(policy, 7 ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            let outcome = request_with_retries(client, &lines[i], &mut session);
-            attempts += u64::from(outcome.attempts);
-            let final_retryable = outcome
-                .response
-                .as_ref()
-                .map(|r| {
-                    RETRYABLE_KINDS
-                        .contains(&r.get("error_kind").and_then(Json::as_str).unwrap_or(""))
-                })
-                .unwrap_or(false);
-            shed_responses +=
-                u64::from(outcome.attempts.saturating_sub(1)) + u64::from(final_retryable);
-            match &outcome.response {
-                None => protocol_errors += 1,
-                Some(resp) if resp.get("ok").and_then(Json::as_bool) == Some(true) => {
-                    completed += 1;
-                }
-                Some(_) if final_retryable => give_ups += 1,
-                Some(_) => protocol_errors += 1,
-            }
-        }
+    let policy = RetryPolicy {
+        max_attempts: 10,
+        base_ms: 5,
+        cap_ms: 50,
+        budget_ms: 2_000,
+    };
+    let flood = with_pump_client(&server, |client| {
+        flood_then_retry(client, &lines, policy, 7)
     });
+    let Flood {
+        completed,
+        give_ups,
+        attempts,
+        refused,
+        hinted,
+        reader_sheds,
+        ..
+    } = flood;
     let m = server.metrics();
-    let detected = first_wave_sheds >= 1 && hinted == first_wave_sheds;
-    let neighbors_ok = completed == FLOOD as u64 && give_ups == 0 && protocol_errors == 0;
+    let detected = refused >= 1 && hinted == refused;
+    let neighbors_ok = completed == FLOOD as u64
+        && give_ups == 0
+        && flood.protocol_errors + flood.unexpected_errors == 0;
     let reconciled = m.counter("serve.requests") == attempts - reader_sheds
-        && m.counter("serve.shed_total") == shed_responses
+        && m.counter("serve.shed_total") == flood.shed_responses
         && m.gauge("serve.in_flight") == 0;
     ServiceRow {
         fault: ServiceFault::RetryStorm,
@@ -1048,7 +906,7 @@ fn service_retry_storm() -> ServiceRow {
         neighbors_ok,
         reconciled,
         detail: format!(
-            "{first_wave_sheds} first-wave sheds ({hinted} hinted, {reader_sheds} at the \
+            "{refused} first-wave sheds ({hinted} hinted, {reader_sheds} at the \
              reader); {completed}/{FLOOD} converged in {attempts} attempts, {give_ups} give-ups"
         ),
         wall_ms: 0,
@@ -1061,45 +919,39 @@ fn service_retry_storm() -> ServiceRow {
 /// store must warm-start all of them from disk.
 fn service_persister_backlog() -> ServiceRow {
     const FLEET: usize = 12;
-    let dir =
-        std::env::temp_dir().join(format!("oi-chaos-persister-backlog-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("chaos-persister-backlog");
     let source = |i: usize| {
         format!(
             "class P{i} {{ field a; method init(x) {{ self.a = x + {i}; }} }} \
              fn main() {{ var p = new P{i}(1); print p.a; }}"
         )
     };
-    let config = |delay: Option<u64>| crate::serve::ServeConfig {
+    let config = |delay: Option<u64>| ServeConfig {
         cache_dir: Some(dir.to_string_lossy().into_owned()),
         chaos_persist_delay_ms: delay,
-        ..crate::serve::ServeConfig::default()
+        ..ServeConfig::default()
     };
-    let cold_requests: Vec<String> = (0..FLEET)
-        .map(|i| chaos_compile(i as u64 + 1, &source(i)))
-        .collect();
-    let (cold, cold_metrics, cold_clean) = serve_session(config(Some(5)), &cold_requests);
-    let warm_requests: Vec<String> = (0..FLEET)
-        .map(|i| chaos_compile(i as u64 + 101, &source(i)))
-        .collect();
-    let (warm, warm_metrics, warm_clean) = serve_session(config(None), &warm_requests);
+    let requests = |first_id: u64| -> Vec<String> {
+        (0..FLEET)
+            .map(|i| Line::compile(first_id + i as u64, &source(i)).to_string())
+            .collect()
+    };
+    let (cold, cold_server, cold_clean) = serve_session(config(Some(5)), &requests(1));
+    let (warm, warm_server, warm_clean) = serve_session(config(None), &requests(101));
     let _ = std::fs::remove_dir_all(&dir);
-    let ok_count = |rs: &[Json]| {
-        rs.iter()
-            .filter(|r| r.get("ok").and_then(Json::as_bool) == Some(true))
-            .count()
-    };
-    let peak = counter_of(&cold_metrics, "serve.persist_backlog_peak");
-    let residual = gauge_of(&cold_metrics, "serve.persist_backlog");
-    let persisted = counter_of(&cold_metrics, "disk.persists");
-    let warm_disk_hits = counter_of(&warm_metrics, "disk.load_hits");
+    let ok_count = |rs: &[Json]| rs.iter().filter(|r| Reply(r).ok()).count();
+    let cold_m = cold_server.metrics();
+    let peak = cold_m.counter("serve.persist_backlog_peak");
+    let residual = cold_m.gauge("serve.persist_backlog");
+    let persisted = cold_m.counter("disk.persists");
+    let warm_disk_hits = warm_server.metrics().counter("disk.load_hits");
     let (cold_ok, warm_ok) = (ok_count(&cold), ok_count(&warm));
-    let detected = peak >= 2 && residual == 0 && persisted == FLEET as i64;
+    let detected = peak >= 2 && residual == 0 && persisted == FLEET as u64;
     let neighbors_ok = cold_ok == FLEET && warm_ok == FLEET;
     let reconciled = cold_clean
         && warm_clean
-        && counter_of(&cold_metrics, "disk.persist_failures") == 0
-        && warm_disk_hits == FLEET as i64;
+        && cold_m.counter("disk.persist_failures") == 0
+        && warm_disk_hits == FLEET as u64;
     ServiceRow {
         fault: ServiceFault::PersisterBacklog,
         detected,
@@ -1120,34 +972,23 @@ fn service_persister_backlog() -> ServiceRow {
 pub fn run_io_chaos() -> Vec<IoRow> {
     IoFault::ALL
         .iter()
-        .map(|&fault| {
-            let (mut row, wall) = crate::harness::time_once(|| run_io_case(fault));
-            row.wall_ms = (wall.median / 1_000_000) as u64;
-            row
-        })
+        .map(|&fault| timed_io_case(fault))
         .collect()
 }
 
-/// A fresh per-case store directory under the system temp dir.
-fn io_case_dir(fault: IoFault) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "oi-chaos-io-{}-{}-{n}",
-        std::process::id(),
-        fault.name()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// [`run_io_case`] with its wall time recorded on the row.
+fn timed_io_case(fault: IoFault) -> IoRow {
+    let (mut row, wall) = crate::harness::time_once(|| run_io_case(fault));
+    row.wall_ms = (wall.median / 1_000_000) as u64;
+    row
 }
 
 /// One I/O fault cell: seed, inject, restart, classify.
 fn run_io_case(fault: IoFault) -> IoRow {
-    let dir = io_case_dir(fault);
-    let config = || crate::serve::ServeConfig {
+    let dir = scratch_dir(&format!("chaos-io-{}", fault.name()));
+    let config = || ServeConfig {
         cache_dir: Some(dir.to_string_lossy().into_owned()),
-        ..crate::serve::ServeConfig::default()
+        ..ServeConfig::default()
     };
     // The same transcript drives both sessions: compile two sentinels,
     // then shut down (which drains the write-behind persister and
@@ -1156,24 +997,11 @@ fn run_io_case(fault: IoFault) -> IoRow {
         .iter()
         .take(2)
         .enumerate()
-        .map(|(i, &(_, source))| {
-            Json::obj(vec![
-                ("id", Json::from(i as u64 + 1)),
-                ("op", "compile".into()),
-                ("source", source.into()),
-            ])
-            .to_string()
-        })
-        .chain(std::iter::once(
-            Json::obj(vec![("id", 99u64.into()), ("op", "shutdown".into())]).to_string(),
-        ))
+        .map(|(i, &(_, source))| Line::compile(i as u64 + 1, source).to_string())
+        .chain(std::iter::once(Line::new(99, "shutdown").to_string()))
         .collect();
     let (seeded, _, seed_clean) = serve_session(config(), &requests);
-    let expected: Vec<String> = seeded
-        .iter()
-        .take(2)
-        .map(|r| r.get("payload").map(Json::to_string).unwrap_or_default())
-        .collect();
+    let expected: Vec<String> = seeded.iter().take(2).map(|r| Reply(r).payload()).collect();
 
     let injected = match DiskStore::inject_io_fault(&dir, fault) {
         Ok(desc) => desc,
@@ -1191,11 +1019,8 @@ fn run_io_case(fault: IoFault) -> IoRow {
         }
     };
 
-    let (responses, metrics, clean_exit) = serve_session(config(), &requests);
-    let all_ok = responses.len() == requests.len()
-        && responses
-            .iter()
-            .all(|r| r.get("ok").and_then(Json::as_bool) == Some(true));
+    let (responses, server, clean_exit) = serve_session(config(), &requests);
+    let all_ok = responses.len() == requests.len() && responses.iter().all(|r| Reply(r).ok());
     let recovered = seed_clean && clean_exit && all_ok;
     // Zero corrupt serves: every compile answer must carry the exact
     // pre-fault payload, whether it came from disk or a recompile.
@@ -1208,10 +1033,10 @@ fn run_io_case(fault: IoFault) -> IoRow {
     let served_states: Vec<&str> = responses
         .iter()
         .take(2)
-        .map(|r| r.get("cache").and_then(Json::as_str).unwrap_or("?"))
+        .map(|r| Reply(r).cache().unwrap_or("?"))
         .collect();
 
-    let c = |name: &str| counter_of(&metrics, name);
+    let c = |name: &str| server.metrics().counter(name);
     let quarantine_files = std::fs::read_dir(dir.join("quarantine"))
         .map(|d| d.count())
         .unwrap_or(0);
@@ -1297,69 +1122,43 @@ errors.
 /// Runs the `oic chaos` command-line interface on pre-split arguments and
 /// returns the process exit code.
 pub fn cli_main(args: &[String]) -> u8 {
-    use oi_support::cli::{Arg, ArgScanner};
     let mut faults: Vec<Fault> = Fault::ALL.to_vec();
     let mut io_only: Option<IoFault> = None;
     let mut filtered = false;
-    let mut json_output = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(arg) => arg,
-            Err(msg) => return usage_error(&msg),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "fault" => {
-                    let v = scanner.value_for("--fault").unwrap_or_default();
-                    match (Fault::parse(&v), IoFault::parse(&v)) {
-                        (Some(f), _) => {
-                            faults = vec![f];
-                            filtered = true;
-                        }
-                        (None, Some(f)) => {
-                            faults = Vec::new();
-                            io_only = Some(f);
-                            filtered = true;
-                        }
-                        (None, None) => {
-                            return usage_error(&format!(
-                                "unknown fault `{v}` (try `oic chaos --list`)"
-                            ))
-                        }
+    let mut list = false;
+    let mut output = Output::default();
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--fault" => {
+                let v = s.value_for(flag).unwrap_or_default();
+                match (Fault::parse(&v), IoFault::parse(&v)) {
+                    (Some(f), _) => faults = vec![f],
+                    (None, Some(f)) => {
+                        faults = Vec::new();
+                        io_only = Some(f);
+                    }
+                    (None, None) => {
+                        return Err(format!("unknown fault `{v}` (try `oic chaos --list`)"))
                     }
                 }
-                "list" => {
-                    for f in Fault::ALL {
-                        println!("{}", f.name());
-                    }
-                    for f in IoFault::ALL {
-                        println!("{}", f.name());
-                    }
-                    return 0;
-                }
-                "json" => json_output = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                "help" => {
-                    print!("{USAGE}");
-                    return 0;
-                }
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ));
+                filtered = true;
             }
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected argument `{p}`"));
-            }
+            "--list" => list = true,
+            _ => output.flag(flag, s)?,
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
+    }
+    if list {
+        for f in Fault::ALL {
+            println!("{}", f.name());
+        }
+        for f in IoFault::ALL {
+            println!("{}", f.name());
+        }
+        return 0;
     }
     eprintln!(
         "chaos: {} fault class(es) x {} sentinel(s){}...",
@@ -1376,25 +1175,9 @@ pub fn cli_main(args: &[String]) -> u8 {
         report.service_rows = run_service_chaos();
         report.io_rows = run_io_chaos();
     } else if let Some(fault) = io_only {
-        let (mut row, wall) = crate::harness::time_once(|| run_io_case(fault));
-        row.wall_ms = (wall.median / 1_000_000) as u64;
-        report.io_rows = vec![row];
+        report.io_rows = vec![timed_io_case(fault)];
     }
-    let rendered = if json_output {
-        report.to_json().to_string()
-    } else {
-        render_text(&report)
-    };
-    let code = write_out(&rendered, out.as_deref());
-    if code != 0 {
-        return code;
-    }
-    u8::from(!report.ok())
-}
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
+    output.finish(|| report.to_json(), || render_text(&report), report.ok())
 }
 
 fn render_text(report: &ChaosReport) -> String {
@@ -1474,24 +1257,6 @@ fn render_text(report: &ChaosReport) -> String {
         if report.ok() { "OK" } else { "FINDINGS" }
     );
     out
-}
-
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    }
 }
 
 #[cfg(test)]

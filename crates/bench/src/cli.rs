@@ -1,6 +1,14 @@
 //! The `oi-bench` command-line interface (also reachable as
 //! `oic bench`): `snapshot` writes an `oi.bench.v1` document, `compare`
-//! diffs two of them with the noise-aware gate.
+//! diffs two of them with the noise-aware gate, and the load harnesses
+//! (`loadgen`, `tenantload`, `restartload`, `brownoutload`) are
+//! dispatched to their modules.
+//!
+//! It also holds the front every `oic` command in this crate shares:
+//! `scan_args` / `scan_flags` walk the arguments and answer `--help` and
+//! usage errors with the command's usage, `usage_error` prints that usage
+//! with exit 2, and `Output` / `emit` handle `--json`, `--out` and the
+//! gate's exit code.
 //!
 //! Exit codes follow the workspace convention: `0` success (and, for
 //! `compare`, no regression), `1` runtime failure or a regression, `2`
@@ -13,45 +21,36 @@ use oi_benchmarks::BenchSize;
 use oi_support::cli::{Arg, ArgScanner};
 use oi_support::Json;
 
-const USAGE: &str = "usage: oi-bench <command>
+const SNAPSHOT_USAGE: &str = "usage: oi-bench snapshot [--size small|default|large] [--samples N] \
+     [--profile] [--out FILE]\n\
+     \n\
+     Runs every benchmark and writes one oi.bench.v1 JSON document (stdout\n\
+     by default); OI_BENCH_SAMPLES also sets the sample count; --profile\n\
+     embeds a truncated top-N execution profile per row.";
 
-commands:
-  snapshot [--size small|default|large] [--samples N] [--profile]
-           [--out FILE]
-      run every benchmark and write one oi.bench.v1 JSON document
-      (stdout by default); OI_BENCH_SAMPLES also sets the sample count;
-      --profile embeds a truncated top-N execution profile per row
-  compare OLD.json NEW.json [--threshold-pct P] [--wall-advisory]
-          [--json] [--out FILE]
-      diff two snapshots; exit 1 when a gated metric regressed.
-      wall-clock gates statistically (calibrated noise floors) when both
-      snapshots carry >= 2 samples; --wall-advisory disarms that gate
-      for cross-machine comparisons
-  loadgen [--requests N] [--sources K] [--seed S] [--zipf-s X]
-          [--cache-bytes B] [--json] [--out FILE]
-      replay a seeded Zipf-skewed compile trace against an in-process
-      compile server and emit oi.load.v1; exit 1 when the gate fails
-  tenantload [--requests N] [--tenants T] [--hogs H] [--workers W]
-             [--fuel-slice F] [--seed S] [--zipf-s X]
-             [--min-throughput J] [--json] [--out FILE]
-      submit a Zipf-skewed burst of small programs across T tenants
-      (H rigged quota-busters) to the fair scheduler and emit
-      oi.tenantload.v1; exit 1 when the fairness/robustness gate fails
-  restartload [--requests N] [--sources K] [--seed S] [--zipf-s X]
-              [--kills M] [--cache-bytes B] [--disk-bytes B]
-              [--cache-dir DIR] [--json] [--out FILE]
-      replay a seeded compile trace against a --cache-dir server,
-      killing it uncleanly M times and restarting over the same store;
-      emit oi.restart.v1; exit 1 on any corrupt serve, reconciliation
-      mismatch, missed recovery, or a warm hit rate under 0.8x cold
-  brownoutload [--burst N] [--sources K] [--seed S] [--target-ms N]
-               [--queue N] [--jobs N] [--retries N] [--json] [--out FILE]
-      pipeline a cold-compile burst at a brownout-enabled serve session,
-      retry every shed through the typed retry_after_ms contract, and
-      wait for recovery; emit oi.brownout.v1; exit 1 when the overload
-      gate fails (no descend, give-ups, unbounded p99, missed recovery,
-      or a shed/request reconciliation mismatch)
-";
+const COMPARE_USAGE: &str = "usage: oi-bench compare OLD.json NEW.json [--threshold-pct P] \
+     [--wall-advisory] [--json] [--out FILE]\n\
+     \n\
+     Diffs two snapshots; exits 1 when a gated metric regressed. Wall-clock\n\
+     gates statistically (calibrated noise floors) when both snapshots\n\
+     carry >= 2 samples; --wall-advisory disarms that gate for\n\
+     cross-machine comparisons.";
+
+/// The `oi-bench` help: every command's own usage text.
+fn usage() -> String {
+    let commands = [
+        SNAPSHOT_USAGE,
+        COMPARE_USAGE,
+        crate::loadgen::USAGE,
+        crate::tenantload::USAGE,
+        crate::restartload::USAGE,
+        crate::brownoutload::USAGE,
+    ];
+    format!(
+        "usage: oi-bench <command> (also `oic bench <command>`)\n\n{}\n",
+        commands.join("\n\n")
+    )
+}
 
 /// Runs the CLI on pre-split arguments and returns the process exit
 /// code. `oic bench ...` forwards here, so errors print program-agnostic
@@ -65,7 +64,7 @@ pub fn main(args: &[String]) -> u8 {
         Some("restartload") => crate::restartload::cli_main(&args[1..]),
         Some("brownoutload") => crate::brownoutload::cli_main(&args[1..]),
         Some("--help") | Some("help") => {
-            print!("{USAGE}");
+            print!("{}", usage());
             0
         }
         Some(other) => {
@@ -75,15 +74,114 @@ pub fn main(args: &[String]) -> u8 {
             2
         }
         None => {
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             2
         }
     }
 }
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
+/// Prints `msg` and the command's `usage` to stderr; returns exit code 2.
+pub fn usage_error(usage: &str, msg: &str) -> u8 {
+    eprintln!("{msg}\n\n{usage}");
     2
+}
+
+/// Walks `args` for the command whose usage text is `usage`. Each flag
+/// goes to `on_flag` as written (`--name`, or `--name=value`), which
+/// pulls and checks its value; each positional goes to `on_positional`.
+/// `--help` prints `usage` to stdout and stops the walk with `Err(0)`; a
+/// malformed token or an argument a callback rejects prints the error and
+/// `usage` to stderr and stops it with `Err(2)`. `Err` holds the exit
+/// code.
+pub fn scan_args(
+    args: &[String],
+    usage: &str,
+    mut on_flag: impl FnMut(&str, &mut ArgScanner) -> Result<(), String>,
+    mut on_positional: impl FnMut(String) -> Result<(), String>,
+) -> Result<(), u8> {
+    let mut scanner = ArgScanner::new(args.to_vec());
+    while let Some(arg) = scanner.next() {
+        let step = match arg {
+            Ok(Arg::Flag { name, value: None }) if name == "help" => {
+                println!("{}", usage.trim_end());
+                return Err(0);
+            }
+            Ok(Arg::Flag { name, value: None }) => on_flag(&format!("--{name}"), &mut scanner),
+            Ok(Arg::Flag {
+                name,
+                value: Some(value),
+            }) => on_flag(&format!("--{name}={value}"), &mut scanner),
+            Ok(Arg::Positional(p)) => on_positional(p),
+            Err(e) => Err(e),
+        };
+        step.map_err(|msg| usage_error(usage, &msg))?;
+    }
+    Ok(())
+}
+
+/// [`scan_args`] for a command that takes no positionals.
+pub fn scan_flags(
+    args: &[String],
+    usage: &str,
+    on_flag: impl FnMut(&str, &mut ArgScanner) -> Result<(), String>,
+) -> Result<(), u8> {
+    scan_args(args, usage, on_flag, |p| {
+        Err(Arg::Positional(p).unexpected())
+    })
+}
+
+/// `--json` and `--out FILE`, the flags every report command shares.
+#[derive(Debug, Default)]
+pub(crate) struct Output {
+    json: bool,
+    out: Option<String>,
+}
+
+impl Output {
+    /// Takes `flag` when it is `--json` or `--out`; any other flag is
+    /// unknown.
+    pub(crate) fn flag(&mut self, flag: &str, scanner: &mut ArgScanner) -> Result<(), String> {
+        match flag {
+            "--json" => self.json = true,
+            "--out" => self.out = Some(scanner.path(flag)?),
+            _ => return Err(format!("unknown flag `{flag}`")),
+        }
+        Ok(())
+    }
+
+    /// Emits the report, `json` under `--json` and `text` otherwise (see
+    /// [`emit`]).
+    pub(crate) fn finish(
+        &self,
+        json: impl FnOnce() -> Json,
+        text: impl FnOnce() -> String,
+        passed: bool,
+    ) -> u8 {
+        let doc = if self.json {
+            json().to_string()
+        } else {
+            text()
+        };
+        emit(&doc, self.out.as_deref(), passed)
+    }
+}
+
+/// Writes `doc` and one newline to `out` (announced on stderr), or to
+/// stdout. Returns the exit code: 1 when the write failed or the gate did
+/// not pass, else 0.
+pub fn emit(doc: &str, out: Option<&str>, passed: bool) -> u8 {
+    let doc = doc.trim_end();
+    match out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
+                eprintln!("cannot write {path}: {e}");
+                return 1;
+            }
+            eprintln!("wrote {path}");
+        }
+        None => println!("{doc}"),
+    }
+    u8::from(!passed)
 }
 
 fn snapshot_cmd(args: &[String]) -> u8 {
@@ -91,53 +189,22 @@ fn snapshot_cmd(args: &[String]) -> u8 {
     let mut samples: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut profile = false;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(arg) => arg,
-            Err(msg) => return usage_error(&msg),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "size" => {
-                    let v = scanner.value_for("--size").unwrap_or_default();
-                    match parse_size(&v) {
-                        Some(s) => size = s,
-                        None => {
-                            return usage_error(&format!(
-                                "unknown size `{v}` (small|default|large)"
-                            ))
-                        }
-                    }
-                }
-                "samples" => {
-                    let v = scanner.value_for("--samples").unwrap_or_default();
-                    match harness::parse_samples(&v) {
-                        Some(n) => samples = Some(n),
-                        None => {
-                            return usage_error(&format!(
-                                "`--samples` needs a positive integer, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "profile" => profile = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ));
+    let scanned = scan_flags(args, SNAPSHOT_USAGE, |flag, s| {
+        match flag {
+            "--size" => {
+                let v = s.value_for(flag).unwrap_or_default();
+                size = parse_size(&v)
+                    .ok_or_else(|| format!("unknown size `{v}` (small|default|large)"))?;
             }
-            Arg::Positional(other) => {
-                return usage_error(&format!("unexpected argument `{other}`"));
-            }
+            "--samples" => samples = Some(s.positive(flag)? as usize),
+            "--profile" => profile = true,
+            "--out" => out = Some(s.path(flag)?),
+            _ => return Err(format!("unknown flag `{flag}`")),
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
     }
     // Flag beats environment beats default, so CI can pin globally while
     // a one-off invocation still overrides.
@@ -154,53 +221,38 @@ fn snapshot_cmd(args: &[String]) -> u8 {
         ..SnapshotOptions::default()
     };
     let doc = take_snapshot_with(size, samples, &git_rev(), &opts).to_string();
-    write_out(&doc, out.as_deref())
+    emit(&doc, out.as_deref(), true)
 }
 
 fn compare_cmd(args: &[String]) -> u8 {
     let mut threshold: Option<f64> = None;
-    let mut json_output = false;
     let mut wall_advisory = false;
-    let mut out: Option<String> = None;
+    let mut output = Output::default();
     let mut files = Vec::new();
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(arg) => arg,
-            Err(msg) => return usage_error(&msg),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "threshold-pct" => {
-                    let v = scanner.value_for("--threshold-pct").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(p) if p >= 0.0 && p.is_finite() => threshold = Some(p),
-                        _ => {
-                            return usage_error(&format!(
-                                "`--threshold-pct` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "json" => json_output = true,
-                "wall-advisory" => wall_advisory = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ));
+    let scanned = scan_args(
+        args,
+        COMPARE_USAGE,
+        |flag, s| {
+            match flag {
+                "--threshold-pct" => threshold = Some(s.non_negative(flag)?),
+                "--wall-advisory" => wall_advisory = true,
+                _ => output.flag(flag, s)?,
             }
-            Arg::Positional(path) => files.push(path),
-        }
+            Ok(())
+        },
+        |path| {
+            files.push(path);
+            Ok(())
+        },
+    );
+    if let Err(code) = scanned {
+        return code;
     }
     let [old_path, new_path] = files.as_slice() else {
-        return usage_error("compare needs exactly two snapshot files: OLD.json NEW.json");
+        return usage_error(
+            COMPARE_USAGE,
+            "compare needs exactly two snapshot files: OLD.json NEW.json",
+        );
     };
 
     let mut docs = Vec::new();
@@ -221,36 +273,9 @@ fn compare_cmd(args: &[String]) -> u8 {
         }
     }
 
-    let cmp = match compare(&docs[0], &docs[1], threshold, wall_advisory) {
-        Ok(cmp) => cmp,
-        Err(msg) => return usage_error(&msg),
-    };
-    let code = if json_output {
-        write_out(&cmp.diff.to_string(), out.as_deref())
-    } else {
-        write_out(cmp.text.trim_end(), out.as_deref())
-    };
-    if code != 0 {
-        return code;
-    }
-    u8::from(cmp.regressed)
-}
-
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
+    match compare(&docs[0], &docs[1], threshold, wall_advisory) {
+        Ok(cmp) => output.finish(|| cmp.diff, || cmp.text, !cmp.regressed),
+        Err(msg) => usage_error(COMPARE_USAGE, &msg),
     }
 }
 

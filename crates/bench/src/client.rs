@@ -1,7 +1,8 @@
 //! Retrying client for the `oi.serve.v1` protocol.
 //!
-//! Three layers, shared by `oic client`, `oic bench brownoutload`, and
-//! `loadgen --retries`:
+//! Three layers, shared by `oic client` and, through
+//! [`crate::replay::flood_then_retry`], by `oic bench brownoutload` and
+//! the `retry-storm` chaos row:
 //!
 //! - **In-process transport**: [`ChannelReader`] / [`LineWriter`] adapt
 //!   mpsc channels to the `BufRead`/`Write` pair [`run_serve`] pumps, so
@@ -10,8 +11,8 @@
 //! - **Subprocess transport**: [`ProcessTransport`] spawns `oic serve`
 //!   with piped stdio — the transport behind `oic client`.
 //! - **Retry driver**: [`request_with_retries`] resends a request while
-//!   the server answers with a *retryable* typed refusal (`overloaded`,
-//!   `shedding`, `tenant-over-concurrency`, `quarantined`), backing off
+//!   the server answers with a *retryable* typed refusal
+//!   ([`crate::replay::RETRYABLE_KINDS`]), backing off
 //!   exponentially with full jitter, floored at the server's
 //!   `retry_after_ms` hint, within a total time budget (DESIGN §17).
 
@@ -22,7 +23,9 @@ use std::time::Duration;
 
 use oi_support::Json;
 
-use crate::overload::RetrySession;
+use crate::cli::scan_flags;
+use crate::overload::{RetryPolicy, RetrySession};
+use crate::replay::Reply;
 use crate::serve::{run_serve, Server};
 
 /// How long a client waits for a single response before declaring the
@@ -184,16 +187,6 @@ where
     })
 }
 
-/// The typed refusal kinds a client may retry. Everything else
-/// (`panic`, `quota-exceeded`, `watchdog-killed`, compile errors) is a
-/// property of the request, not of the server's current load.
-pub const RETRYABLE_KINDS: [&str; 4] = [
-    "overloaded",
-    "shedding",
-    "tenant-over-concurrency",
-    "quarantined",
-];
-
 /// What one retried request ultimately came to.
 pub struct RetryOutcome {
     /// The final response (success, non-retryable error, or the last
@@ -201,6 +194,9 @@ pub struct RetryOutcome {
     pub response: Option<Json>,
     /// Attempts answered, first try included.
     pub attempts: u32,
+    /// Answers that were load sheds ([`Reply::shed`]), the final one
+    /// included.
+    pub sheds: u32,
     /// Total backoff slept, in milliseconds.
     pub backoff_ms_total: u64,
     /// `true` when retries were exhausted (or the transport died)
@@ -211,11 +207,7 @@ pub struct RetryOutcome {
 impl RetryOutcome {
     /// Did the final response land `ok:true`?
     pub fn ok(&self) -> bool {
-        self.response
-            .as_ref()
-            .and_then(|r| r.get("ok"))
-            .and_then(Json::as_bool)
-            .unwrap_or(false)
+        self.response.as_ref().is_some_and(|r| Reply(r).ok())
     }
 }
 
@@ -228,6 +220,7 @@ pub fn request_with_retries(
     session: &mut RetrySession,
 ) -> RetryOutcome {
     let mut attempts = 0u32;
+    let mut sheds = 0u32;
     let mut spent = 0u64;
     loop {
         let resp = transport.roundtrip(line);
@@ -236,29 +229,23 @@ pub fn request_with_retries(
             return RetryOutcome {
                 response: None,
                 attempts,
+                sheds,
                 backoff_ms_total: spent,
                 gave_up: true,
             };
         };
-        let ok = resp.get("ok").and_then(Json::as_bool).unwrap_or(false);
-        let kind = resp
-            .get("error_kind")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        if ok || !RETRYABLE_KINDS.contains(&kind.as_str()) {
+        let reply = Reply(&resp);
+        sheds += u32::from(reply.shed());
+        if !reply.retryable() {
             return RetryOutcome {
                 response: Some(resp),
                 attempts,
+                sheds,
                 backoff_ms_total: spent,
                 gave_up: false,
             };
         }
-        let hint = resp
-            .get("retry_after_ms")
-            .and_then(Json::as_i64)
-            .map(|n| n.max(0) as u64);
-        match session.backoff_ms(attempts, hint, spent) {
+        match session.backoff_ms(attempts, reply.retry_after_ms(), spent) {
             Some(ms) => {
                 spent += ms;
                 std::thread::sleep(Duration::from_millis(ms));
@@ -267,6 +254,7 @@ pub fn request_with_retries(
                 return RetryOutcome {
                     response: Some(resp),
                     attempts,
+                    sheds,
                     backoff_ms_total: spent,
                     gave_up: true,
                 };
@@ -347,64 +335,28 @@ const USAGE: &str = "usage: oic client [--retries N] [--budget-ms N] [--seed N] 
      (default 4) within --budget-ms total backoff (default 5000). A final\n\
      oi.client.v1 summary goes to stderr. Exit 1 when any request gave up.";
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("oic client: {msg}\n\n{USAGE}");
-    2
-}
-
 /// Entry point for `oic client`.
 pub fn cli_main(args: &[String]) -> u8 {
-    use oi_support::cli::{Arg, ArgScanner};
-    let mut policy = crate::overload::RetryPolicy::default();
+    let mut policy = RetryPolicy::default();
     let mut seed = 1u64;
     let mut serve_args: Vec<String> = Vec::new();
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "retries" => match scanner.value_for("--retries") {
-                    Ok(v) => match v.parse::<u32>() {
-                        Ok(n) => policy.max_attempts = n.saturating_add(1),
-                        Err(_) => return usage_error("`--retries` needs an integer"),
-                    },
-                    Err(e) => return usage_error(&e),
-                },
-                "budget-ms" => match scanner.value_for("--budget-ms") {
-                    Ok(v) => match v.parse::<u64>() {
-                        Ok(n) => policy.budget_ms = n,
-                        Err(_) => return usage_error("`--budget-ms` needs an integer"),
-                    },
-                    Err(e) => return usage_error(&e),
-                },
-                "seed" => match scanner.value_for("--seed") {
-                    Ok(v) => match v.parse::<u64>() {
-                        Ok(n) => seed = n,
-                        Err(_) => return usage_error("`--seed` needs an integer"),
-                    },
-                    Err(e) => return usage_error(&e),
-                },
-                "serve-args" => match scanner.value_for("--serve-args") {
-                    Ok(v) => {
-                        serve_args.extend(v.split_whitespace().map(str::to_string));
-                    }
-                    Err(e) => return usage_error(&e),
-                },
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ))
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--retries" => {
+                let retries = s.integer(flag)?.min(u64::from(u32::MAX)) as u32;
+                policy.max_attempts = retries.saturating_add(1);
             }
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
+            "--budget-ms" => policy.budget_ms = s.integer(flag)?,
+            "--seed" => seed = s.integer(flag)?,
+            "--serve-args" => {
+                serve_args.extend(s.value_for(flag)?.split_whitespace().map(str::to_string));
             }
+            _ => return Err(format!("unknown flag `{flag}`")),
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
     }
     let mut transport = match ProcessTransport::spawn(&serve_args) {
         Ok(t) => t,
@@ -473,25 +425,17 @@ pub fn cli_main(args: &[String]) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::Line;
     use crate::serve::ServeConfig;
 
     const SOURCE: &str = "fn main() { print 2 + 3; }";
-
-    fn compile_request(id: u64, source: &str) -> String {
-        Json::obj(vec![
-            ("id", Json::from(id)),
-            ("op", "compile".into()),
-            ("source", source.into()),
-        ])
-        .to_string()
-    }
 
     #[test]
     fn pump_client_roundtrips_in_order() {
         let server = Server::new(ServeConfig::default());
         let (first, second) = with_pump_client(&server, |client| {
-            client.send_line(&compile_request(1, SOURCE));
-            client.send_line(&compile_request(2, SOURCE));
+            client.send_line(&Line::compile(1, SOURCE).to_string());
+            client.send_line(&Line::compile(2, SOURCE).to_string());
             (client.recv_line().unwrap(), client.recv_line().unwrap())
         });
         assert_eq!(first.get("id").and_then(Json::as_i64), Some(1));
@@ -501,7 +445,6 @@ mod tests {
 
     #[test]
     fn retries_ride_out_a_brownout_shed() {
-        use crate::overload::RetryPolicy;
         use oi_core::BrownoutLevel;
         // Cache-only brownout sheds the first attempts; service recovers
         // before the retry budget runs out, so the client converges.
@@ -524,18 +467,22 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(40));
                     server.force_brownout(BrownoutLevel::GuardedFull);
                 });
-                request_with_retries(client, &compile_request(1, SOURCE), &mut session)
+                request_with_retries(client, &Line::compile(1, SOURCE).to_string(), &mut session)
             })
         });
         assert!(outcome.ok(), "retries must converge after recovery");
         assert!(outcome.attempts >= 2, "first attempt must have been shed");
+        assert_eq!(
+            outcome.sheds,
+            outcome.attempts - 1,
+            "every refusal was a shed"
+        );
         assert!(!outcome.gave_up);
         assert!(outcome.backoff_ms_total >= 1);
     }
 
     #[test]
     fn exhausted_retries_give_up_with_the_last_refusal() {
-        use crate::overload::RetryPolicy;
         use oi_core::BrownoutLevel;
         let server = Server::new(ServeConfig {
             brownout_target_ms: Some(1_000),
@@ -550,10 +497,11 @@ mod tests {
                 budget_ms: 1_000,
             };
             let mut session = RetrySession::new(policy, 3);
-            request_with_retries(client, &compile_request(1, SOURCE), &mut session)
+            request_with_retries(client, &Line::compile(1, SOURCE).to_string(), &mut session)
         });
         assert!(outcome.gave_up);
         assert_eq!(outcome.attempts, 3);
+        assert_eq!(outcome.sheds, 3, "the final refusal counts too");
         assert_eq!(
             outcome
                 .response
@@ -571,12 +519,12 @@ mod tests {
             let mut session = RetrySession::new(Default::default(), 5);
             request_with_retries(
                 client,
-                &compile_request(1, "fn main() { print ; }"),
+                &Line::compile(1, "fn main() { print ; }").to_string(),
                 &mut session,
             )
         });
         assert!(!outcome.ok());
         assert!(!outcome.gave_up);
-        assert_eq!(outcome.attempts, 1);
+        assert_eq!((outcome.attempts, outcome.sheds), (1, 0));
     }
 }

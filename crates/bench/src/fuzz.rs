@@ -14,6 +14,7 @@
 //! The driver is exposed as `oic fuzz --runs N --seed S [--json]`,
 //! emitting a schema-stable `oi.fuzz.v1` document.
 
+use crate::cli::{scan_flags, Output};
 use oi_core::firewall::{compare_runs, optimize_guarded, Divergence, FirewallConfig};
 use oi_core::pipeline::{try_baseline, try_optimize, InlineConfig};
 use oi_support::panic::{contained, silence_hook};
@@ -603,58 +604,19 @@ report. Exit 0 when the session is clean, 1 when any finding survives,
 /// Runs the `oic fuzz` command-line interface on pre-split arguments and
 /// returns the process exit code.
 pub fn cli_main(args: &[String]) -> u8 {
-    use oi_support::cli::{Arg, ArgScanner};
     let mut config = FuzzConfig::default();
-    let mut json_output = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(arg) => arg,
-            Err(msg) => return usage_error(&msg),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "runs" => {
-                    let v = scanner.value_for("--runs").unwrap_or_default();
-                    match v.parse::<usize>() {
-                        Ok(n) if n > 0 => config.runs = n,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--runs` needs a positive integer, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "seed" => {
-                    let v = scanner.value_for("--seed").unwrap_or_default();
-                    match v.parse::<u64>() {
-                        Ok(s) => config.seed = s,
-                        _ => return usage_error(&format!("`--seed` needs an integer, got `{v}`")),
-                    }
-                }
-                "json" => json_output = true,
-                "checked" => config.checked = true,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                "help" => {
-                    print!("{USAGE}");
-                    return 0;
-                }
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ));
-            }
-            Arg::Positional(other) => {
-                return usage_error(&format!("unexpected argument `{other}`"));
-            }
+    let mut output = Output::default();
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--runs" => config.runs = s.positive(flag)? as usize,
+            "--seed" => config.seed = s.integer(flag)?,
+            "--checked" => config.checked = true,
+            _ => output.flag(flag, s)?,
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
     }
 
     eprintln!(
@@ -662,21 +624,7 @@ pub fn cli_main(args: &[String]) -> u8 {
         config.runs, config.seed
     );
     let report = run_fuzz(&config);
-    let rendered = if json_output {
-        report.to_json().to_string()
-    } else {
-        render_text(&report)
-    };
-    let code = write_out(&rendered, out.as_deref());
-    if code != 0 {
-        return code;
-    }
-    u8::from(!report.ok())
-}
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
+    output.finish(|| report.to_json(), || render_text(&report), report.ok())
 }
 
 fn render_text(report: &FuzzReport) -> String {
@@ -707,24 +655,6 @@ fn render_text(report: &FuzzReport) -> String {
     }
     let _ = write!(out, "{}", if report.ok() { "OK" } else { "FINDINGS" });
     out
-}
-
-/// Writes `doc` to `path` (with a trailing newline) or stdout.
-fn write_out(doc: &str, path: Option<&str>) -> u8 {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {path}");
-            0
-        }
-        None => {
-            println!("{doc}");
-            0
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
-//! Regeneration harness for every table and figure in the paper's
-//! evaluation (§6), plus ablations.
+//! Measurement, load and fault harnesses around the object-inlining
+//! pipeline, plus the compile service they drive.
 //!
-//! Each `fig*` function runs the measurement and renders a text table whose
-//! rows correspond to the paper's figure:
+//! **Paper figures (§6).** Each `fig*` function runs the measurement and
+//! renders a text table whose rows correspond to the paper's figure:
 //!
 //! - [`fig14`] — inlinable field counts (effectiveness),
 //! - [`fig15`] — generated code size with and without inlining,
@@ -14,6 +14,27 @@
 //! The `figures` binary prints them (`--json` emits the same tables as a
 //! machine-readable `oi.figures.v1` document); `benches/` time the
 //! underlying pipeline stages with the in-repo [`harness`].
+//!
+//! **Snapshots and profiles.** [`snapshot`] writes and gates
+//! `oi.bench.v1` documents (`oi-bench snapshot|compare`); [`prof`] is
+//! `oic prof`, the per-program stage tree and VM profile; [`synth`]
+//! generates scalable synthetic programs.
+//!
+//! **Compile service.** [`serve`] is `oic serve`, the JSON-lines compile
+//! server with its artifact cache and disk tier; [`sched`] is its
+//! fuel-sliced multi-tenant scheduler, [`overload`] its brownout,
+//! watchdog, breaker and retry policies, and [`client`] the transports
+//! and the retrying `oic client`.
+//!
+//! **Load and fault harnesses.** [`replay`] is the core they share:
+//! request lines, a response view, the synchronous replay tally that
+//! reconciles with the server's counters, and the flood-then-retry
+//! driver. On top of it, [`loadgen`], [`restartload`] and
+//! [`brownoutload`] replay load against the service, [`tenantload`]
+//! drives the scheduler directly, and [`chaos`], [`fuzz`] and [`batch`]
+//! inject faults, fuzz the differential oracle and compile fleets.
+//! [`cli`] is the `oi-bench` front and the flag/output helpers every
+//! command shares.
 
 pub mod batch;
 pub mod brownoutload;
@@ -25,6 +46,7 @@ pub mod harness;
 pub mod loadgen;
 pub mod overload;
 pub mod prof;
+pub mod replay;
 pub mod restartload;
 pub mod sched;
 pub mod serve;

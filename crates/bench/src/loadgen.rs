@@ -20,14 +20,13 @@
 //! - the server's `oi.metrics.v1` counters reconcile exactly with the
 //!   harness's own request/hit/miss/error tallies.
 
-use crate::client::RETRYABLE_KINDS;
-use crate::harness::time_once;
-use crate::serve::{Handled, ServeConfig, Server};
-use oi_support::cli::{Arg, ArgScanner};
+use crate::cli::{scan_flags, Output};
+use crate::replay::{Line, Reply, Tally};
+use crate::serve::{ServeConfig, Server};
 use oi_support::rng::XorShift64;
 use oi_support::stats::{percentile, TimingStats};
 use oi_support::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Loadgen knobs (flags of `oic bench loadgen`).
 #[derive(Clone, Debug)]
@@ -69,21 +68,9 @@ pub struct LoadReport {
     pub config: LoadgenConfig,
     /// Distinct source indices the trace actually touched.
     pub sampled_sources: u64,
-    /// Requests answered from the cache.
-    pub hits: u64,
-    /// Requests that compiled fresh.
-    pub misses: u64,
-    /// Requests answered `ok:false`.
-    pub errors: u64,
-    /// Requests that needed at least one re-attempt.
-    pub retried_requests: u64,
-    /// Re-attempts beyond each request's first try, summed.
-    pub retry_attempts: u64,
-    /// Requests whose final answer was still a retryable refusal after
-    /// the retry allowance ran out (each also counts in `errors`).
-    pub give_ups: u64,
-    /// `attempts -> requests that needed exactly that many attempts`.
-    pub attempts_histogram: BTreeMap<u32, u64>,
+    /// Client-side tallies: hits, misses (fresh compiles), errors, and
+    /// retry outcomes (`--retries`).
+    pub tally: Tally,
     /// `hits / requests`.
     pub hit_rate: f64,
     /// The theoretical floor: `(requests - sampled_sources) / requests`.
@@ -115,6 +102,7 @@ pub struct LoadReport {
 impl LoadReport {
     /// The report as a schema-stable `oi.load.v1` document.
     pub fn to_json(&self) -> Json {
+        let t = &self.tally;
         Json::obj(vec![
             ("schema", "oi.load.v1".into()),
             ("requests", self.config.requests.into()),
@@ -123,16 +111,16 @@ impl LoadReport {
             ("seed", self.config.seed.into()),
             ("zipf_s", self.config.zipf_s.into()),
             ("cache_bytes", (self.config.cache_bytes as u64).into()),
-            ("hits", self.hits.into()),
-            ("misses", self.misses.into()),
-            ("errors", self.errors.into()),
-            ("retried_requests", self.retried_requests.into()),
-            ("retry_attempts", self.retry_attempts.into()),
-            ("give_ups", self.give_ups.into()),
+            ("hits", t.hits.into()),
+            ("misses", (t.disk_hits + t.misses).into()),
+            ("errors", t.errors.into()),
+            ("retried_requests", t.retried.into()),
+            ("retry_attempts", t.retry_attempts().into()),
+            ("give_ups", t.give_ups.into()),
             (
                 "attempts_histogram",
                 Json::Obj(
-                    self.attempts_histogram
+                    t.attempts_histogram
                         .iter()
                         .map(|(k, v)| (k.to_string(), Json::from(*v)))
                         .collect(),
@@ -233,77 +221,22 @@ pub fn run_loadgen_on(server: &Server, config: &LoadgenConfig) -> LoadReport {
     let mut rng = XorShift64::new(config.seed);
 
     let mut sampled: BTreeSet<u64> = BTreeSet::new();
-    let (mut hits, mut misses, mut errors) = (0u64, 0u64, 0u64);
-    let mut retried_requests = 0u64;
-    let mut retry_attempts = 0u64;
-    let mut give_ups = 0u64;
-    let mut attempts_histogram: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut tally = Tally::default();
     let mut hit_samples: Vec<u128> = Vec::new();
     let mut miss_samples: Vec<u128> = Vec::new();
 
     for request_id in 0..config.requests {
         let rank = sampler.sample(&mut rng);
         sampled.insert(rank);
-        let line = Json::obj(vec![
-            ("id", request_id.into()),
-            ("op", "compile".into()),
-            ("source", sources[rank as usize].as_str().into()),
-        ])
-        .to_string();
-        let mut attempts = 0u32;
-        let (handled, wall) = loop {
-            let (handled, wall): (Handled, _) = time_once(|| server.handle_line(&line));
-            attempts += 1;
-            let retryable = RETRYABLE_KINDS.contains(
-                &handled
-                    .response
-                    .get("error_kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or(""),
-            );
-            if !retryable || attempts > config.retries {
-                break (handled, wall);
-            }
-        };
-        *attempts_histogram.entry(attempts).or_insert(0) += 1;
-        if attempts > 1 {
-            retried_requests += 1;
-            retry_attempts += u64::from(attempts - 1);
-        }
-        let cache_state = handled
-            .response
-            .get("cache")
-            .and_then(Json::as_str)
-            .unwrap_or("none")
-            .to_string();
-        server.observe_total(&cache_state, wall.median);
-        let ok = handled
-            .response
-            .get("ok")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        if !ok {
-            errors += 1;
-            let still_retryable = RETRYABLE_KINDS.contains(
-                &handled
-                    .response
-                    .get("error_kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or(""),
-            );
-            if still_retryable {
-                give_ups += 1;
-            }
-            continue;
-        }
-        match cache_state.as_str() {
-            "hit" => {
-                hits += 1;
-                hit_samples.push(wall.median);
-            }
-            _ => {
-                misses += 1;
-                miss_samples.push(wall.median);
+        let line = Line::compile(request_id, &sources[rank as usize]).to_string();
+        let (response, wall_ns) = tally.send(server, &line, config.retries);
+        let reply = Reply(&response);
+        server.observe_total(reply.cache().unwrap_or("none"), wall_ns);
+        if reply.ok() {
+            if reply.cache() == Some("hit") {
+                hit_samples.push(wall_ns);
+            } else {
+                miss_samples.push(wall_ns);
             }
         }
     }
@@ -315,46 +248,24 @@ pub fn run_loadgen_on(server: &Server, config: &LoadgenConfig) -> LoadReport {
     let miss_p50_ns = percentile(&miss_samples, 50.0);
     let miss_p99_ns = percentile(&miss_samples, 99.0);
 
-    let metrics = server.metrics().to_json();
-    let metric = |name: &str| {
-        metrics
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_i64)
-            .unwrap_or(0) as u64
-    };
-    // Exact reconciliation: the server's own counters must agree with
-    // the harness's independent tallies, request for request. Every
-    // re-attempt is its own server-side request, and every attempt
-    // before a re-attempt was a refusal the server counted as an error.
-    let reconciled = metric("cache.hits") == hits
-        && metric("cache.misses") == misses
-        && metric("serve.requests") == config.requests + retry_attempts
-        && metric("serve.errors") == errors + retry_attempts;
-
-    let hit_rate = if config.requests == 0 {
-        0.0
+    let reconciled = tally.reconcile(server.metrics());
+    let (hit_rate, floor_hit_rate) = if config.requests == 0 {
+        (0.0, 0.0)
     } else {
-        hits as f64 / config.requests as f64
+        (
+            tally.hits as f64 / config.requests as f64,
+            (config.requests - sampled.len() as u64) as f64 / config.requests as f64,
+        )
     };
-    let floor_hit_rate = if config.requests == 0 {
-        0.0
-    } else {
-        (config.requests - sampled.len() as u64) as f64 / config.requests as f64
-    };
-    let ok =
-        errors == 0 && hit_rate >= floor_hit_rate && (hits == 0 || hit_p99_ns > 0) && reconciled;
+    let ok = tally.errors == 0
+        && hit_rate >= floor_hit_rate
+        && (tally.hits == 0 || hit_p99_ns > 0)
+        && reconciled;
 
     LoadReport {
         config: config.clone(),
         sampled_sources: sampled.len() as u64,
-        hits,
-        misses,
-        errors,
-        retried_requests,
-        retry_attempts,
-        give_ups,
-        attempts_histogram,
+        tally,
         hit_rate,
         floor_hit_rate,
         hit_ns: TimingStats::from_nanos(hit_samples),
@@ -369,12 +280,13 @@ pub fn run_loadgen_on(server: &Server, config: &LoadgenConfig) -> LoadReport {
             miss_p50_ns as f64 / hit_p99_ns as f64
         },
         reconciled,
-        metrics,
+        metrics: server.metrics().to_json(),
         ok,
     }
 }
 
-const USAGE: &str = "usage: oic bench loadgen [--requests N] [--sources K] [--seed S] \
+/// The `oic bench loadgen` usage text.
+pub(crate) const USAGE: &str = "usage: oic bench loadgen [--requests N] [--sources K] [--seed S] \
      [--zipf-s X] [--cache-bytes B] [--retries N] [--json] [--out FILE]\n\
      \n\
      Replays a seeded Zipf-skewed compile trace against an in-process\n\
@@ -384,132 +296,63 @@ const USAGE: &str = "usage: oic bench loadgen [--requests N] [--sources K] [--se
      hit rate under the trace's floor, or counters that do not\n\
      reconcile).";
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("oic bench loadgen: {msg}\n\n{USAGE}");
-    2
-}
-
 /// Entry point for `oic bench loadgen`. Returns the process exit code.
 pub fn cli_main(args: &[String]) -> u8 {
     let mut config = LoadgenConfig::default();
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "json" => json = true,
-                "requests" => match flag_u64(&mut scanner, "--requests") {
-                    Ok(n) => config.requests = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "sources" => match flag_u64(&mut scanner, "--sources") {
-                    Ok(n) => config.sources = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "seed" => match flag_u64(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "cache-bytes" => match flag_u64(&mut scanner, "--cache-bytes") {
-                    Ok(n) => config.cache_bytes = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "retries" => match flag_u64(&mut scanner, "--retries") {
-                    Ok(n) => config.retries = n.min(u64::from(u32::MAX)) as u32,
-                    Err(e) => return usage_error(&e),
-                },
-                "zipf-s" => {
-                    let v = scanner.value_for("--zipf-s").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(s) if s.is_finite() && s >= 0.0 => config.zipf_s = s,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--zipf-s` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) if !path.is_empty() => out = Some(path),
-                    _ => return usage_error("`--out` needs a file path"),
-                },
-                _ => return usage_error(&format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return usage_error(&format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
-            }
+    let mut output = Output::default();
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--requests" => config.requests = s.positive(flag)?,
+            "--sources" => config.sources = s.positive(flag)?,
+            "--seed" => config.seed = s.positive(flag)?,
+            "--cache-bytes" => config.cache_bytes = s.positive(flag)? as usize,
+            "--retries" => config.retries = s.positive(flag)?.min(u64::from(u32::MAX)) as u32,
+            "--zipf-s" => config.zipf_s = s.non_negative(flag)?,
+            _ => output.flag(flag, s)?,
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
     }
-
     let report = run_loadgen(&config);
-    let doc = report.to_json();
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("oic bench loadgen: cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    if json {
-        println!("{doc}");
-    } else {
-        println!(
-            "loadgen: {} requests over {} sources (seed {}, zipf {}): \
-             {} hits / {} misses / {} errors, hit rate {:.4} (floor {:.4})",
-            report.config.requests,
-            report.config.sources,
-            report.config.seed,
-            report.config.zipf_s,
-            report.hits,
-            report.misses,
-            report.errors,
-            report.hit_rate,
-            report.floor_hit_rate,
-        );
-        println!(
-            "  hit  p50 {} ns, p99 {} ns\n  miss p50 {} ns, p99 {} ns  \
-             (hit p99 is {:.1}x under miss p50)",
-            report.hit_p50_ns,
-            report.hit_p99_ns,
-            report.miss_p50_ns,
-            report.miss_p99_ns,
-            report.speedup_hit_p99_vs_miss_p50,
-        );
-        if report.config.retries > 0 {
-            println!(
-                "  retried {} request(s) ({} re-attempts), {} give-up(s)",
-                report.retried_requests, report.retry_attempts, report.give_ups,
-            );
-        }
-        println!(
-            "  counters reconciled: {}; gate: {}",
-            report.reconciled,
-            if report.ok { "ok" } else { "FAILED" }
-        );
-    }
-    if report.ok {
-        0
-    } else {
-        eprintln!("oic bench loadgen: gate failed (see report)");
-        1
-    }
+    output.finish(|| report.to_json(), || render_text(&report), report.ok)
 }
 
-/// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
+fn render_text(report: &LoadReport) -> String {
+    let mut text = format!(
+        "loadgen: {} requests over {} sources (seed {}, zipf {}): \
+         {} hits / {} misses / {} errors, hit rate {:.4} (floor {:.4})\n\
+         \x20 hit  p50 {} ns, p99 {} ns\n\
+         \x20 miss p50 {} ns, p99 {} ns  (hit p99 is {:.1}x under miss p50)\n",
+        report.config.requests,
+        report.config.sources,
+        report.config.seed,
+        report.config.zipf_s,
+        report.tally.hits,
+        report.tally.disk_hits + report.tally.misses,
+        report.tally.errors,
+        report.hit_rate,
+        report.floor_hit_rate,
+        report.hit_p50_ns,
+        report.hit_p99_ns,
+        report.miss_p50_ns,
+        report.miss_p99_ns,
+        report.speedup_hit_p99_vs_miss_p50,
+    );
+    if report.config.retries > 0 {
+        text += &format!(
+            "  retried {} request(s) ({} re-attempts), {} give-up(s)\n",
+            report.tally.retried,
+            report.tally.retry_attempts(),
+            report.tally.give_ups,
+        );
     }
+    text + &format!(
+        "  counters reconciled: {}; gate: {}",
+        report.reconciled,
+        if report.ok { "ok" } else { "FAILED" }
+    )
 }
 
 #[cfg(test)]
@@ -556,9 +399,12 @@ mod tests {
             ..LoadgenConfig::default()
         };
         let report = run_loadgen(&config);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.hits + report.misses, 200);
-        assert_eq!(report.misses, report.sampled_sources, "one miss per source");
+        assert_eq!(report.tally.errors, 0);
+        assert_eq!(report.tally.hits + report.tally.misses, 200);
+        assert_eq!(
+            report.tally.misses, report.sampled_sources,
+            "one miss per source"
+        );
         assert!(report.hit_rate >= report.floor_hit_rate);
         assert!(report.reconciled, "metrics must reconcile with tallies");
         assert!(report.ok);
@@ -583,8 +429,18 @@ mod tests {
         let a = run_loadgen(&config);
         let b = run_loadgen(&config);
         assert_eq!(
-            (a.hits, a.misses, a.errors, a.sampled_sources),
-            (b.hits, b.misses, b.errors, b.sampled_sources)
+            (
+                a.tally.hits,
+                a.tally.misses,
+                a.tally.errors,
+                a.sampled_sources
+            ),
+            (
+                b.tally.hits,
+                b.tally.misses,
+                b.tally.errors,
+                b.sampled_sources
+            )
         );
     }
 
@@ -607,11 +463,15 @@ mod tests {
             ..LoadgenConfig::default()
         };
         let report = run_loadgen_on(&server, &config);
-        assert_eq!(report.errors, 6, "cold cache-only sheds everything");
-        assert_eq!(report.give_ups, 6);
-        assert_eq!(report.retried_requests, 6);
-        assert_eq!(report.retry_attempts, 12, "two re-attempts per request");
-        assert_eq!(report.attempts_histogram.get(&3), Some(&6));
+        assert_eq!(report.tally.errors, 6, "cold cache-only sheds everything");
+        assert_eq!(report.tally.give_ups, 6);
+        assert_eq!(report.tally.retried, 6);
+        assert_eq!(
+            report.tally.retry_attempts(),
+            12,
+            "two re-attempts per request"
+        );
+        assert_eq!(report.tally.attempts_histogram.get(&3), Some(&6));
         assert!(!report.ok, "a run that gave up must fail the gate");
         let doc = report.to_json();
         assert_eq!(doc.get("give_ups").and_then(Json::as_i64), Some(6));
@@ -633,10 +493,10 @@ mod tests {
             seed: 2,
             ..LoadgenConfig::default()
         });
-        assert_eq!(report.retried_requests, 0);
-        assert_eq!(report.retry_attempts, 0);
-        assert_eq!(report.give_ups, 0);
-        assert_eq!(report.attempts_histogram.get(&1), Some(&50));
+        assert_eq!(report.tally.retried, 0);
+        assert_eq!(report.tally.retry_attempts(), 0);
+        assert_eq!(report.tally.give_ups, 0);
+        assert_eq!(report.tally.attempts_histogram.get(&1), Some(&50));
         assert!(report.ok);
     }
 
@@ -646,7 +506,7 @@ mod tests {
     #[test]
     fn acceptance_ten_thousand_request_replay() {
         let report = run_loadgen(&LoadgenConfig::default());
-        assert_eq!(report.errors, 0, "zero errored requests");
+        assert_eq!(report.tally.errors, 0, "zero errored requests");
         assert!(
             report.hit_rate >= 0.9,
             "hit rate {} under 0.9",

@@ -20,8 +20,8 @@
 //! (`a;b;c value`) that flamegraph tooling consumes directly: compile
 //! stages weighted by self microseconds, VM methods by self cycles.
 
+use crate::cli::{emit, scan_args, usage_error};
 use crate::harness;
-use oi_support::cli::{Arg, ArgScanner};
 use oi_support::trace::{self, Event, EventKind, MemorySink, Sink, Tracer};
 use oi_support::Json;
 use std::rc::Rc;
@@ -362,44 +362,37 @@ pub fn cli_main(args: &[String]) -> u8 {
     let mut format = Format::Text;
     let mut out: Option<String> = None;
     let mut files = Vec::new();
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(arg) => arg,
-            Err(msg) => return usage_error(&msg),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "json" if format == Format::Collapse => {
-                    return usage_error("`--json` and `--collapse` are mutually exclusive")
+    let scanned = scan_args(
+        args,
+        USAGE,
+        |flag, s| {
+            let wanted = match flag {
+                "--json" => Format::Json,
+                "--collapse" => Format::Collapse,
+                "--out" => {
+                    out = Some(s.path(flag)?);
+                    return Ok(());
                 }
-                "collapse" if format == Format::Json => {
-                    return usage_error("`--json` and `--collapse` are mutually exclusive")
-                }
-                "json" => format = Format::Json,
-                "collapse" => format = Format::Collapse,
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) => out = Some(path),
-                    Err(_) => return usage_error("`--out` needs a file path"),
-                },
-                "help" => {
-                    print!("{USAGE}");
-                    return 0;
-                }
-                other => return usage_error(&format!("unknown flag `--{other}`")),
-            },
-            Arg::Flag { name, value } => {
-                return usage_error(&format!(
-                    "unknown flag `--{name}={}`",
-                    value.unwrap_or_default()
-                ));
+                _ => return Err(format!("unknown flag `{flag}`")),
+            };
+            if format != Format::Text && format != wanted {
+                return Err("`--json` and `--collapse` are mutually exclusive".into());
             }
-            Arg::Positional(path) => files.push(path),
-        }
+            format = wanted;
+            Ok(())
+        },
+        |path| {
+            files.push(path);
+            Ok(())
+        },
+    );
+    if let Err(code) = scanned {
+        return code;
     }
-    let [path] = files.as_slice() else {
-        return usage_error("prof needs exactly one <file.oi>");
-    };
+    if files.len() != 1 {
+        return usage_error(USAGE, "prof needs exactly one <file.oi>");
+    }
+    let path = &files[0];
     let source = match std::fs::read_to_string(path) {
         Ok(source) => source,
         Err(e) => {
@@ -416,28 +409,10 @@ pub fn cli_main(args: &[String]) -> u8 {
     };
     let rendered = match format {
         Format::Text => report.to_text(),
-        Format::Json => format!("{}\n", report.to_json()),
+        Format::Json => report.to_json().to_string(),
         Format::Collapse => report.to_collapse(),
     };
-    match out {
-        Some(out_path) => {
-            if let Err(e) = std::fs::write(&out_path, rendered) {
-                eprintln!("cannot write {out_path}: {e}");
-                return 1;
-            }
-            eprintln!("wrote {out_path}");
-            0
-        }
-        None => {
-            print!("{rendered}");
-            0
-        }
-    }
-}
-
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}\n\n{USAGE}");
-    2
+    emit(&rendered, out.as_deref(), true)
 }
 
 #[cfg(test)]

@@ -30,11 +30,12 @@
 //!   `0.8×` the pre-kill steady-state rate. Warm restarts that silently
 //!   quarantine everything and recompile the world fail this gate.
 
+use crate::cli::{scan_flags, usage_error, Output};
 use crate::loadgen::{synthetic_source, ZipfSampler};
+use crate::replay::{scratch_dir, Line, Reply, Tally};
 use crate::serve::{ServeConfig, Server};
 use oi_core::cache::store::DiskStore;
 use oi_core::IoFault;
-use oi_support::cli::{Arg, ArgScanner};
 use oi_support::rng::XorShift64;
 use oi_support::Json;
 use std::path::{Path, PathBuf};
@@ -83,16 +84,9 @@ impl Default for RestartConfig {
 pub struct Segment {
     /// Segment index (0 is the cold pre-kill segment).
     pub index: u64,
-    /// Requests replayed in this segment.
-    pub requests: u64,
-    /// Served from the in-memory cache.
-    pub hits: u64,
-    /// Served from the verified disk tier.
-    pub disk_hits: u64,
-    /// Compiled fresh.
-    pub misses: u64,
-    /// Answered `ok:false`.
-    pub errors: u64,
+    /// Requests replayed in this segment, by outcome: memory hits, disk
+    /// hits, fresh compiles, errors.
+    pub tally: Tally,
     /// Successful responses whose payload differed from the reference
     /// compile of the same source.
     pub corrupt: u64,
@@ -119,11 +113,11 @@ impl Segment {
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("index", self.index.into()),
-            ("requests", self.requests.into()),
-            ("hits", self.hits.into()),
-            ("disk_hits", self.disk_hits.into()),
-            ("misses", self.misses.into()),
-            ("errors", self.errors.into()),
+            ("requests", self.tally.requests.into()),
+            ("hits", self.tally.hits.into()),
+            ("disk_hits", self.tally.disk_hits.into()),
+            ("misses", self.tally.misses.into()),
+            ("errors", self.tally.errors.into()),
             ("corrupt", self.corrupt.into()),
             ("hit_rate", self.hit_rate.into()),
             ("reconciled", self.reconciled.into()),
@@ -201,52 +195,22 @@ fn reference_payloads(config: &RestartConfig, sources: &[String]) -> Result<Vec<
         .iter()
         .enumerate()
         .map(|(i, source)| {
-            let line = compile_line(i as u64, source);
-            let handled = server.handle_line(&line);
-            let ok = handled
-                .response
-                .get("ok")
-                .and_then(Json::as_bool)
-                .unwrap_or(false);
-            if !ok {
-                return Err(format!("reference compile of source {i} failed"));
+            let handled = server.handle_line(&Line::compile(i as u64, source).to_string());
+            match Reply(&handled.response) {
+                reply if reply.ok() => Ok(reply.payload()),
+                _ => Err(format!("reference compile of source {i} failed")),
             }
-            Ok(handled
-                .response
-                .get("payload")
-                .map(Json::to_string)
-                .unwrap_or_default())
         })
         .collect()
-}
-
-fn compile_line(id: u64, source: &str) -> String {
-    Json::obj(vec![
-        ("id", id.into()),
-        ("op", "compile".into()),
-        ("source", source.into()),
-    ])
-    .to_string()
 }
 
 /// Replays the configured trace with unclean kills and returns the full
 /// report. The directory is recreated empty first, so the run always
 /// starts cold; a harness-created temp directory is removed afterwards.
 pub fn run_restartload(config: &RestartConfig) -> Result<RestartReport, String> {
-    // Process-unique temp dirs: concurrent harness runs (parallel tests)
-    // must not share a store directory.
-    static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let (dir, ephemeral) = match &config.cache_dir {
         Some(dir) => (PathBuf::from(dir), false),
-        None => (
-            std::env::temp_dir().join(format!(
-                "oi-restartload-{}-{}-{}",
-                std::process::id(),
-                config.seed,
-                NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            )),
-            true,
-        ),
+        None => (scratch_dir("restartload"), true),
     };
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -295,19 +259,15 @@ fn replay(config: &RestartConfig, dir: &Path) -> Result<RestartReport, String> {
     }
 
     let prekill_rate = segments[0].hit_rate;
-    let warm: Vec<&Segment> = segments.iter().skip(1).collect();
-    let warm_rate_min = warm
+    let warm_rate_min = segments
         .iter()
+        .skip(1)
         .map(|s| s.hit_rate)
-        .fold(f64::INFINITY, f64::min)
-        .min(if warm.is_empty() {
-            prekill_rate
-        } else {
-            f64::INFINITY
-        });
+        .reduce(f64::min)
+        .unwrap_or(prekill_rate);
     let warm_floor = 0.8 * prekill_rate;
     let corrupt_total: u64 = segments.iter().map(|s| s.corrupt).sum();
-    let error_total: u64 = segments.iter().map(|s| s.errors).sum();
+    let error_total: u64 = segments.iter().map(|s| s.tally.errors).sum();
     let reconciled = segments.iter().all(|s| s.reconciled);
     // Segment 0 opens a fresh directory; every later segment must both
     // attach the tier and report the torn tail its predecessor left.
@@ -359,44 +319,23 @@ fn run_segment(
     let quarantined = metrics.counter("serve.recovery_quarantined");
     let orphans_adopted = metrics.counter("serve.recovery_orphans_adopted");
 
-    let (mut hits, mut disk_hits, mut misses, mut errors, mut corrupt) = (0u64, 0, 0, 0, 0);
+    let mut tally = Tally::default();
+    let mut corrupt = 0u64;
     for (offset, &rank) in span.iter().enumerate() {
-        let line = compile_line((first_id + offset) as u64, &sources[rank as usize]);
-        let handled = server.handle_line(&line);
-        let ok = handled
-            .response
-            .get("ok")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        if !ok {
-            errors += 1;
-            continue;
-        }
-        match handled.response.get("cache").and_then(Json::as_str) {
-            Some("hit") => hits += 1,
-            Some("disk") => disk_hits += 1,
-            _ => misses += 1,
-        }
-        let payload = handled
-            .response
-            .get("payload")
-            .map(Json::to_string)
-            .unwrap_or_default();
-        if payload != expected[rank as usize] {
+        let line = Line::compile((first_id + offset) as u64, &sources[rank as usize]).to_string();
+        let (response, _) = tally.send(&server, &line, 0);
+        let reply = Reply(&response);
+        if reply.ok() && reply.payload() != expected[rank as usize] {
             corrupt += 1;
         }
     }
 
     let requests = span.len() as u64;
-    let reconciled = metrics.counter("serve.requests") == requests
-        && metrics.counter("cache.hits") == hits
-        && metrics.counter("disk.load_hits") == disk_hits
-        && metrics.counter("cache.misses") == disk_hits + misses
-        && hits + disk_hits + misses + errors == requests;
+    let reconciled = tally.reconcile(metrics);
     let hit_rate = if requests == 0 {
         0.0
     } else {
-        (hits + disk_hits) as f64 / requests as f64
+        (tally.hits + tally.disk_hits) as f64 / requests as f64
     };
 
     if kill {
@@ -411,11 +350,7 @@ fn run_segment(
 
     Segment {
         index,
-        requests,
-        hits,
-        disk_hits,
-        misses,
-        errors,
+        tally,
         corrupt,
         hit_rate,
         reconciled,
@@ -428,7 +363,9 @@ fn run_segment(
     }
 }
 
-const USAGE: &str = "usage: oic bench restartload [--requests N] [--sources K] [--seed S] \
+/// The `oic bench restartload` usage text.
+pub(crate) const USAGE: &str =
+    "usage: oic bench restartload [--requests N] [--sources K] [--seed S] \
      [--zipf-s X] [--kills M] [--cache-bytes B] [--disk-bytes B] \
      [--cache-dir DIR] [--json] [--out FILE]\n\
      \n\
@@ -441,147 +378,71 @@ const USAGE: &str = "usage: oic bench restartload [--requests N] [--sources K] [
      pre-kill steady state. DIR is recreated empty; the default is a\n\
      temp directory removed after the run.";
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("oic bench restartload: {msg}\n\n{USAGE}");
-    2
-}
-
 /// Entry point for `oic bench restartload`. Returns the process exit
 /// code.
 pub fn cli_main(args: &[String]) -> u8 {
     let mut config = RestartConfig::default();
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "json" => json = true,
-                "requests" => match flag_u64(&mut scanner, "--requests") {
-                    Ok(n) => config.requests = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "sources" => match flag_u64(&mut scanner, "--sources") {
-                    Ok(n) => config.sources = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "seed" => match flag_u64(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "kills" => match flag_u64(&mut scanner, "--kills") {
-                    Ok(n) => config.kills = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "cache-bytes" => match flag_u64(&mut scanner, "--cache-bytes") {
-                    Ok(n) => config.cache_bytes = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "disk-bytes" => match flag_u64(&mut scanner, "--disk-bytes") {
-                    Ok(n) => config.disk_bytes = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "zipf-s" => {
-                    let v = scanner.value_for("--zipf-s").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(s) if s.is_finite() && s >= 0.0 => config.zipf_s = s,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--zipf-s` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "cache-dir" => match scanner.value_for("--cache-dir") {
-                    Ok(dir) if !dir.is_empty() => config.cache_dir = Some(dir),
-                    _ => return usage_error("`--cache-dir` needs a directory path"),
-                },
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) if !path.is_empty() => out = Some(path),
-                    _ => return usage_error("`--out` needs a file path"),
-                },
-                _ => return usage_error(&format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return usage_error(&format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
-            }
+    let mut output = Output::default();
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--requests" => config.requests = s.positive(flag)?,
+            "--sources" => config.sources = s.positive(flag)?,
+            "--seed" => config.seed = s.positive(flag)?,
+            "--kills" => config.kills = s.positive(flag)?,
+            "--cache-bytes" => config.cache_bytes = s.positive(flag)? as usize,
+            "--disk-bytes" => config.disk_bytes = s.positive(flag)?,
+            "--zipf-s" => config.zipf_s = s.non_negative(flag)?,
+            "--cache-dir" => config.cache_dir = Some(s.path(flag)?),
+            _ => output.flag(flag, s)?,
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
     }
-
     let report = match run_restartload(&config) {
         Ok(report) => report,
-        Err(e) => return usage_error(&e),
+        Err(msg) => return usage_error(USAGE, &msg),
     };
-    let doc = report.to_json();
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("oic bench restartload: cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    if json {
-        println!("{doc}");
-    } else {
-        println!(
-            "restartload: {} requests over {} sources, {} unclean kills (seed {})",
-            report.config.requests, report.config.sources, report.config.kills, report.config.seed,
-        );
-        for s in &report.segments {
-            println!(
-                "  segment {}: {} requests, {} hit / {} disk / {} miss / {} err, \
-                 rate {:.4}{}{}",
-                s.index,
-                s.requests,
-                s.hits,
-                s.disk_hits,
-                s.misses,
-                s.errors,
-                s.hit_rate,
-                if s.index > 0 {
-                    format!(
-                        ", recovered {} entries (torn tail: {})",
-                        s.entries_recovered, s.recovered_torn_tail
-                    )
-                } else {
-                    String::new()
-                },
-                if s.killed { " [killed]" } else { "" },
-            );
-        }
-        println!(
-            "  pre-kill rate {:.4}; warm min {:.4} (floor {:.4}); \
-             corrupt {}; reconciled {}; gate: {}",
-            report.prekill_rate,
-            report.warm_rate_min,
-            report.warm_floor,
-            report.corrupt_total,
-            report.reconciled,
-            if report.ok { "ok" } else { "FAILED" },
-        );
-    }
-    if report.ok {
-        0
-    } else {
-        eprintln!("oic bench restartload: gate failed (see report)");
-        1
-    }
+    output.finish(|| report.to_json(), || render_text(&report), report.ok)
 }
 
-/// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
+fn render_text(report: &RestartReport) -> String {
+    let mut text = format!(
+        "restartload: {} requests over {} sources, {} unclean kills (seed {})\n",
+        report.config.requests, report.config.sources, report.config.kills, report.config.seed,
+    );
+    for s in &report.segments {
+        text += &format!(
+            "  segment {}: {} requests, {} hit / {} disk / {} miss / {} err, rate {:.4}{}{}\n",
+            s.index,
+            s.tally.requests,
+            s.tally.hits,
+            s.tally.disk_hits,
+            s.tally.misses,
+            s.tally.errors,
+            s.hit_rate,
+            if s.index > 0 {
+                format!(
+                    ", recovered {} entries (torn tail: {})",
+                    s.entries_recovered, s.recovered_torn_tail
+                )
+            } else {
+                String::new()
+            },
+            if s.killed { " [killed]" } else { "" },
+        );
     }
+    text + &format!(
+        "  pre-kill rate {:.4}; warm min {:.4} (floor {:.4}); \
+         corrupt {}; reconciled {}; gate: {}",
+        report.prekill_rate,
+        report.warm_rate_min,
+        report.warm_floor,
+        report.corrupt_total,
+        report.reconciled,
+        if report.ok { "ok" } else { "FAILED" },
+    )
 }
 
 #[cfg(test)]
@@ -615,7 +476,11 @@ mod tests {
         assert!(report.ok);
         // Warm segments really did draw on the disk tier.
         assert!(
-            report.segments.iter().skip(1).any(|s| s.disk_hits > 0),
+            report
+                .segments
+                .iter()
+                .skip(1)
+                .any(|s| s.tally.disk_hits > 0),
             "restarts must serve from disk"
         );
         for s in report.segments.iter().skip(1) {
@@ -686,7 +551,14 @@ mod tests {
         let shape = |r: &RestartReport| {
             r.segments
                 .iter()
-                .map(|s| (s.hits, s.disk_hits, s.misses, s.errors))
+                .map(|s| {
+                    (
+                        s.tally.hits,
+                        s.tally.disk_hits,
+                        s.tally.misses,
+                        s.tally.errors,
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(shape(&a), shape(&b));

@@ -33,6 +33,7 @@
 //! every request. Traces correlate with the metrics via a per-request
 //! `request_id` field stamped on the `serve.*` spans.
 
+use crate::cli::scan_flags;
 use crate::harness::time_once;
 use crate::overload::{
     Admission, BreakerConfig, Brownout, BrownoutConfig, CircuitBreaker, Transition,
@@ -43,7 +44,6 @@ use crate::sched::{
 use oi_core::cache::store::DiskStore;
 use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
 use oi_core::ladder::{optimize_with_ladder, BrownoutLevel, LadderConfig};
-use oi_support::cli::{Arg, ArgScanner};
 use oi_support::metrics::Registry;
 use oi_support::panic::contained;
 use oi_support::trace::{self, kv, TraceMode, Tracer};
@@ -402,9 +402,13 @@ impl Server {
         if let Some(disk) = &self.disk {
             let tx = disk.tx.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(tx) = tx.as_ref() {
+                // Count the persist before sending it: the persister may
+                // finish (and decrement) before `send` even returns.
+                let now = disk.pending.fetch_add(1, Ordering::SeqCst) + 1;
                 if tx.send((key, artifact)).is_ok() {
-                    let now = disk.pending.fetch_add(1, Ordering::SeqCst) + 1;
                     disk.peak.fetch_max(now, Ordering::SeqCst);
+                } else {
+                    disk.pending.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
@@ -1815,130 +1819,51 @@ const USAGE: &str = "usage: oic serve [--cache-bytes N] [--cache-dir DIR] [--dis
      (default 3) for --quarantine-cooldown-ms (default 1000), then probed\n\
      half-open. Backpressure refusals carry a typed `retry_after_ms` hint.";
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("oic serve: {msg}\n\n{USAGE}");
-    2
-}
-
 /// Entry point for `oic serve`: parses flags, then pumps the JSON-lines
 /// protocol until `shutdown` or EOF. Returns the process exit code.
 pub fn cli_main(args: &[String]) -> u8 {
     let mut config = ServeConfig::default();
-    let mut trace_flag: Option<TraceMode> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "cache-bytes" => match flag_u64(&mut scanner, "--cache-bytes") {
-                    Ok(n) => config.cache_bytes = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "cache-dir" => match scanner.value_for("--cache-dir") {
-                    Ok(dir) if !dir.is_empty() => config.cache_dir = Some(dir),
-                    _ => return usage_error("`--cache-dir` needs a directory path"),
-                },
-                "disk-bytes" => match flag_u64(&mut scanner, "--disk-bytes") {
-                    Ok(n) => config.disk_bytes = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "max-rounds" => match flag_u64(&mut scanner, "--max-rounds") {
-                    Ok(n) => config.max_rounds = Some(n),
-                    Err(e) => return usage_error(&e),
-                },
-                "deadline-ms" => match flag_u64(&mut scanner, "--deadline-ms") {
-                    Ok(n) => config.deadline_ms = Some(n),
-                    Err(e) => return usage_error(&e),
-                },
-                "metrics-out" => match scanner.value_for("--metrics-out") {
-                    Ok(path) if !path.is_empty() => config.metrics_out = Some(path),
-                    _ => return usage_error("`--metrics-out` needs a file path"),
-                },
-                "jobs" => match flag_u64(&mut scanner, "--jobs") {
-                    Ok(n) => config.jobs = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "queue" => match flag_u64(&mut scanner, "--queue") {
-                    Ok(n) => config.queue = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "fuel-slice" => match flag_u64(&mut scanner, "--fuel-slice") {
-                    Ok(n) => config.fuel_slice = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "max-line-bytes" => match flag_u64(&mut scanner, "--max-line-bytes") {
-                    Ok(n) => config.max_line_bytes = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "max-instructions" => match flag_u64(&mut scanner, "--max-instructions") {
-                    Ok(n) => config.max_instructions = Some(n),
-                    Err(e) => return usage_error(&e),
-                },
-                "max-heap-words" => match flag_u64(&mut scanner, "--max-heap-words") {
-                    Ok(n) => config.max_heap_words = Some(n),
-                    Err(e) => return usage_error(&e),
-                },
-                "max-depth" => match flag_u64(&mut scanner, "--max-depth") {
-                    Ok(n) => config.max_depth = Some(n as usize),
-                    Err(e) => return usage_error(&e),
-                },
-                "tenant-concurrent" => match flag_u64(&mut scanner, "--tenant-concurrent") {
-                    Ok(n) => config.tenant_concurrent = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "run-deadline-ms" => match flag_u64(&mut scanner, "--run-deadline-ms") {
-                    Ok(n) => config.run_deadline_ms = Some(n),
-                    Err(e) => return usage_error(&e),
-                },
-                "brownout-target-ms" => match flag_u64(&mut scanner, "--brownout-target-ms") {
-                    Ok(n) => config.brownout_target_ms = Some(n),
-                    Err(e) => return usage_error(&e),
-                },
-                "brownout-dwell-ms" => match flag_u64(&mut scanner, "--brownout-dwell-ms") {
-                    Ok(n) => config.brownout_dwell_ms = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "watchdog-ms" => match flag_u64(&mut scanner, "--watchdog-ms") {
-                    Ok(n) => config.watchdog_ms = Some(n),
-                    Err(e) => return usage_error(&e),
-                },
-                "watchdog-strikes" => match flag_u64(&mut scanner, "--watchdog-strikes") {
-                    Ok(n) => config.watchdog_strikes = n.min(u64::from(u32::MAX)) as u32,
-                    Err(e) => return usage_error(&e),
-                },
-                "quarantine-cooldown-ms" => {
-                    match flag_u64(&mut scanner, "--quarantine-cooldown-ms") {
-                        Ok(n) => config.quarantine_cooldown_ms = n,
-                        Err(e) => return usage_error(&e),
-                    }
-                }
-                "trace" => trace_flag = Some(TraceMode::Text),
-                _ => return usage_error(&format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(mode),
-            } if name == "trace" => match TraceMode::parse(&mode) {
-                Some(m) => trace_flag = Some(m),
-                None => {
-                    return usage_error(&format!(
-                        "unknown trace mode `{mode}` (expected text, json, or off)"
-                    ))
-                }
-            },
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return usage_error(&format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
+    let mut trace_flag = None;
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--cache-bytes" => config.cache_bytes = s.positive(flag)? as usize,
+            "--cache-dir" => config.cache_dir = Some(s.path(flag)?),
+            "--disk-bytes" => config.disk_bytes = s.positive(flag)?,
+            "--max-rounds" => config.max_rounds = Some(s.positive(flag)?),
+            "--deadline-ms" => config.deadline_ms = Some(s.positive(flag)?),
+            "--metrics-out" => config.metrics_out = Some(s.path(flag)?),
+            "--jobs" => config.jobs = s.positive(flag)? as usize,
+            "--queue" => config.queue = s.positive(flag)? as usize,
+            "--fuel-slice" => config.fuel_slice = s.positive(flag)?,
+            "--max-line-bytes" => config.max_line_bytes = s.positive(flag)? as usize,
+            "--max-instructions" => config.max_instructions = Some(s.positive(flag)?),
+            "--max-heap-words" => config.max_heap_words = Some(s.positive(flag)?),
+            "--max-depth" => config.max_depth = Some(s.positive(flag)? as usize),
+            "--tenant-concurrent" => config.tenant_concurrent = s.positive(flag)? as usize,
+            "--run-deadline-ms" => config.run_deadline_ms = Some(s.positive(flag)?),
+            "--brownout-target-ms" => config.brownout_target_ms = Some(s.positive(flag)?),
+            "--brownout-dwell-ms" => config.brownout_dwell_ms = s.positive(flag)?,
+            "--watchdog-ms" => config.watchdog_ms = Some(s.positive(flag)?),
+            "--watchdog-strikes" => {
+                config.watchdog_strikes = s.positive(flag)?.min(u64::from(u32::MAX)) as u32;
+            }
+            "--quarantine-cooldown-ms" => config.quarantine_cooldown_ms = s.positive(flag)?,
+            "--trace" => trace_flag = Some(TraceMode::Text),
+            _ => {
+                let mode = flag
+                    .strip_prefix("--trace=")
+                    .ok_or_else(|| format!("unknown flag `{flag}`"))?;
+                let parsed = TraceMode::parse(mode).ok_or_else(|| {
+                    format!("unknown trace mode `{mode}` (expected text, json, or off)")
+                })?;
+                trace_flag = Some(parsed);
             }
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
     }
-
     let mode = trace_flag.unwrap_or_else(TraceMode::from_env);
     let tracer = Rc::new(Tracer::for_mode(mode));
     let _guard = trace::install(tracer);
@@ -1951,18 +1876,10 @@ pub fn cli_main(args: &[String]) -> u8 {
     run_serve(&server, input, &mut out)
 }
 
-/// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{pump_transcript, scratch_dir, Line, Reply};
     use oi_support::trace::{EventKind, MemorySink};
 
     const SOURCE: &str = "
@@ -1980,24 +1897,16 @@ mod tests {
           print KEEP.span();
         }";
 
-    fn request(id: u64, op: &str, source: Option<&str>) -> String {
-        let mut fields = vec![("id", Json::from(id)), ("op", op.into())];
-        if let Some(s) = source {
-            fields.push(("source", s.into()));
-        }
-        Json::obj(fields).to_string()
-    }
-
     #[test]
     fn repeated_compile_hits_the_cache() {
         let server = Server::new(ServeConfig::default());
-        let first = server.handle_line(&request(1, "compile", Some(SOURCE)));
-        let second = server.handle_line(&request(2, "compile", Some(SOURCE)));
+        let first = server.handle_line(&Line::compile(1, SOURCE).to_string());
+        let second = server.handle_line(&Line::compile(2, SOURCE).to_string());
         for (handled, expected) in [(&first, "miss"), (&second, "hit")] {
             let r = &handled.response;
             assert_eq!(r.get("schema").and_then(Json::as_str), Some("oi.serve.v1"));
-            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
-            assert_eq!(r.get("cache").and_then(Json::as_str), Some(expected));
+            assert!(Reply(r).ok());
+            assert_eq!(Reply(r).cache(), Some(expected));
             assert!(!handled.shutdown);
             let payload = r.get("payload").expect("payload");
             assert_eq!(
@@ -2016,7 +1925,7 @@ mod tests {
     #[test]
     fn run_op_executes_and_reports() {
         let server = Server::new(ServeConfig::default());
-        let handled = server.handle_line(&request(7, "run", Some(SOURCE)));
+        let handled = server.handle_line(&Line::run(7, SOURCE).to_string());
         let payload = handled.response.get("payload").expect("payload");
         assert_eq!(
             payload.get("schema").and_then(Json::as_str),
@@ -2026,11 +1935,8 @@ mod tests {
         assert!(payload.get("metrics").is_some());
         assert!(payload.get("report").is_some());
         // A second run hits the artifact cache but still executes.
-        let again = server.handle_line(&request(8, "run", Some(SOURCE)));
-        assert_eq!(
-            again.response.get("cache").and_then(Json::as_str),
-            Some("hit")
-        );
+        let again = server.handle_line(&Line::run(8, SOURCE).to_string());
+        assert_eq!(Reply(&again.response).cache(), Some("hit"));
         assert_eq!(
             again
                 .response
@@ -2044,9 +1950,9 @@ mod tests {
     #[test]
     fn stats_op_returns_reconciled_metrics() {
         let server = Server::new(ServeConfig::default());
-        server.handle_line(&request(1, "compile", Some(SOURCE)));
-        server.handle_line(&request(2, "compile", Some(SOURCE)));
-        let handled = server.handle_line(&request(3, "stats", None));
+        server.handle_line(&Line::compile(1, SOURCE).to_string());
+        server.handle_line(&Line::compile(2, SOURCE).to_string());
+        let handled = server.handle_line(&Line::new(3, "stats").to_string());
         let payload = handled.response.get("payload").expect("payload");
         assert_eq!(
             payload.get("schema").and_then(Json::as_str),
@@ -2074,21 +1980,21 @@ mod tests {
             bad_json.response.get("ok").and_then(Json::as_bool),
             Some(false)
         );
-        let no_source = server.handle_line(&request(1, "compile", None));
+        let no_source = server.handle_line(&Line::new(1, "compile").to_string());
         assert!(no_source
             .response
             .get("error")
             .and_then(Json::as_str)
             .unwrap()
             .contains("source"));
-        let bad_op = server.handle_line(&request(2, "launder", None));
+        let bad_op = server.handle_line(&Line::new(2, "launder").to_string());
         assert!(bad_op
             .response
             .get("error")
             .and_then(Json::as_str)
             .unwrap()
             .contains("unknown op"));
-        let bad_program = server.handle_line(&request(3, "compile", Some("fn main( {")));
+        let bad_program = server.handle_line(&Line::compile(3, "fn main( {").to_string());
         assert_eq!(
             bad_program.response.get("ok").and_then(Json::as_bool),
             Some(false)
@@ -2101,18 +2007,15 @@ mod tests {
     #[test]
     fn shutdown_sets_the_flag() {
         let server = Server::new(ServeConfig::default());
-        let handled = server.handle_line(&request(9, "shutdown", None));
+        let handled = server.handle_line(&Line::new(9, "shutdown").to_string());
         assert!(handled.shutdown);
-        assert_eq!(
-            handled.response.get("ok").and_then(Json::as_bool),
-            Some(true)
-        );
+        assert!(Reply(&handled.response).ok());
     }
 
     #[test]
     fn per_request_budget_config_changes_the_cache_key() {
         let server = Server::new(ServeConfig::default());
-        server.handle_line(&request(1, "compile", Some(SOURCE)));
+        server.handle_line(&Line::compile(1, SOURCE).to_string());
         let budgeted = format!(
             "{}",
             Json::obj(vec![
@@ -2124,7 +2027,7 @@ mod tests {
         );
         let handled = server.handle_line(&budgeted);
         assert_eq!(
-            handled.response.get("cache").and_then(Json::as_str),
+            Reply(&handled.response).cache(),
             Some("miss"),
             "a budget override must not alias the unbudgeted artifact"
         );
@@ -2136,7 +2039,7 @@ mod tests {
         let tracer = Rc::new(Tracer::new(vec![sink.clone()]));
         let _guard = trace::install(tracer);
         let server = Server::new(ServeConfig::default());
-        server.handle_line(&request(42, "compile", Some(SOURCE)));
+        server.handle_line(&Line::compile(42, SOURCE).to_string());
         let events = sink.snapshot();
         let span_with_id = |name: &str| {
             events.iter().any(|e| {
@@ -2164,7 +2067,7 @@ mod tests {
             metrics_out: Some(path.to_string_lossy().into_owned()),
             ..ServeConfig::default()
         });
-        server.handle_line(&request(1, "compile", Some(SOURCE)));
+        server.handle_line(&Line::compile(1, SOURCE).to_string());
         let dumped = std::fs::read_to_string(&path).expect("metrics dump exists");
         let doc = Json::parse(dumped.trim()).expect("dump parses");
         assert_eq!(
@@ -2184,34 +2087,16 @@ mod tests {
           print acc;
         }";
 
-    fn run_request(id: u64, source: &str, tenant: &str) -> String {
-        Json::obj(vec![
-            ("id", Json::from(id)),
-            ("op", "run".into()),
-            ("source", source.into()),
-            ("tenant", tenant.into()),
-        ])
-        .to_string()
-    }
-
     /// Drives a full `run_serve` session over an in-memory transcript and
     /// returns the parsed response lines, in emission order.
     fn pump_session(server: &Server, requests: &[String]) -> Vec<Json> {
-        let input = std::io::Cursor::new(requests.join("\n").into_bytes());
-        let mut out: Vec<u8> = Vec::new();
-        let code = run_serve(server, input, &mut out);
+        let (out, code) = pump_transcript(server, requests);
         assert_eq!(code, 0, "serve exit code");
         String::from_utf8(out)
             .expect("utf8 output")
             .lines()
             .map(|l| Json::parse(l).expect("response json"))
             .collect()
-    }
-
-    fn output_of(resp: &Json) -> Option<&str> {
-        resp.get("payload")
-            .and_then(|p| p.get("output"))
-            .and_then(Json::as_str)
     }
 
     #[test]
@@ -2223,10 +2108,10 @@ mod tests {
         let responses = pump_session(
             &server,
             &[
-                request(1, "compile", Some(SOURCE)),
-                request(2, "run", Some(SOURCE)),
-                request(3, "run", Some(SOURCE)),
-                request(4, "stats", None),
+                Line::compile(1, SOURCE).to_string(),
+                Line::run(2, SOURCE).to_string(),
+                Line::run(3, SOURCE).to_string(),
+                Line::new(4, "stats").to_string(),
             ],
         );
         assert_eq!(responses.len(), 4);
@@ -2236,14 +2121,10 @@ mod tests {
                 Some(i as i64 + 1),
                 "responses must come back in request order: {resp}"
             );
-            assert_eq!(
-                resp.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "unexpected failure: {resp}"
-            );
+            assert!(Reply(resp).ok(), "unexpected failure: {resp}");
         }
-        assert_eq!(output_of(&responses[1]), Some("20\n"));
-        assert_eq!(output_of(&responses[2]), Some("20\n"));
+        assert_eq!(Reply(&responses[1]).output(), Some("20\n"));
+        assert_eq!(Reply(&responses[2]).output(), Some("20\n"));
         assert_eq!(server.metrics().gauge("serve.in_flight"), 0);
         assert_eq!(server.metrics().counter("serve.shed_total"), 0);
         assert!(server.metrics().quantile_ns("serve.queue_wait_ns", 50.0) > 0);
@@ -2256,16 +2137,12 @@ mod tests {
             ..ServeConfig::default()
         });
         let huge = format!("{{\"id\": 1, \"junk\": \"{}\"}}", "x".repeat(4096));
-        let responses = pump_session(&server, &[huge, request(2, "compile", Some(SOURCE))]);
+        let responses = pump_session(&server, &[huge, Line::compile(2, SOURCE).to_string()]);
         assert_eq!(responses.len(), 2);
         assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            responses[0].get("error_kind").and_then(Json::as_str),
-            Some("request-too-large")
-        );
-        assert_eq!(
-            responses[1].get("ok").and_then(Json::as_bool),
-            Some(true),
+        assert_eq!(Reply(&responses[0]).error_kind(), "request-too-large");
+        assert!(
+            Reply(&responses[1]).ok(),
             "server must survive an oversized line: {}",
             responses[1]
         );
@@ -2281,24 +2158,23 @@ mod tests {
         let responses = pump_session(
             &server,
             &[
-                run_request(1, LONG_SOURCE, "mallory"),
-                run_request(2, "fn main() { print 1 + 1; }", "alice"),
+                Line::run(1, LONG_SOURCE).tenant("mallory").to_string(),
+                Line::run(2, "fn main() { print 1 + 1; }")
+                    .tenant("alice")
+                    .to_string(),
             ],
         );
         assert_eq!(responses.len(), 2);
         let killed = &responses[0];
         assert_eq!(killed.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            killed.get("error_kind").and_then(Json::as_str),
-            Some("quota-exceeded")
-        );
+        assert_eq!(Reply(killed).error_kind(), "quota-exceeded");
         let msg = killed.get("error").and_then(Json::as_str).unwrap();
         assert!(
             msg.contains("mallory") && msg.contains("instructions"),
             "quota kill must name the guilty tenant and quota: {msg}"
         );
         assert_eq!(
-            output_of(&responses[1]),
+            Reply(&responses[1]).output(),
             Some("2\n"),
             "neighbor must be unaffected: {}",
             responses[1]
@@ -2315,7 +2191,7 @@ mod tests {
             ..ServeConfig::default()
         });
         let requests: Vec<String> = (0..9)
-            .map(|i| run_request(i + 1, SOURCE, "burst"))
+            .map(|i| Line::run(i + 1, SOURCE).tenant("burst").to_string())
             .collect();
         let responses = pump_session(&server, &requests);
         assert_eq!(responses.len(), 9);
@@ -2323,12 +2199,12 @@ mod tests {
         let mut shed = 0u64;
         for resp in &responses {
             if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-                assert_eq!(output_of(resp), Some("20\n"));
+                assert_eq!(Reply(resp).output(), Some("20\n"));
                 served += 1;
             } else {
                 assert_eq!(
-                    resp.get("error_kind").and_then(Json::as_str),
-                    Some("overloaded"),
+                    Reply(resp).error_kind(),
+                    "overloaded",
                     "sheds must be typed: {resp}"
                 );
                 shed += 1;
@@ -2350,19 +2226,18 @@ mod tests {
         let responses = pump_session(
             &server,
             &[
-                run_request(1, SOURCE, "steady"),
-                request(2, "shutdown", None),
+                Line::run(1, SOURCE).tenant("steady").to_string(),
+                Line::new(2, "shutdown").to_string(),
             ],
         );
         assert_eq!(responses.len(), 2);
-        assert_eq!(
-            responses[0].get("ok").and_then(Json::as_bool),
-            Some(true),
+        assert!(
+            Reply(&responses[0]).ok(),
             "an admitted run must finish during drain: {}",
             responses[0]
         );
-        assert_eq!(output_of(&responses[0]), Some("20\n"));
-        assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(Reply(&responses[0]).output(), Some("20\n"));
+        assert!(Reply(&responses[1]).ok());
         assert_eq!(server.metrics().counter("serve.shed_total"), 0);
         assert_eq!(server.metrics().gauge("serve.in_flight"), 0);
     }
@@ -2374,72 +2249,71 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("oi-serve-disk-{}-{tag}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn restart_serves_from_the_disk_tier() {
-        let dir = temp_dir("restart");
+        let dir = scratch_dir("serve-restart");
         {
             let server = Server::new(disk_config(&dir));
-            let first = server.handle_line(&request(1, "compile", Some(SOURCE)));
-            assert_eq!(
-                first.response.get("cache").and_then(Json::as_str),
-                Some("miss")
-            );
+            let first = server.handle_line(&Line::compile(1, SOURCE).to_string());
+            assert_eq!(Reply(&first.response).cache(), Some("miss"));
             server.flush_disk();
         }
         // A "restarted" server: fresh memory cache, same directory.
         let server = Server::new(disk_config(&dir));
         assert_eq!(server.metrics().counter("serve.recovery_entries_kept"), 1);
-        let warm = server.handle_line(&request(2, "compile", Some(SOURCE)));
+        let warm = server.handle_line(&Line::compile(2, SOURCE).to_string());
         assert_eq!(
-            warm.response.get("cache").and_then(Json::as_str),
+            Reply(&warm.response).cache(),
             Some("disk"),
             "a restart must warm-start from disk: {}",
             warm.response
         );
         // Promotion: the next repeat is a plain memory hit.
-        let hot = server.handle_line(&request(3, "compile", Some(SOURCE)));
-        assert_eq!(
-            hot.response.get("cache").and_then(Json::as_str),
-            Some("hit")
-        );
+        let hot = server.handle_line(&Line::compile(3, SOURCE).to_string());
+        assert_eq!(Reply(&hot.response).cache(), Some("hit"));
         assert_eq!(server.metrics().counter("disk.load_hits"), 1);
         assert!(server.metrics().counter("disk.persists") <= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The persister may drain an artifact before `persist_behind`
+    /// returns; the backlog counter must never wrap (debug builds panic
+    /// on the overflow) and must read zero once the tier is flushed.
+    #[test]
+    fn write_behind_backlog_never_wraps_under_many_compiles() {
+        let dir = scratch_dir("serve-backlog");
+        let server = Server::new(disk_config(&dir));
+        for i in 0..300u64 {
+            let source = crate::loadgen::synthetic_source(i);
+            let handled = server.handle_line(&Line::compile(i, &source).to_string());
+            assert!(Reply(&handled.response).ok(), "{}", handled.response);
+        }
+        server.flush_disk();
+        assert_eq!(server.metrics().gauge("serve.persist_backlog"), 0);
+        assert_eq!(server.metrics().counter("disk.persists"), 300);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_disk_entry_is_quarantined_and_recompiled() {
         use oi_core::IoFault;
-        let dir = temp_dir("corrupt");
+        let dir = scratch_dir("serve-corrupt");
         {
             let server = Server::new(disk_config(&dir));
-            server.handle_line(&request(1, "compile", Some(SOURCE)));
+            server.handle_line(&Line::compile(1, SOURCE).to_string());
         } // Drop flushes the persister and compacts.
         let server = Server::new(disk_config(&dir));
         // Corrupt the entry *after* recovery verified it: the load path
         // itself must catch it.
         DiskStore::inject_io_fault(&dir, IoFault::BitFlipBody).unwrap();
-        let handled = server.handle_line(&request(2, "compile", Some(SOURCE)));
+        let handled = server.handle_line(&Line::compile(2, SOURCE).to_string());
         assert_eq!(
-            handled.response.get("cache").and_then(Json::as_str),
+            Reply(&handled.response).cache(),
             Some("miss"),
             "a corrupt entry must be recompiled, never served: {}",
             handled.response
         );
-        assert_eq!(
-            handled.response.get("ok").and_then(Json::as_bool),
-            Some(true)
-        );
+        assert!(Reply(&handled.response).ok());
         assert_eq!(
             server.metrics().counter("serve.corrupt_quarantined_total"),
             1
@@ -2449,10 +2323,10 @@ mod tests {
 
     #[test]
     fn unclean_kill_mid_session_still_recovers() {
-        let dir = temp_dir("kill");
+        let dir = scratch_dir("serve-kill");
         {
             let server = Server::new(disk_config(&dir));
-            server.handle_line(&request(1, "compile", Some(SOURCE)));
+            server.handle_line(&Line::compile(1, SOURCE).to_string());
             // Simulate a kill: flush the persister so the artifact is on
             // disk, but skip compaction by leaking the tier's compact step
             // — here, the closest faithful stand-in is injecting a torn
@@ -2467,11 +2341,8 @@ mod tests {
             server.metrics().counter("serve.recovery_journal_truncated"),
             1
         );
-        let warm = server.handle_line(&request(2, "compile", Some(SOURCE)));
-        assert_eq!(
-            warm.response.get("cache").and_then(Json::as_str),
-            Some("disk")
-        );
+        let warm = server.handle_line(&Line::compile(2, SOURCE).to_string());
+        assert_eq!(Reply(&warm.response).cache(), Some("disk"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2479,38 +2350,32 @@ mod tests {
     fn unopenable_cache_dir_degrades_to_memory_only() {
         // A file where the directory should be: open fails, the server
         // must still serve.
-        let dir = temp_dir("degrade");
+        let dir = scratch_dir("serve-degrade");
         std::fs::create_dir_all(&dir).unwrap();
         let blocker = dir.join("not-a-dir");
         std::fs::write(&blocker, b"x").unwrap();
         let server = Server::new(disk_config(&blocker));
         assert_eq!(server.metrics().counter("serve.disk_open_failures"), 1);
-        let handled = server.handle_line(&request(1, "compile", Some(SOURCE)));
-        assert_eq!(
-            handled.response.get("ok").and_then(Json::as_bool),
-            Some(true)
-        );
-        assert_eq!(
-            handled.response.get("cache").and_then(Json::as_str),
-            Some("miss")
-        );
+        let handled = server.handle_line(&Line::compile(1, SOURCE).to_string());
+        assert!(Reply(&handled.response).ok());
+        assert_eq!(Reply(&handled.response).cache(), Some("miss"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn pump_session_with_disk_tier_flushes_on_drain() {
-        let dir = temp_dir("pump");
+        let dir = scratch_dir("serve-pump");
         {
             let server = Server::new(disk_config(&dir));
             let responses = pump_session(
                 &server,
                 &[
-                    request(1, "compile", Some(SOURCE)),
-                    request(2, "shutdown", None),
+                    Line::compile(1, SOURCE).to_string(),
+                    Line::new(2, "shutdown").to_string(),
                 ],
             );
             assert_eq!(responses.len(), 2);
-            assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(true));
+            assert!(Reply(&responses[0]).ok());
         }
         let server = Server::new(disk_config(&dir));
         assert!(
@@ -2522,26 +2387,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A compile request carrying the bounded wedge chaos fault.
-    fn wedge_request(id: u64, source: &str, wedge_ms: u64) -> String {
-        Json::obj(vec![
-            ("id", Json::from(id)),
-            ("op", "compile".into()),
-            ("source", source.into()),
-            (
-                "chaos",
-                Json::obj(vec![("wedge_compile_ms", wedge_ms.into())]),
-            ),
-        ])
-        .to_string()
-    }
-
     #[test]
     fn health_op_reports_overload_state() {
         let server = Server::new(ServeConfig::default());
-        let handled = server.handle_line(&request(1, "health", None));
+        let handled = server.handle_line(&Line::new(1, "health").to_string());
         let r = &handled.response;
-        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        assert!(Reply(r).ok());
         assert_eq!(
             r.get("brownout_tier").and_then(Json::as_str),
             Some("guarded-full")
@@ -2563,12 +2414,12 @@ mod tests {
             ..ServeConfig::default()
         });
         // Warm the cache at full service, then force the deepest rung.
-        let warm = server.handle_line(&request(1, "compile", Some(SOURCE)));
-        assert_eq!(warm.response.get("ok").and_then(Json::as_bool), Some(true));
+        let warm = server.handle_line(&Line::compile(1, SOURCE).to_string());
+        assert!(Reply(&warm.response).ok());
         server.force_brownout(BrownoutLevel::CacheOnly);
-        let hit = server.handle_line(&request(2, "compile", Some(SOURCE)));
+        let hit = server.handle_line(&Line::compile(2, SOURCE).to_string());
         assert_eq!(
-            hit.response.get("cache").and_then(Json::as_str),
+            Reply(&hit.response).cache(),
             Some("hit"),
             "cache-only still serves hits: {}",
             hit.response
@@ -2577,17 +2428,17 @@ mod tests {
             hit.response.get("brownout_tier").and_then(Json::as_str),
             Some("cache-only")
         );
-        let cold = server.handle_line(&request(3, "compile", Some("fn main() { print 1; }")));
+        let cold = server.handle_line(&Line::compile(3, "fn main() { print 1; }").to_string());
         let r = &cold.response;
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(r.get("error_kind").and_then(Json::as_str), Some("shedding"));
+        assert_eq!(Reply(r).error_kind(), "shedding");
         // shedding base 50ms, doubled per rung: 50 << 3 at cache-only.
         assert_eq!(r.get("retry_after_ms").and_then(Json::as_i64), Some(400));
         assert_eq!(server.metrics().counter("serve.brownout_shed_total"), 1);
         // Recovery restores compiles.
         server.force_brownout(BrownoutLevel::GuardedFull);
-        let again = server.handle_line(&request(4, "compile", Some("fn main() { print 1; }")));
-        assert_eq!(again.response.get("ok").and_then(Json::as_bool), Some(true));
+        let again = server.handle_line(&Line::compile(4, "fn main() { print 1; }").to_string());
+        assert!(Reply(&again.response).ok());
     }
 
     #[test]
@@ -2597,7 +2448,7 @@ mod tests {
             ..ServeConfig::default()
         });
         server.force_brownout(BrownoutLevel::InliningOff);
-        let degraded = server.handle_line(&request(1, "compile", Some(SOURCE)));
+        let degraded = server.handle_line(&Line::compile(1, SOURCE).to_string());
         assert_eq!(
             degraded
                 .response
@@ -2616,7 +2467,7 @@ mod tests {
         // the degraded artifact must not alias the full-tier key. The
         // degraded artifact remains a valid hit *while degraded*.
         server.force_brownout(BrownoutLevel::GuardedFull);
-        let full = server.handle_line(&request(2, "compile", Some(SOURCE)));
+        let full = server.handle_line(&Line::compile(2, SOURCE).to_string());
         assert_eq!(
             full.response
                 .get("payload")
@@ -2625,18 +2476,15 @@ mod tests {
             Some("guarded-full")
         );
         assert_eq!(
-            full.response.get("cache").and_then(Json::as_str),
+            Reply(&full.response).cache(),
             Some("miss"),
             "degraded artifact must not serve full-tier requests"
         );
         // Degraded levels prefer the best available artifact: the
         // guarded-full artifact now outranks the inlining-off one.
         server.force_brownout(BrownoutLevel::InliningOff);
-        let best = server.handle_line(&request(3, "compile", Some(SOURCE)));
-        assert_eq!(
-            best.response.get("cache").and_then(Json::as_str),
-            Some("hit")
-        );
+        let best = server.handle_line(&Line::compile(3, SOURCE).to_string());
+        assert_eq!(Reply(&best.response).cache(), Some("hit"));
         assert_eq!(
             best.response
                 .get("payload")
@@ -2658,21 +2506,23 @@ mod tests {
         let responses = pump_session(
             &server,
             &[
-                wedge_request(1, SOURCE, 300),
-                request(2, "compile", Some(SOURCE)),
+                Line::compile(1, SOURCE)
+                    .chaos("wedge_compile_ms", 300)
+                    .to_string(),
+                Line::compile(2, SOURCE).to_string(),
             ],
         );
         assert_eq!(responses.len(), 2);
         let killed = &responses[0];
         assert_eq!(killed.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
-            killed.get("error_kind").and_then(Json::as_str),
-            Some("watchdog-killed"),
+            Reply(killed).error_kind(),
+            "watchdog-killed",
             "wedged compile must be answered by the watchdog: {killed}"
         );
         // The neighbor rode the replacement (or the second worker) to a
         // normal answer.
-        assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
+        assert!(Reply(&responses[1]).ok());
         let m = server.metrics();
         assert_eq!(m.counter("serve.watchdog_kills_total"), 1);
         assert_eq!(
@@ -2696,27 +2546,31 @@ mod tests {
         let responses = pump_session(
             &server,
             &[
-                wedge_request(1, SOURCE, 300),
-                wedge_request(2, SOURCE, 300),
+                Line::compile(1, SOURCE)
+                    .chaos("wedge_compile_ms", 300)
+                    .to_string(),
+                Line::compile(2, SOURCE)
+                    .chaos("wedge_compile_ms", 300)
+                    .to_string(),
                 // Same source, no chaos: the fingerprint is quarantined,
                 // so this is refused *before* any compile work.
-                request(3, "compile", Some(SOURCE)),
+                Line::compile(3, SOURCE).to_string(),
                 // A different source is unaffected.
-                request(4, "compile", Some("fn main() { print 7; }")),
+                Line::compile(4, "fn main() { print 7; }").to_string(),
             ],
         );
         assert_eq!(responses.len(), 4);
         for killed in &responses[..2] {
             assert_eq!(
-                killed.get("error_kind").and_then(Json::as_str),
-                Some("watchdog-killed"),
+                Reply(killed).error_kind(),
+                "watchdog-killed",
                 "unexpected: {killed}"
             );
         }
         let quarantined = &responses[2];
         assert_eq!(
-            quarantined.get("error_kind").and_then(Json::as_str),
-            Some("quarantined"),
+            Reply(quarantined).error_kind(),
+            "quarantined",
             "K strikes must stop recompiling the fingerprint: {quarantined}"
         );
         assert!(
@@ -2727,7 +2581,7 @@ mod tests {
                 >= 1,
             "quarantine carries a typed retry hint: {quarantined}"
         );
-        assert_eq!(responses[3].get("ok").and_then(Json::as_bool), Some(true));
+        assert!(Reply(&responses[3]).ok());
         let m = server.metrics();
         assert_eq!(m.counter("serve.watchdog_kills_total"), 2);
         assert_eq!(m.counter("serve.worker_replacements_total"), 2);
@@ -2747,27 +2601,25 @@ mod tests {
             quarantine_cooldown_ms: 50,
             ..ServeConfig::default()
         });
-        let responses = pump_session(&server, &[wedge_request(1, SOURCE, 200)]);
-        assert_eq!(
-            responses[0].get("error_kind").and_then(Json::as_str),
-            Some("watchdog-killed")
+        let responses = pump_session(
+            &server,
+            &[Line::compile(1, SOURCE)
+                .chaos("wedge_compile_ms", 200)
+                .to_string()],
         );
+        assert_eq!(Reply(&responses[0]).error_kind(), "watchdog-killed");
         assert_eq!(server.metrics().gauge("serve.breaker_open"), 1);
         std::thread::sleep(Duration::from_millis(60));
         // Cooldown elapsed: one probe is admitted; it compiles cleanly
         // (no chaos field) and closes the circuit.
-        let probe = server.handle_line(&request(2, "compile", Some(SOURCE)));
-        assert_eq!(
-            probe.response.get("ok").and_then(Json::as_bool),
-            Some(true),
+        let probe = server.handle_line(&Line::compile(2, SOURCE).to_string());
+        assert!(
+            Reply(&probe.response).ok(),
             "clean probe must be admitted: {}",
             probe.response
         );
         assert_eq!(server.metrics().gauge("serve.breaker_open"), 0);
-        let again = server.handle_line(&request(3, "compile", Some(SOURCE)));
-        assert_eq!(
-            again.response.get("cache").and_then(Json::as_str),
-            Some("hit")
-        );
+        let again = server.handle_line(&Line::compile(3, SOURCE).to_string());
+        assert_eq!(Reply(&again.response).cache(), Some("hit"));
     }
 }

@@ -30,9 +30,9 @@
 //! [`ProgramRef`], and the fairness clock is the scheduler's global
 //! slice counter, not wall time.
 
+use crate::cli::{scan_flags, usage_error, Output};
 use crate::sched::{JobSpec, ProgramRef, SchedConfig, Scheduler, TenantQuota, TenantSummary};
 use oi_ir::Program;
-use oi_support::cli::{Arg, ArgScanner};
 use oi_support::rng::XorShift64;
 use oi_support::Json;
 use std::sync::mpsc;
@@ -357,143 +357,72 @@ pub fn run_tenantload(config: &TenantloadConfig) -> TenantloadReport {
     }
 }
 
+/// The `oic bench tenantload` usage text.
+pub(crate) const USAGE: &str =
+    "usage: oic bench tenantload [--requests N] [--tenants T] [--hogs H] \
+     [--workers W] [--fuel-slice F] [--seed S] [--zipf-s X] [--min-throughput J] \
+     [--json] [--out FILE]\n\
+     \n\
+     Submits a Zipf-skewed burst of small programs across T tenants (H\n\
+     rigged quota-busters, H < T) to the fair scheduler and emits\n\
+     oi.tenantload.v1. Exits 1 when the fairness/robustness gate fails:\n\
+     any panic, cross-tenant kill, fuel mismatch, shed, starved tenant,\n\
+     or throughput under J jobs per second.";
+
 /// Runs `oic bench tenantload` on pre-split arguments and returns the
 /// process exit code.
 pub fn cli_main(args: &[String]) -> u8 {
     let mut config = TenantloadConfig::default();
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        let arg = match arg {
-            Ok(a) => a,
-            Err(e) => return usage_error(&e),
-        };
-        match arg {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "json" => json = true,
-                "requests" => match flag_u64(&mut scanner, "--requests") {
-                    Ok(n) => config.requests = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "tenants" => match flag_u64(&mut scanner, "--tenants") {
-                    Ok(n) => config.tenants = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "hogs" => match flag_u64(&mut scanner, "--hogs") {
-                    Ok(n) => config.hogs = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "workers" => match flag_u64(&mut scanner, "--workers") {
-                    Ok(n) => config.workers = n as usize,
-                    Err(e) => return usage_error(&e),
-                },
-                "fuel-slice" => match flag_u64(&mut scanner, "--fuel-slice") {
-                    Ok(n) => config.fuel_slice = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "seed" => match flag_u64(&mut scanner, "--seed") {
-                    Ok(n) => config.seed = n,
-                    Err(e) => return usage_error(&e),
-                },
-                "zipf-s" => {
-                    let v = scanner.value_for("--zipf-s").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(s) if s.is_finite() && s >= 0.0 => config.zipf_s = s,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--zipf-s` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "min-throughput" => {
-                    let v = scanner.value_for("--min-throughput").unwrap_or_default();
-                    match v.parse::<f64>() {
-                        Ok(t) if t.is_finite() && t >= 0.0 => config.min_throughput = t,
-                        _ => {
-                            return usage_error(&format!(
-                                "`--min-throughput` needs a non-negative number, got `{v}`"
-                            ))
-                        }
-                    }
-                }
-                "out" => match scanner.value_for("--out") {
-                    Ok(path) if !path.is_empty() => out = Some(path),
-                    _ => return usage_error("`--out` needs a file path"),
-                },
-                _ => return usage_error(&format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return usage_error(&format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(p) => {
-                return usage_error(&format!("unexpected positional argument `{p}`"))
-            }
+    let mut output = Output::default();
+    let scanned = scan_flags(args, USAGE, |flag, s| {
+        match flag {
+            "--requests" => config.requests = s.positive(flag)?,
+            "--tenants" => config.tenants = s.positive(flag)?,
+            "--hogs" => config.hogs = s.positive(flag)?,
+            "--workers" => config.workers = s.positive(flag)? as usize,
+            "--fuel-slice" => config.fuel_slice = s.positive(flag)?,
+            "--seed" => config.seed = s.positive(flag)?,
+            "--zipf-s" => config.zipf_s = s.non_negative(flag)?,
+            "--min-throughput" => config.min_throughput = s.non_negative(flag)?,
+            _ => output.flag(flag, s)?,
         }
+        Ok(())
+    });
+    if let Err(code) = scanned {
+        return code;
     }
     if config.hogs >= config.tenants {
-        return usage_error("`--hogs` must be below `--tenants`");
+        return usage_error(USAGE, "`--hogs` must be below `--tenants`");
     }
-
     let report = run_tenantload(&config);
-    let doc = report.to_json();
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("oic bench tenantload: cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    if json {
-        println!("{doc}");
-    } else {
-        println!(
-            "tenantload: {} jobs over {} tenants ({} rigged, seed {}, zipf {}): \
-             {} completed / {} quota-killed / {} panics / {} rejected",
-            report.config.requests,
-            report.config.tenants,
-            report.config.hogs,
-            report.config.seed,
-            report.config.zipf_s,
-            report.completed,
-            report.quota_kills,
-            report.panics,
-            report.rejected,
-        );
-        println!(
-            "  {} ms, {:.0} jobs/s (floor {:.0}); reconciled: {}; \
-             cross-tenant kills: {}; starved tenants: {} (worst {:.3} of bound)",
-            report.elapsed_ms,
-            report.throughput,
-            report.config.min_throughput,
-            report.reconciled,
-            report.cross_tenant_kills,
-            report.starved_tenants,
-            report.max_starvation,
-        );
-        println!("  gate: {}", if report.ok { "ok" } else { "FAILED" });
-    }
-    if report.ok {
-        0
-    } else {
-        eprintln!("oic bench tenantload: gate failed (see report)");
-        1
-    }
+    output.finish(|| report.to_json(), || render_text(&report), report.ok)
 }
 
-fn usage_error(msg: &str) -> u8 {
-    eprintln!("{msg}");
-    2
-}
-
-/// Parses the positive-integer value of `flag`.
-fn flag_u64(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
-    }
+fn render_text(report: &TenantloadReport) -> String {
+    format!(
+        "tenantload: {} jobs over {} tenants ({} rigged, seed {}, zipf {}): \
+         {} completed / {} quota-killed / {} panics / {} rejected\n\
+         \x20 {} ms, {:.0} jobs/s (floor {:.0}); reconciled: {}; \
+         cross-tenant kills: {}; starved tenants: {} (worst {:.3} of bound)\n\
+         \x20 gate: {}",
+        report.config.requests,
+        report.config.tenants,
+        report.config.hogs,
+        report.config.seed,
+        report.config.zipf_s,
+        report.completed,
+        report.quota_kills,
+        report.panics,
+        report.rejected,
+        report.elapsed_ms,
+        report.throughput,
+        report.config.min_throughput,
+        report.reconciled,
+        report.cross_tenant_kills,
+        report.starved_tenants,
+        report.max_starvation,
+        if report.ok { "ok" } else { "FAILED" },
+    )
 }
 
 #[cfg(test)]

@@ -13,12 +13,6 @@
 //! the conservative end of the design space — a miss costs one recompile,
 //! a wrong hit costs a wrong program.
 //!
-//! The key anticipates per-method granularity: [`CacheKey::scoped`]
-//! derives a method-level key from the whole-program key, the hook a
-//! future Hybrid-Inlining-style incremental summary cache (PAPERS.md,
-//! arXiv 2210.14436) will use to cache per-method analysis summaries
-//! under the same addressing scheme. This PR caches whole artifacts only.
-//!
 //! Eviction is least-recently-used under a byte budget: each [`Artifact`]
 //! carries a modeled byte footprint (the optimized program's code bytes
 //! plus fixed per-entry overhead), and inserting past the budget evicts
@@ -56,16 +50,6 @@ impl CacheKey {
         CacheKey {
             source: oi_support::hash::fingerprint(source.as_bytes()),
             config,
-        }
-    }
-
-    /// Derives a per-method key from this whole-program key — the
-    /// granularity hook for future incremental summary caching. Not used
-    /// for artifact addressing yet.
-    pub fn scoped(&self, method: &str) -> CacheKey {
-        CacheKey {
-            source: self.source.scoped(method),
-            config: self.config,
         }
     }
 }
@@ -513,18 +497,6 @@ mod tests {
         assert_eq!(stats.bytes, 2_000);
         assert_eq!(stats.insertions, 2);
         assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
-    fn scoped_keys_differ_per_method_but_share_config() {
-        let fp = config_fingerprint(&LadderConfig::default(), None, None);
-        let whole = CacheKey::whole_program(SOURCE, fp);
-        let a = whole.scoped("Rect.area");
-        let b = whole.scoped("Rect.perimeter");
-        assert_ne!(a, b);
-        assert_ne!(a, whole);
-        assert_eq!(a, whole.scoped("Rect.area"), "scoped keys are stable");
-        assert_eq!(a.config, whole.config);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! - any other token starting with `-` is malformed and reported as
 //!   `unknown flag `...`` — the exact message the golden CLI tests pin;
 //! - flags that take their value as a *separate* token (`--size small`)
-//!   pull it with [`ArgScanner::value_for`].
+//!   pull it with [`ArgScanner::value_for`], or with a typed reader
+//!   ([`ArgScanner::positive`], [`ArgScanner::integer`],
+//!   [`ArgScanner::non_negative`], [`ArgScanner::path`]) that also
+//!   validates it and words the usage error.
 //!
 //! Tools keep their own flag tables and policies (which flags exist, which
 //! commands they apply to); the scanner only handles tokenization.
@@ -55,6 +58,18 @@ impl Arg {
             value: None,
         }
     }
+
+    /// The usage error for an argument the command does not accept.
+    pub fn unexpected(&self) -> String {
+        match self {
+            Arg::Flag { name, value: None } => format!("unknown flag `--{name}`"),
+            Arg::Flag {
+                name,
+                value: Some(value),
+            } => format!("unknown flag `--{name}={value}`"),
+            Arg::Positional(p) => format!("unexpected argument `{p}`"),
+        }
+    }
 }
 
 /// Walks an argument list, classifying tokens on demand.
@@ -94,6 +109,39 @@ impl ArgScanner {
                 Ok(v.clone())
             }
             None => Err(format!("`{flag}` needs a value")),
+        }
+    }
+
+    /// Takes the value of `flag` as an integer greater than zero.
+    pub fn positive(&mut self, flag: &str) -> Result<u64, String> {
+        let v = self.value_for(flag).unwrap_or_default();
+        match v.parse::<u64>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
+        }
+    }
+
+    /// Takes the value of `flag` as a non-negative integer.
+    pub fn integer(&mut self, flag: &str) -> Result<u64, String> {
+        let v = self.value_for(flag).unwrap_or_default();
+        v.parse::<u64>()
+            .map_err(|_| format!("`{flag}` needs an integer, got `{v}`"))
+    }
+
+    /// Takes the value of `flag` as a finite number `>= 0`.
+    pub fn non_negative(&mut self, flag: &str) -> Result<f64, String> {
+        let v = self.value_for(flag).unwrap_or_default();
+        match v.parse::<f64>() {
+            Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+            _ => Err(format!("`{flag}` needs a non-negative number, got `{v}`")),
+        }
+    }
+
+    /// Takes the value of `flag` as a non-empty path.
+    pub fn path(&mut self, flag: &str) -> Result<String, String> {
+        match self.value_for(flag) {
+            Ok(path) if !path.is_empty() => Ok(path),
+            _ => Err(format!("`{flag}` needs a path")),
         }
     }
 }
@@ -163,6 +211,40 @@ mod tests {
         assert_eq!(
             args.value_for("--out"),
             Err("`--out` needs a value".to_string())
+        );
+    }
+
+    #[test]
+    fn typed_readers_validate_and_word_the_error() {
+        let mut args = scan(&["3", "0", "0", "x", "1.5", "-1", "out.json", ""]);
+        assert_eq!(args.positive("--n"), Ok(3));
+        assert_eq!(
+            args.positive("--n"),
+            Err("`--n` needs a positive integer, got `0`".into())
+        );
+        assert_eq!(args.integer("--seed"), Ok(0));
+        assert_eq!(
+            args.integer("--seed"),
+            Err("`--seed` needs an integer, got `x`".into())
+        );
+        assert_eq!(args.non_negative("--s"), Ok(1.5));
+        assert!(args.non_negative("--s").is_err());
+        assert_eq!(args.path("--out"), Ok("out.json".into()));
+        assert_eq!(args.path("--out"), Err("`--out` needs a path".into()));
+        assert_eq!(args.path("--out"), Err("`--out` needs a path".into()));
+    }
+
+    #[test]
+    fn unexpected_arguments_name_themselves() {
+        assert_eq!(Arg::flag("wat").unexpected(), "unknown flag `--wat`");
+        let inline = Arg::Flag {
+            name: "json".into(),
+            value: Some("1".into()),
+        };
+        assert_eq!(inline.unexpected(), "unknown flag `--json=1`");
+        assert_eq!(
+            Arg::Positional("x.oi".into()).unexpected(),
+            "unexpected argument `x.oi`"
         );
     }
 

@@ -46,18 +46,6 @@ impl Fingerprint {
     pub fn to_hex(&self) -> String {
         format!("{:016x}{:016x}", self.0, self.1)
     }
-
-    /// Derives a new fingerprint from this one plus a scope string —
-    /// the hook for per-method cache granularity: a future incremental
-    /// summary cache can key `whole_program_fp.scoped("Class.method")`
-    /// without rehashing the source.
-    pub fn scoped(&self, scope: &str) -> Fingerprint {
-        let mut h = Hasher::new();
-        h.write_u64(self.0);
-        h.write_u64(self.1);
-        h.write_str(scope);
-        h.finish()
-    }
 }
 
 impl std::fmt::Display for Fingerprint {
@@ -211,14 +199,6 @@ mod tests {
         assert_eq!(hex.len(), 32);
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(format!("{fp}"), hex);
-    }
-
-    #[test]
-    fn scoped_fingerprints_differ_per_scope_and_are_stable() {
-        let fp = fingerprint(b"program");
-        assert_eq!(fp.scoped("A.m"), fp.scoped("A.m"));
-        assert_ne!(fp.scoped("A.m"), fp.scoped("A.n"));
-        assert_ne!(fp.scoped("A.m"), fp);
     }
 
     #[test]

@@ -70,13 +70,14 @@ pub fn quartiles(sorted: &[u128]) -> (u128, u128) {
 }
 
 /// Drops samples outside the Tukey fences `[q1 - 1.5*IQR, q3 + 1.5*IQR]`
-/// and reports how many were rejected. Sets of fewer than four samples
-/// pass through untouched — quartiles are meaningless there.
+/// and reports how many were rejected. The kept samples come back sorted.
+/// Sets of fewer than four samples keep every sample — quartiles are
+/// meaningless there.
 pub fn reject_outliers_iqr(mut samples: Vec<u128>) -> (Vec<u128>, usize) {
+    samples.sort_unstable();
     if samples.len() < 4 {
         return (samples, 0);
     }
-    samples.sort_unstable();
     let (q1, q3) = quartiles(&samples);
     let iqr = q3 - q1;
     let lo = q1.saturating_sub(iqr + iqr / 2);
@@ -240,7 +241,32 @@ mod tests {
     fn iqr_passes_small_sets_through() {
         let (kept, rejected) = reject_outliers_iqr(vec![1, 1_000_000, 2]);
         assert_eq!(rejected, 0);
-        assert_eq!(kept.len(), 3);
+        assert_eq!(kept, vec![1, 2, 1_000_000]);
+    }
+
+    #[test]
+    fn timing_stats_order_statistics_hold_for_every_small_n() {
+        // Descending and zig-zag arrival orders: the warm-up sample first
+        // must never be reported as the minimum.
+        for n in 0..=9u128 {
+            let descending: Vec<u128> = (0..n).map(|i| 1_000 - i * 10).collect();
+            let zigzag: Vec<u128> = (0..n).map(|i| 500 + (i % 2) * 300 - i).collect();
+            for samples in [descending, zigzag] {
+                let s = TimingStats::from_nanos(samples.clone());
+                assert!(
+                    s.min <= s.median && s.median <= s.max,
+                    "n={n} {samples:?}: min {} median {} max {}",
+                    s.min,
+                    s.median,
+                    s.max
+                );
+                if let (Some(lo), Some(hi)) = (samples.iter().min(), samples.iter().max()) {
+                    if n < 4 {
+                        assert_eq!((s.min, s.max), (*lo, *hi), "n={n} {samples:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
