@@ -1059,18 +1059,20 @@ impl<'a> ServeLoop<'a> {
                 // observes the real end of work and seals then.
                 return;
             }
+            // The depth left behind is read under the same lock as the
+            // pop: a reader refill in between is not queue pressure.
             let popped = {
                 let mut q = self.pump.lockq();
                 match q.q.pop_front() {
                     Some(req) => {
                         q.busy += 1;
-                        Some(req)
+                        Some((req, q.q.len()))
                     }
                     None => None,
                 }
             };
-            if let Some(req) = popped {
-                self.process_request(req, tx, slot);
+            if let Some((req, depth)) = popped {
+                self.process_request(req, depth, tx, slot);
                 self.pump.lockq().busy -= 1;
                 self.pump.cv.notify_all();
                 continue;
@@ -1095,14 +1097,13 @@ impl<'a> ServeLoop<'a> {
         let _ = tx.send(Emit::Response { seq, response });
     }
 
-    fn process_request(&self, req: QueuedReq, tx: &Sender<Emit>, slot: &WorkerSlot) {
+    fn process_request(&self, req: QueuedReq, depth: usize, tx: &Sender<Emit>, slot: &WorkerSlot) {
         let m = self.server.metrics();
         let wait_ns = req.at.elapsed().as_nanos();
         m.observe_ns("serve.queue_wait_ns", wait_ns);
-        // One brownout observation per dequeue: the depth left behind and
-        // the wait this request just paid.
-        self.server
-            .brownout_note(self.pump.lockq().q.len(), wait_ns);
+        // One brownout observation per dequeue: the depth left behind at
+        // the pop and the wait this request just paid.
+        self.server.brownout_note(depth, wait_ns);
         let parsed = Json::parse(&req.line);
         let id = parsed
             .as_ref()

@@ -52,8 +52,15 @@ impl CacheConfig {
 #[derive(Clone, Debug)]
 pub struct CacheSim {
     config: CacheConfig,
-    /// `sets[s]` holds up to `ways` tags, most recently used last.
-    sets: Vec<Vec<u64>>,
+    /// `log2(line_bytes)`: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// Number of sets.
+    sets: u64,
+    /// Set `s` owns `tags[s * ways..][..fill[s]]`: its resident lines,
+    /// most recently used last.
+    tags: Vec<u64>,
+    /// Resident lines per set.
+    fill: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -61,10 +68,13 @@ pub struct CacheSim {
 impl CacheSim {
     /// Creates an empty (all-cold) cache.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![Vec::with_capacity(config.ways); config.sets()];
+        let sets = config.sets();
         Self {
             config,
-            sets,
+            line_shift: config.line_bytes.trailing_zeros(),
+            sets: sets as u64,
+            tags: vec![0; sets * config.ways],
+            fill: vec![0; sets],
             hits: 0,
             misses: 0,
         }
@@ -72,20 +82,26 @@ impl CacheSim {
 
     /// Simulates an access to `addr`; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
+        let line = addr >> self.line_shift;
+        let set = (line % self.sets) as usize;
+        let ways = self.config.ways;
+        let n = self.fill[set] as usize;
+        let resident = &mut self.tags[set * ways..set * ways + n];
+        if let Some(pos) = resident.iter().position(|&t| t == line) {
             // Refresh LRU position.
-            let tag = set.remove(pos);
-            set.push(tag);
+            resident.copy_within(pos + 1.., pos);
+            resident[n - 1] = line;
             self.hits += 1;
             true
         } else {
-            if set.len() == self.config.ways {
-                set.remove(0);
+            if n == ways {
+                // Evict the least recently used (first) line.
+                resident.copy_within(1.., 0);
+                resident[n - 1] = line;
+            } else {
+                self.tags[set * ways + n] = line;
+                self.fill[set] += 1;
             }
-            set.push(line);
             self.misses += 1;
             false
         }
@@ -120,6 +136,100 @@ impl CacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oi_support::rng::XorShift64;
+
+    /// The simulator's original form, kept as the reference model: one
+    /// `Vec` of tags per set, most recently used last.
+    struct ReferenceLru {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceLru {
+        fn new(config: CacheConfig) -> Self {
+            Self {
+                line_bytes: config.line_bytes as u64,
+                ways: config.ways,
+                sets: vec![Vec::with_capacity(config.ways); config.sets()],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / self.line_bytes;
+            let set_idx = (line % self.sets.len() as u64) as usize;
+            let set = &mut self.sets[set_idx];
+            if let Some(pos) = set.iter().position(|&t| t == line) {
+                let tag = set.remove(pos);
+                set.push(tag);
+                self.hits += 1;
+                true
+            } else {
+                if set.len() == self.ways {
+                    set.remove(0);
+                }
+                set.push(line);
+                self.misses += 1;
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn flat_sets_match_reference_lru_exactly() {
+        let mut geometries = Vec::new();
+        for ways in [1, 2, 4, 8] {
+            for sets in [1, 2, 16, 512] {
+                geometries.push(CacheConfig {
+                    size_bytes: sets * ways * 32,
+                    line_bytes: 32,
+                    ways,
+                });
+            }
+            for sets in [3, 5, 96] {
+                geometries.push(CacheConfig {
+                    size_bytes: sets * ways * 16,
+                    line_bytes: 16,
+                    ways,
+                });
+            }
+        }
+        // 96 B of 32-byte lines, direct-mapped: 3 sets.
+        geometries.push(CacheConfig {
+            size_bytes: 96,
+            line_bytes: 32,
+            ways: 1,
+        });
+        geometries.push(CacheConfig::default());
+        for (g, &config) in geometries.iter().enumerate() {
+            for seed in 0..8u64 {
+                let mut rng = XorShift64::new(seed * 131 + g as u64);
+                let mut flat = CacheSim::new(config);
+                let mut reference = ReferenceLru::new(config);
+                // Footprints from a few lines to far beyond capacity, so
+                // streams mix hits, refreshes and evictions.
+                let span = (config.size_bytes as u64) << rng.below(4);
+                for i in 0..2_000 {
+                    let addr = if rng.below(4) == 0 {
+                        rng.next_u64()
+                    } else {
+                        rng.next_u64() % span
+                    };
+                    assert_eq!(
+                        flat.access(addr),
+                        reference.access(addr),
+                        "{config:?} seed {seed} access {i} addr {addr}"
+                    );
+                }
+                assert_eq!(flat.hits(), reference.hits, "{config:?} seed {seed}");
+                assert_eq!(flat.misses(), reference.misses, "{config:?} seed {seed}");
+            }
+        }
+    }
 
     fn tiny() -> CacheSim {
         // 4 lines of 32 bytes, 2-way => 2 sets.

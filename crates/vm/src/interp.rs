@@ -6,6 +6,7 @@ use crate::error::VmError;
 use crate::heap::{Heap, HeapCensus, ObjKind};
 use crate::metrics::Metrics;
 use crate::sanitizer::{CheckLevel, Sanitizer, SanitizerReport};
+use crate::tables::{Repr, RunTables};
 use crate::value::{ObjId, Value};
 use oi_ir::{
     ArrayLayoutKind, BinOp, BlockId, Builtin, ClassId, ConstValue, Instr, LayoutId, MethodId,
@@ -536,28 +537,6 @@ struct ProfileState {
     accesses: HashMap<(ClassId, Symbol, bool), AccessCounters>,
 }
 
-/// How an inline child's fields map to container slots (VM-resolved form,
-/// closed under composition for nested inlining).
-#[derive(Clone, Debug)]
-pub(crate) enum Repr {
-    /// Object container: child field `j` lives at container slot `slots[j]`.
-    Object { slots: Vec<usize> },
-    /// Array container: child field `j` of element `i` lives at
-    /// `i*width + map[j]` (interleaved) or `map[j]*len + i` (parallel).
-    Array {
-        kind: ArrayLayoutKind,
-        width: usize,
-        map: Vec<usize>,
-    },
-}
-
-#[derive(Clone, Debug)]
-pub(crate) struct ResolvedLayout {
-    pub(crate) child_class: ClassId,
-    pub(crate) child_fields: Vec<Symbol>,
-    pub(crate) repr: Repr,
-}
-
 /// One activation record on the explicit call stack. Frames replace host
 /// recursion so the interpreter can suspend mid-call-stack: a parked frame
 /// holds plain ids and owned values, never borrows.
@@ -603,13 +582,9 @@ struct VmState {
     metrics: Metrics,
     output: String,
     globals: Vec<Value>,
-    field_slots: Vec<HashMap<Symbol, usize>>,
-    class_sizes: Vec<usize>,
-    layouts: Vec<ResolvedLayout>,
-    compose_cache: HashMap<(u32, u32), u32>,
+    tables: RunTables,
     frames: Vec<Frame>,
     instr_budget: u64,
-    init_sym: Option<Symbol>,
     alloc_census: Vec<u64>,
     array_census: u64,
     inline_array_census: u64,
@@ -627,18 +602,12 @@ struct Vm<'p> {
     metrics: Metrics,
     output: String,
     globals: Vec<Value>,
-    /// Per-class field-name → slot tables.
-    field_slots: Vec<HashMap<Symbol, usize>>,
-    /// Per-class instance sizes.
-    class_sizes: Vec<usize>,
-    /// Resolved layouts; indices < `program.layouts.len()` mirror the
-    /// program table, later entries are runtime-composed.
-    layouts: Vec<ResolvedLayout>,
-    compose_cache: HashMap<(u32, u32), u32>,
+    /// Field slots, dispatch targets, `init`s and layouts, resolved once
+    /// per run.
+    tables: RunTables,
     /// Explicit call stack; its length is the interpreter call depth.
     frames: Vec<Frame>,
     instr_budget: u64,
-    init_sym: Option<Symbol>,
     alloc_census: Vec<u64>,
     array_census: u64,
     inline_array_census: u64,
@@ -656,41 +625,6 @@ struct Vm<'p> {
 
 impl<'p> Vm<'p> {
     fn new(program: &'p Program, config: &'p VmConfig) -> Self {
-        let field_slots = program
-            .classes
-            .ids()
-            .map(|c| {
-                program
-                    .layout_of(c)
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| (program.fields[f].name, i))
-                    .collect()
-            })
-            .collect();
-        let class_sizes = program
-            .classes
-            .ids()
-            .map(|c| program.layout_of(c).len())
-            .collect();
-        let layouts = program
-            .layouts
-            .iter()
-            .map(|l| ResolvedLayout {
-                child_class: l.child_class,
-                child_fields: l.child_fields.clone(),
-                repr: match l.array_kind {
-                    None => Repr::Object {
-                        slots: l.slots.clone(),
-                    },
-                    Some(kind) => Repr::Array {
-                        kind,
-                        width: l.child_fields.len(),
-                        map: (0..l.child_fields.len()).collect(),
-                    },
-                },
-            })
-            .collect();
         Self {
             program,
             config,
@@ -699,13 +633,9 @@ impl<'p> Vm<'p> {
             metrics: Metrics::default(),
             output: String::new(),
             globals: vec![Value::Nil; program.globals.len()],
-            field_slots,
-            class_sizes,
-            layouts,
-            compose_cache: HashMap::new(),
+            tables: RunTables::new(program),
             frames: Vec::new(),
             instr_budget: config.max_instructions,
-            init_sym: program.interner.get("init"),
             alloc_census: vec![0; program.classes.len()],
             array_census: 0,
             inline_array_census: 0,
@@ -739,13 +669,9 @@ impl<'p> Vm<'p> {
             metrics: st.metrics,
             output: st.output,
             globals: st.globals,
-            field_slots: st.field_slots,
-            class_sizes: st.class_sizes,
-            layouts: st.layouts,
-            compose_cache: st.compose_cache,
+            tables: st.tables,
             frames: st.frames,
             instr_budget: st.instr_budget,
-            init_sym: st.init_sym,
             alloc_census: st.alloc_census,
             array_census: st.array_census,
             inline_array_census: st.inline_array_census,
@@ -764,13 +690,9 @@ impl<'p> Vm<'p> {
             metrics: self.metrics,
             output: self.output,
             globals: self.globals,
-            field_slots: self.field_slots,
-            class_sizes: self.class_sizes,
-            layouts: self.layouts,
-            compose_cache: self.compose_cache,
+            tables: self.tables,
             frames: self.frames,
             instr_budget: self.instr_budget,
-            init_sym: self.init_sym,
             alloc_census: self.alloc_census,
             array_census: self.array_census,
             inline_array_census: self.inline_array_census,
@@ -883,43 +805,9 @@ impl<'p> Vm<'p> {
 
     // -- layout machinery ---------------------------------------------------
 
-    /// Composes `inner` (an object-container layout over `outer`'s child
-    /// class) with an existing resolved layout, yielding a layout that maps
-    /// the inner child's fields directly onto the outermost container.
-    fn compose(&mut self, outer: u32, inner: LayoutId) -> u32 {
-        if let Some(&cached) = self.compose_cache.get(&(outer, inner.index() as u32)) {
-            return cached;
-        }
-        let inner_l = &self.program.layouts[inner];
-        debug_assert!(
-            inner_l.array_kind.is_none(),
-            "inner layout must be an object layout"
-        );
-        let outer_l = &self.layouts[outer as usize];
-        let repr = match &outer_l.repr {
-            Repr::Object { slots } => Repr::Object {
-                slots: inner_l.slots.iter().map(|&s| slots[s]).collect(),
-            },
-            Repr::Array { kind, width, map } => Repr::Array {
-                kind: *kind,
-                width: *width,
-                map: inner_l.slots.iter().map(|&s| map[s]).collect(),
-            },
-        };
-        let resolved = ResolvedLayout {
-            child_class: inner_l.child_class,
-            child_fields: inner_l.child_fields.clone(),
-            repr,
-        };
-        let id = self.layouts.len() as u32;
-        self.layouts.push(resolved);
-        self.compose_cache.insert((outer, inner.index() as u32), id);
-        id
-    }
-
     /// Container slot index for child field `j` of the interior reference.
     fn interior_slot(&self, layout: u32, index: u32, j: usize, container_len: usize) -> usize {
-        match &self.layouts[layout as usize].repr {
+        match &self.tables.layouts[layout as usize].repr {
             Repr::Object { slots } => slots[j],
             Repr::Array { kind, width, map } => match kind {
                 ArrayLayoutKind::Interleaved => index as usize * *width + map[j],
@@ -943,7 +831,7 @@ impl<'p> Vm<'p> {
             san.on_interior(
                 self.program,
                 &self.heap,
-                &self.layouts,
+                &self.tables.layouts,
                 method,
                 instruction,
                 obj,
@@ -972,7 +860,7 @@ impl<'p> Vm<'p> {
             san.on_access(
                 self.program,
                 &self.heap,
-                &self.layouts,
+                &self.tables.layouts,
                 method,
                 instruction,
                 obj,
@@ -1012,7 +900,7 @@ impl<'p> Vm<'p> {
                     san.on_identity(
                         self.program,
                         &self.heap,
-                        &self.layouts,
+                        &self.tables.layouts,
                         method,
                         lo,
                         (ll.index() as u32, li),
@@ -1032,13 +920,24 @@ impl<'p> Vm<'p> {
             .to_owned()
     }
 
+    /// The name of a field or selector symbol. IR that never passed the
+    /// verifier can carry a symbol the interner does not know; it names
+    /// itself by its raw slot instead of panicking.
+    fn sym_name(&self, s: Symbol) -> String {
+        if (s.raw() as usize) < self.program.interner.len() {
+            self.program.interner.resolve(s).to_owned()
+        } else {
+            format!("{s:?}")
+        }
+    }
+
     fn class_of(&self, v: Value) -> Option<ClassId> {
         match v {
             Value::Obj(o) => match self.heap.get(o).kind {
                 ObjKind::Instance(c) => Some(c),
                 _ => None,
             },
-            Value::Interior { layout, .. } => Some(self.layouts[layout.index()].child_class),
+            Value::Interior { layout, .. } => Some(self.tables.layouts[layout.index()].child_class),
             _ => None,
         }
     }
@@ -1072,15 +971,16 @@ impl<'p> Vm<'p> {
                 let ObjKind::Instance(c) = kind else {
                     return Err(VmError::NoSuchField {
                         class: "array".to_owned(),
-                        field: self.program.interner.resolve(field).to_owned(),
+                        field: self.sym_name(field),
                     });
                 };
-                let slot = *self.field_slots[c.index()].get(&field).ok_or_else(|| {
-                    VmError::NoSuchField {
-                        class: self.class_name(c),
-                        field: self.program.interner.resolve(field).to_owned(),
-                    }
-                })?;
+                let slot =
+                    self.tables
+                        .field_slot(c, field)
+                        .ok_or_else(|| VmError::NoSuchField {
+                            class: self.class_name(c),
+                            field: self.sym_name(field),
+                        })?;
                 let addr = self.heap.get(o).slot_addr(slot);
                 let hit = self.mem_read(addr);
                 self.profile_access(c, field, false, false, hit);
@@ -1088,7 +988,7 @@ impl<'p> Vm<'p> {
             }
             Value::Interior { obj, index, layout } => {
                 let lid = layout.index() as u32;
-                let resolved = &self.layouts[lid as usize];
+                let resolved = &self.tables.layouts[lid as usize];
                 let child = resolved.child_class;
                 let j = resolved
                     .child_fields
@@ -1096,7 +996,7 @@ impl<'p> Vm<'p> {
                     .position(|&f| f == field)
                     .ok_or_else(|| VmError::NoSuchField {
                         class: self.class_name(child),
-                        field: self.program.interner.resolve(field).to_owned(),
+                        field: self.sym_name(field),
                     })?;
                 let container_len = self.heap.get(obj).array_len().unwrap_or(0);
                 let slot = self.interior_slot(lid, index, j, container_len);
@@ -1110,7 +1010,7 @@ impl<'p> Vm<'p> {
                 Ok(self.heap.get(obj).slots[slot])
             }
             Value::Nil => Err(VmError::NilDereference {
-                context: format!("field access `{}`", self.program.interner.resolve(field)),
+                context: format!("field access `{}`", self.sym_name(field)),
             }),
             other => Err(VmError::TypeError {
                 expected: "object for field access".to_owned(),
@@ -1126,15 +1026,16 @@ impl<'p> Vm<'p> {
                 let ObjKind::Instance(c) = kind else {
                     return Err(VmError::NoSuchField {
                         class: "array".to_owned(),
-                        field: self.program.interner.resolve(field).to_owned(),
+                        field: self.sym_name(field),
                     });
                 };
-                let slot = *self.field_slots[c.index()].get(&field).ok_or_else(|| {
-                    VmError::NoSuchField {
-                        class: self.class_name(c),
-                        field: self.program.interner.resolve(field).to_owned(),
-                    }
-                })?;
+                let slot =
+                    self.tables
+                        .field_slot(c, field)
+                        .ok_or_else(|| VmError::NoSuchField {
+                            class: self.class_name(c),
+                            field: self.sym_name(field),
+                        })?;
                 let addr = self.heap.get(o).slot_addr(slot);
                 let hit = self.mem_write(addr);
                 self.profile_access(c, field, false, true, hit);
@@ -1147,7 +1048,7 @@ impl<'p> Vm<'p> {
             }
             Value::Interior { obj, index, layout } => {
                 let lid = layout.index() as u32;
-                let resolved = &self.layouts[lid as usize];
+                let resolved = &self.tables.layouts[lid as usize];
                 let child = resolved.child_class;
                 let j = resolved
                     .child_fields
@@ -1155,7 +1056,7 @@ impl<'p> Vm<'p> {
                     .position(|&f| f == field)
                     .ok_or_else(|| VmError::NoSuchField {
                         class: self.class_name(child),
-                        field: self.program.interner.resolve(field).to_owned(),
+                        field: self.sym_name(field),
                     })?;
                 let container_len = self.heap.get(obj).array_len().unwrap_or(0);
                 let slot = self.interior_slot(lid, index, j, container_len);
@@ -1170,7 +1071,7 @@ impl<'p> Vm<'p> {
                 Ok(())
             }
             Value::Nil => Err(VmError::NilDereference {
-                context: format!("field store `{}`", self.program.interner.resolve(field)),
+                context: format!("field store `{}`", self.sym_name(field)),
             }),
             other => Err(VmError::TypeError {
                 expected: "object for field store".to_owned(),
@@ -1182,7 +1083,7 @@ impl<'p> Vm<'p> {
     // -- allocation ----------------------------------------------------------
 
     fn alloc_instance(&mut self, class: ClassId, site: SiteId) -> Result<ObjId, VmError> {
-        let size = self.class_sizes[class.index()];
+        let size = self.tables.class_sizes[class.index()];
         let id = self.heap.alloc(ObjKind::Instance(class), size)?;
         // Use the heap's effective (clamped) overhead so `words_allocated`
         // in the metrics agrees with the bump allocator's own accounting.
@@ -1304,14 +1205,10 @@ impl<'p> Vm<'p> {
         if self.sanitizer.is_some() {
             if let Value::Interior { obj, index, layout } = recv {
                 let lid = layout.index() as u32;
-                let child = self.layouts[lid as usize].child_class;
-                if self
-                    .init_sym
-                    .and_then(|s| self.program.lookup_method(child, s))
-                    == Some(method)
-                {
+                let child = self.tables.layouts[lid as usize].child_class;
+                if self.tables.init(child) == Some(method) {
                     if let Some(san) = &mut self.sanitizer {
-                        san.on_ctor_enter(&self.layouts, &self.heap, obj, index, lid);
+                        san.on_ctor_enter(&self.tables.layouts, &self.heap, obj, index, lid);
                     }
                 }
             }
@@ -1481,10 +1378,7 @@ impl<'p> Vm<'p> {
             } => {
                 let id = self.alloc_instance(*class, *site)?;
                 locals[dst.index()] = Value::Obj(id);
-                if let Some(init) = self
-                    .init_sym
-                    .and_then(|s| self.program.lookup_method(*class, s))
-                {
+                if let Some(init) = self.tables.init(*class) {
                     // Raw allocations (constructor explosion) call init
                     // explicitly; skip the implicit call.
                     if self.program.methods[init].param_count as usize != args.len() {
@@ -1529,7 +1423,7 @@ impl<'p> Vm<'p> {
                     });
                 }
                 let lid = layout.index() as u32;
-                let width = self.layouts[lid as usize].child_fields.len();
+                let width = self.tables.layouts[lid as usize].child_fields.len();
                 let id = self.alloc_array(
                     ObjKind::ArrayInline {
                         layout: lid,
@@ -1570,20 +1464,20 @@ impl<'p> Vm<'p> {
                 let r = get(*recv, locals);
                 let class = self.class_of(r).ok_or_else(|| match r {
                     Value::Nil => VmError::NilDereference {
-                        context: format!("send of `{}`", self.program.interner.resolve(*selector)),
+                        context: format!("send of `{}`", self.sym_name(*selector)),
                     },
                     other => VmError::TypeError {
                         expected: "object receiver".to_owned(),
                         found: other.type_name().to_owned(),
                     },
                 })?;
-                let target = self
-                    .program
-                    .lookup_method(class, *selector)
-                    .ok_or_else(|| VmError::NoSuchMethod {
-                        class: self.class_name(class),
-                        selector: self.program.interner.resolve(*selector).to_owned(),
-                    })?;
+                let target =
+                    self.tables
+                        .method(class, *selector)
+                        .ok_or_else(|| VmError::NoSuchMethod {
+                            class: self.class_name(class),
+                            selector: self.sym_name(*selector),
+                        })?;
                 let argv: Vec<Value> = args.iter().map(|&a| get(a, locals)).collect();
                 self.metrics.dyn_dispatches += 1;
                 self.charge(
@@ -1633,7 +1527,9 @@ impl<'p> Vm<'p> {
                         index,
                         layout: outer,
                     } => {
-                        let composed = self.compose(outer.index() as u32, *layout);
+                        let composed =
+                            self.tables
+                                .compose(self.program, outer.index() as u32, *layout);
                         Value::Interior {
                             obj,
                             index,
@@ -1786,7 +1682,7 @@ impl<'p> Vm<'p> {
                 if self.sanitizer.is_some() {
                     self.sanitize_interior(o, i as u32, layout, "ArraySet");
                 }
-                let fields = self.layouts[layout as usize].child_fields.clone();
+                let fields = self.tables.layouts[layout as usize].child_fields.clone();
                 for (j, f) in fields.iter().enumerate() {
                     let v = self.get_field(value, *f)?;
                     let slot = self.interior_slot(layout, i as u32, j, len);
@@ -2025,7 +1921,7 @@ impl<'p> Vm<'p> {
             Value::Interior { layout, .. } => {
                 format!(
                     "<{}>",
-                    self.class_name(self.layouts[layout.index()].child_class)
+                    self.class_name(self.tables.layouts[layout.index()].child_class)
                 )
             }
         }
@@ -2152,6 +2048,41 @@ mod tests {
                 selector: "nope".into()
             }
         );
+    }
+
+    #[test]
+    fn unknown_symbols_are_typed_errors_not_panics() {
+        let src = "class A { field x; method m() { return 1; } }
+                   fn main() { var a = new A(); print a.x; print a.m(); }";
+        let bogus = Symbol::from_raw(u32::MAX);
+        let mut p = compile(src).unwrap();
+        let main = p.entry;
+        for block in p.methods[main].blocks.iter_mut() {
+            for instr in &mut block.instrs {
+                if let Instr::GetField { field, .. } = instr {
+                    *field = bogus;
+                }
+            }
+        }
+        let err = run(&p, &VmConfig::default()).unwrap_err();
+        assert!(matches!(err, VmError::NoSuchField { .. }), "{err}");
+        let mut p = compile(src).unwrap();
+        for block in p.methods[main].blocks.iter_mut() {
+            for instr in &mut block.instrs {
+                if let Instr::Send { selector, .. } = instr {
+                    *selector = bogus;
+                }
+            }
+        }
+        // Checked runs resolve `init` and fields through the same tables.
+        for checked in [CheckLevel::Off, CheckLevel::Full] {
+            let config = VmConfig {
+                checked,
+                ..Default::default()
+            };
+            let err = run(&p, &config).unwrap_err();
+            assert!(matches!(err, VmError::NoSuchMethod { .. }), "{err}");
+        }
     }
 
     #[test]

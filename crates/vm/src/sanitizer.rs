@@ -48,7 +48,7 @@
 //! metrics to an unchecked run; only wall-clock overhead differs.
 
 use crate::heap::{Heap, ObjKind};
-use crate::interp::{Repr, ResolvedLayout};
+use crate::tables::{Repr, ResolvedLayout};
 use crate::value::ObjId;
 use oi_ir::{ArrayLayoutKind, ClassId, MethodId, Program};
 use std::collections::{HashMap, HashSet};
