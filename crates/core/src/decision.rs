@@ -322,7 +322,9 @@ pub fn decide_denying(
         }
     }
 
-    let mut candidate_child: HashMap<(ClassId, Symbol), ClassId> = HashMap::new();
+    // Ordered: the member order of each group below decides layout ids
+    // and fresh field names, so it must not follow a hash seed.
+    let mut candidate_child: BTreeMap<(ClassId, Symbol), ClassId> = BTreeMap::new();
     let mut object_fields_seen: BTreeSet<(ClassId, Symbol)> = BTreeSet::new();
     if config.object_fields {
         for (&class, octxs) in &octx_by_class {
