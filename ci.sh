@@ -19,6 +19,9 @@ cargo test --workspace -q
 
 echo "==> cargo test (property tests)"
 cargo test -q --features property-tests --test proptest_pipeline
+# The cleanup-pass properties live behind oi-ir's own feature, which the
+# root feature above does not enable.
+cargo test -q -p oi-ir --features property-tests --test proptest_opt
 
 echo "==> bench-smoke (snapshot + noise-aware regression gate)"
 # Fresh snapshots against the committed baselines. The modeled VM is

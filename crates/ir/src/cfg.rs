@@ -1,77 +1,24 @@
 //! Control-flow-graph utilities over [`Method`] bodies.
 
-use crate::instr::Terminator;
-use crate::program::{BlockId, Method, MethodId, Program};
+use crate::program::{Method, MethodId, Program};
 use std::collections::HashSet;
 
-/// Successor blocks of `bb` in `method`.
-pub fn successors(method: &Method, bb: BlockId) -> Vec<BlockId> {
-    method.blocks[bb].term.successors()
-}
-
-/// Predecessor lists for every block.
-pub fn predecessors(method: &Method) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); method.blocks.len()];
-    for (bb, block) in method.blocks.iter_enumerated() {
-        for succ in block.term.successors() {
-            preds[succ.index()].push(bb);
-        }
-    }
-    preds
-}
-
-/// Blocks reachable from the entry, in depth-first discovery order.
-pub fn reachable_blocks(method: &Method) -> Vec<BlockId> {
-    let mut seen = HashSet::new();
-    let mut order = Vec::new();
+/// Which blocks are reachable from the entry, indexed by block index.
+pub fn reachable_blocks(method: &Method) -> Vec<bool> {
+    let mut seen = vec![false; method.blocks.len()];
     let mut stack = vec![method.entry()];
     while let Some(bb) = stack.pop() {
-        if !seen.insert(bb) {
+        if std::mem::replace(&mut seen[bb.index()], true) {
             continue;
         }
-        order.push(bb);
         for succ in method.blocks[bb].term.successors() {
             // Out-of-bounds targets are a verifier error; stay robust here.
-            if method.blocks.contains_id(succ) {
+            if method.blocks.contains_id(succ) && !seen[succ.index()] {
                 stack.push(succ);
             }
         }
     }
-    order
-}
-
-/// Reverse postorder of reachable blocks — the canonical iteration order for
-/// forward dataflow.
-pub fn reverse_postorder(method: &Method) -> Vec<BlockId> {
-    let mut visited = HashSet::new();
-    let mut postorder = Vec::new();
-    // Iterative DFS with an explicit phase marker to emit postorder.
-    let mut stack = vec![(method.entry(), false)];
-    while let Some((bb, processed)) = stack.pop() {
-        if processed {
-            postorder.push(bb);
-            continue;
-        }
-        if !visited.insert(bb) {
-            continue;
-        }
-        stack.push((bb, true));
-        for succ in method.blocks[bb].term.successors() {
-            if !visited.contains(&succ) {
-                stack.push((succ, false));
-            }
-        }
-    }
-    postorder.reverse();
-    postorder
-}
-
-/// Returns `true` if every path from entry reaches a `Return` (i.e. no
-/// unterminated blocks are reachable).
-pub fn all_paths_return(method: &Method) -> bool {
-    reachable_blocks(method)
-        .into_iter()
-        .all(|bb| !matches!(method.blocks[bb].term, Terminator::Unterminated))
+    seen
 }
 
 /// Methods reachable from the program entry following `CallStatic`, `Send`
@@ -117,35 +64,6 @@ pub fn reachable_methods(program: &Program) -> Vec<MethodId> {
 mod tests {
     use super::*;
     use crate::lower::compile;
-
-    #[test]
-    fn straight_line_has_single_block_reachable() {
-        let p = compile("fn main() { print 1; }").unwrap();
-        let m = &p.methods[p.entry];
-        assert_eq!(reachable_blocks(m).len(), 1);
-        assert!(all_paths_return(m));
-    }
-
-    #[test]
-    fn loop_rpo_starts_at_entry() {
-        let p = compile("fn main() { var i = 0; while (i < 3) { i = i + 1; } }").unwrap();
-        let m = &p.methods[p.entry];
-        let rpo = reverse_postorder(m);
-        assert_eq!(rpo[0], m.entry());
-        assert_eq!(rpo.len(), reachable_blocks(m).len());
-    }
-
-    #[test]
-    fn predecessors_inverse_of_successors() {
-        let p = compile("fn main() { if (true) { print 1; } else { print 2; } }").unwrap();
-        let m = &p.methods[p.entry];
-        let preds = predecessors(m);
-        for (bb, _) in m.blocks.iter_enumerated() {
-            for succ in successors(m, bb) {
-                assert!(preds[succ.index()].contains(&bb));
-            }
-        }
-    }
 
     #[test]
     fn reachable_methods_follows_calls() {

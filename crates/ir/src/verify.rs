@@ -262,8 +262,9 @@ fn verify_method(program: &Program, mid: MethodId, method: &Method, errors: &mut
             }
         }
     }
-    for bb in cfg::reachable_blocks(method) {
-        if matches!(method.blocks[bb].term, Terminator::Unterminated) {
+    let reachable = cfg::reachable_blocks(method);
+    for (bb, block) in method.blocks.iter_enumerated() {
+        if reachable[bb.index()] && matches!(block.term, Terminator::Unterminated) {
             errors.push(err(format!("{name}: reachable {bb:?} is unterminated")));
         }
     }
