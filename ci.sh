@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> perfbench build (the benchmark compiles against this tree)"
+# perfbench is a Cargo workspace of its own that imports oi_bench::serve,
+# loadgen and synth and oi_core::cache. Building it here turns a break in
+# those APIs into a CI failure instead of a failed benchmark run.
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 

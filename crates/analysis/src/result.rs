@@ -33,22 +33,6 @@ pub struct AnalysisResult {
 }
 
 impl AnalysisResult {
-    /// The abstract value of `temp` in `contour`.
-    pub fn temp_val(&self, contour: MCtxId, temp: Temp) -> &AbstractVal {
-        &self.mcontours[contour].frame[temp.index()]
-    }
-
-    /// The abstract value of `temp` joined over *all* contours of `method`.
-    pub fn temp_val_joined(&self, method: MethodId, temp: Temp) -> AbstractVal {
-        let mut out = AbstractVal::bottom();
-        if let Some(contours) = self.contours_of_method.get(&method) {
-            for &c in contours {
-                out.join(&self.mcontours[c].frame[temp.index()]);
-            }
-        }
-        out
-    }
-
     /// All possible callee *methods* of the `Send` at `(method, bb, idx)`,
     /// unioned across contours.
     pub fn send_targets(&self, method: MethodId, bb: BlockId, idx: usize) -> BTreeSet<MethodId> {

@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn retries_ride_out_a_brownout_shed() {
-        use oi_core::BrownoutLevel;
+        use crate::overload::BrownoutLevel;
         // Cache-only brownout sheds the first attempts; service recovers
         // before the retry budget runs out, so the client converges.
         let server = Server::new(ServeConfig {
@@ -465,7 +465,7 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     std::thread::sleep(Duration::from_millis(40));
-                    server.force_brownout(BrownoutLevel::GuardedFull);
+                    server.force_brownout(BrownoutLevel::GUARDED_FULL);
                 });
                 request_with_retries(client, &Line::compile(1, SOURCE).to_string(), &mut session)
             })
@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_give_up_with_the_last_refusal() {
-        use oi_core::BrownoutLevel;
+        use crate::overload::BrownoutLevel;
         let server = Server::new(ServeConfig {
             brownout_target_ms: Some(1_000),
             ..ServeConfig::default()

@@ -231,7 +231,6 @@ pub fn run_loadgen_on(server: &Server, config: &LoadgenConfig) -> LoadReport {
         let line = Line::compile(request_id, &sources[rank as usize]).to_string();
         let (response, wall_ns) = tally.send(server, &line, config.retries);
         let reply = Reply(&response);
-        server.observe_total(reply.cache().unwrap_or("none"), wall_ns);
         if reply.ok() {
             if reply.cache() == Some("hit") {
                 hit_samples.push(wall_ns);
@@ -454,7 +453,7 @@ mod tests {
             brownout_target_ms: Some(10_000),
             ..ServeConfig::default()
         });
-        server.force_brownout(oi_core::BrownoutLevel::CacheOnly);
+        server.force_brownout(crate::overload::BrownoutLevel::CacheOnly);
         let config = LoadgenConfig {
             requests: 6,
             sources: 2,

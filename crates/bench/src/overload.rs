@@ -21,12 +21,78 @@
 //! draws from a caller-seeded [`XorShift64`]), so the chaos matrix and the
 //! `brownoutload` gate can replay scenarios exactly.
 
-use oi_core::ladder::BrownoutLevel;
+use oi_core::ladder::Tier;
 use oi_support::metrics::Window;
 use oi_support::rng::XorShift64;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// One rung of the brownout ladder, the service-level overload dial.
+///
+/// The compile rungs are the ladder's own [`Tier`]s: compiles start from
+/// that tier. The last rung, `cache-only`, is a service policy with no
+/// compilation tier at all: cached artifacts are served, cache misses are
+/// shed with retry guidance instead of compiled. Deeper rungs trade
+/// precision (and finally freshness) for queue drain rate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BrownoutLevel {
+    /// Compiles start at this tier.
+    Compile(Tier),
+    /// Serve cache hits only; shed every compile miss.
+    CacheOnly,
+}
+
+impl BrownoutLevel {
+    /// Normal service: the full guarded pipeline.
+    pub const GUARDED_FULL: BrownoutLevel = BrownoutLevel::Compile(Tier::GuardedFull);
+
+    /// Every level, shallowest first.
+    pub fn ladder() -> impl Iterator<Item = BrownoutLevel> {
+        std::iter::successors(Some(BrownoutLevel::GUARDED_FULL), |l| l.descend())
+    }
+
+    /// Stable kebab-case name used in gauges, responses, and JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            BrownoutLevel::Compile(tier) => tier.name(),
+            BrownoutLevel::CacheOnly => "cache-only",
+        }
+    }
+
+    /// Depth index (0 = `guarded-full` … 3 = `cache-only`), the value of
+    /// the `serve.brownout_tier` gauge.
+    pub fn index(self) -> usize {
+        BrownoutLevel::ladder()
+            .position(|l| l == self)
+            .expect("every level is on the ladder")
+    }
+
+    /// One rung deeper, or `None` at `cache-only`.
+    pub fn descend(self) -> Option<BrownoutLevel> {
+        match self {
+            BrownoutLevel::Compile(tier) => Some(
+                tier.next_lower()
+                    .map_or(BrownoutLevel::CacheOnly, BrownoutLevel::Compile),
+            ),
+            BrownoutLevel::CacheOnly => None,
+        }
+    }
+
+    /// One rung shallower, or `None` at `guarded-full`.
+    pub fn recover(self) -> Option<BrownoutLevel> {
+        BrownoutLevel::ladder().take_while(|&l| l != self).last()
+    }
+
+    /// The compilation tier compiles should start from at this level, or
+    /// `None` at `cache-only` (no compiles happen at all).
+    pub fn start_tier(self) -> Option<Tier> {
+        match self {
+            BrownoutLevel::Compile(tier) => Some(tier),
+            BrownoutLevel::CacheOnly => None,
+        }
+    }
+}
 
 /// Tuning for the [`Brownout`] feedback loop.
 #[derive(Clone, Copy, Debug)]
@@ -102,7 +168,7 @@ impl Brownout {
         Brownout {
             config,
             state: Mutex::new(BrownoutState {
-                level: BrownoutLevel::GuardedFull,
+                level: BrownoutLevel::GUARDED_FULL,
                 window: Window::new(config.window),
                 last_change: None,
             }),
@@ -340,14 +406,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy allowing `retries` retries after the first attempt.
-    pub fn with_retries(retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: retries.saturating_add(1),
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The wait before the next attempt, or `None` to give up.
     ///
     /// `attempts_made` counts attempts already answered (≥1);
@@ -419,6 +477,45 @@ impl RetrySession {
 mod tests {
     use super::*;
 
+    #[test]
+    fn brownout_levels_walk_down_and_back_up() {
+        let mut level = BrownoutLevel::GUARDED_FULL;
+        let mut names = vec![level.name()];
+        while let Some(next) = level.descend() {
+            level = next;
+            names.push(level.name());
+        }
+        assert_eq!(
+            names,
+            [
+                "guarded-full",
+                "reduced-precision",
+                "inlining-off",
+                "cache-only"
+            ]
+        );
+        assert_eq!(level.descend(), None);
+        while let Some(up) = level.recover() {
+            level = up;
+        }
+        assert_eq!(level, BrownoutLevel::GUARDED_FULL);
+        assert_eq!(level.recover(), None);
+        let ladder: Vec<BrownoutLevel> = BrownoutLevel::ladder().collect();
+        assert_eq!(ladder.len(), 4);
+        for (i, l) in ladder.iter().enumerate() {
+            assert_eq!(l.index(), i);
+        }
+        assert_eq!(
+            ladder.iter().map(|l| l.start_tier()).collect::<Vec<_>>(),
+            [
+                Some(Tier::GuardedFull),
+                Some(Tier::ReducedPrecision),
+                Some(Tier::InliningOff),
+                None
+            ]
+        );
+    }
+
     fn config(target_ms: u64) -> BrownoutConfig {
         BrownoutConfig {
             target_ns: u128::from(target_ms) * 1_000_000,
@@ -434,7 +531,7 @@ mod tests {
     #[test]
     fn brownout_descends_on_slow_waits_and_recovers_on_fast_ones() {
         let b = Brownout::new(config(10));
-        assert_eq!(b.level(), BrownoutLevel::GuardedFull);
+        assert_eq!(b.level(), BrownoutLevel::GUARDED_FULL);
         // Four slow samples (p99 = 50ms > 10ms target) force a descend.
         let mut seen = None;
         for _ in 0..4 {
@@ -442,7 +539,9 @@ mod tests {
         }
         assert_eq!(
             seen,
-            Some(Transition::Descend(BrownoutLevel::ReducedPrecision))
+            Some(Transition::Descend(BrownoutLevel::Compile(
+                Tier::ReducedPrecision
+            )))
         );
         // The window was cleared: one fast sample is not yet enough.
         assert_eq!(b.note(0, MS / 10), None);
@@ -451,8 +550,8 @@ mod tests {
         for _ in 0..4 {
             seen = b.note(0, MS / 10).or(seen);
         }
-        assert_eq!(seen, Some(Transition::Recover(BrownoutLevel::GuardedFull)));
-        assert_eq!(b.level(), BrownoutLevel::GuardedFull);
+        assert_eq!(seen, Some(Transition::Recover(BrownoutLevel::GUARDED_FULL)));
+        assert_eq!(b.level(), BrownoutLevel::GUARDED_FULL);
     }
 
     #[test]
@@ -462,7 +561,9 @@ mod tests {
         // before min_samples of slow waits could.
         assert_eq!(
             b.note(12, MS),
-            Some(Transition::Descend(BrownoutLevel::ReducedPrecision))
+            Some(Transition::Descend(BrownoutLevel::Compile(
+                Tier::ReducedPrecision
+            )))
         );
     }
 
@@ -478,7 +579,7 @@ mod tests {
         for _ in 0..32 {
             b.note(0, MS / 100);
         }
-        assert_eq!(b.level(), BrownoutLevel::GuardedFull);
+        assert_eq!(b.level(), BrownoutLevel::GUARDED_FULL);
         assert_eq!(b.note(0, MS / 100), None);
     }
 
@@ -487,11 +588,11 @@ mod tests {
         // A p99 between target/2 and target satisfies neither threshold:
         // no flapping on a boundary signal.
         let b = Brownout::new(config(10));
-        b.force(BrownoutLevel::InliningOff);
+        b.force(BrownoutLevel::Compile(Tier::InliningOff));
         for _ in 0..32 {
             assert_eq!(b.note(1, 7 * MS), None);
         }
-        assert_eq!(b.level(), BrownoutLevel::InliningOff);
+        assert_eq!(b.level(), BrownoutLevel::Compile(Tier::InliningOff));
     }
 
     #[test]

@@ -97,7 +97,8 @@ impl Default for TenantQuota {
 }
 
 impl TenantQuota {
-    fn vm_config(&self) -> VmConfig {
+    /// The VM limits this quota enforces inside the interpreter.
+    pub(crate) fn vm_config(&self) -> VmConfig {
         VmConfig {
             max_instructions: self.max_instructions,
             max_heap_words: self.max_heap_words,
@@ -374,7 +375,6 @@ pub struct Scheduler {
     max_queue: usize,
     state: Mutex<SchedState>,
     work_cv: Condvar,
-    idle_cv: Condvar,
     ticks: AtomicU64,
 }
 
@@ -394,7 +394,6 @@ impl Scheduler {
                 completions: Some(completions),
             }),
             work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
             ticks: AtomicU64::new(0),
         }
     }
@@ -470,7 +469,6 @@ impl Scheduler {
         st.closed = true;
         drop(st);
         self.work_cv.notify_all();
-        self.idle_cv.notify_all();
     }
 
     /// Stops admission and flushes never-started jobs with
@@ -499,18 +497,6 @@ impl Scheduler {
         }
         drop(st);
         self.work_cv.notify_all();
-        self.idle_cv.notify_all();
-    }
-
-    /// Blocks until no live jobs remain.
-    pub fn wait_idle(&self) {
-        let mut st = self.lock();
-        while st.live > 0 {
-            st = self
-                .idle_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// Live (queued + running) job count.
@@ -703,9 +689,6 @@ impl Scheduler {
         if let Some(tx) = &st.completions {
             let _ = tx.send(completion);
         }
-        if st.live == 0 {
-            self.idle_cv.notify_all();
-        }
     }
 
     /// Per-tenant metering summaries, sorted by tenant name.
@@ -762,7 +745,9 @@ impl Scheduler {
     }
 }
 
-fn classify(e: VmError) -> Verdict {
+/// The verdict of a run the VM ended with `e`: a quota kill for the
+/// limits a [`TenantQuota`] sets, else a runtime error.
+pub(crate) fn classify(e: VmError) -> Verdict {
     match e {
         VmError::InstructionLimit => Verdict::Quota(QuotaKind::Instructions),
         VmError::OutOfMemory => Verdict::Quota(QuotaKind::HeapWords),

@@ -36,18 +36,20 @@
 use crate::cli::scan_flags;
 use crate::harness::time_once;
 use crate::overload::{
-    Admission, BreakerConfig, Brownout, BrownoutConfig, CircuitBreaker, Transition,
+    Admission, BreakerConfig, Brownout, BrownoutConfig, BrownoutLevel, CircuitBreaker, Transition,
 };
 use crate::sched::{
-    Completion, JobFault, JobSpec, ProgramRef, SchedConfig, Scheduler, TenantQuota, Verdict,
+    self, Completion, JobFault, JobSpec, ProgramRef, SchedConfig, Scheduler, SubmitError,
+    TenantQuota, Verdict,
 };
 use oi_core::cache::store::DiskStore;
 use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
-use oi_core::ladder::{optimize_with_ladder, BrownoutLevel, LadderConfig};
+use oi_core::ladder::{optimize_with_ladder, LadderConfig};
 use oi_support::metrics::Registry;
 use oi_support::panic::contained;
 use oi_support::trace::{self, kv, TraceMode, Tracer};
 use oi_support::{Budget, Json};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::rc::Rc;
@@ -186,6 +188,27 @@ struct DiskTier {
     peak: Arc<AtomicU64>,
 }
 
+impl DiskTier {
+    /// Closes the persister's channel and joins its thread once it has
+    /// drained the queue. Idempotent.
+    fn stop_persister(&self) {
+        drop(
+            self.tx
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(),
+        );
+        let worker = self
+            .worker
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(worker) = worker {
+            let _ = worker.join();
+        }
+    }
+}
+
 /// One in-process compile server: artifact cache + metrics registry +
 /// the base ladder configuration requests are compiled under.
 pub struct Server {
@@ -286,7 +309,7 @@ impl Server {
     pub fn brownout_level(&self) -> BrownoutLevel {
         self.brownout
             .as_ref()
-            .map_or(BrownoutLevel::GuardedFull, Brownout::level)
+            .map_or(BrownoutLevel::GUARDED_FULL, Brownout::level)
     }
 
     /// Pins the brownout controller to `level` (harness hook; a no-op
@@ -308,7 +331,7 @@ impl Server {
         // brownout" signal — sampled before the transition decision, so
         // the sample that *triggers* a descend still counts as
         // guarded-full service.
-        if b.level() != BrownoutLevel::GuardedFull {
+        if b.level() != BrownoutLevel::GUARDED_FULL {
             self.metrics
                 .observe_ns("serve.brownout_queue_wait_ns", wait_ns);
         }
@@ -352,20 +375,7 @@ impl Server {
         if disk.killed.load(Ordering::SeqCst) {
             return;
         }
-        let tx = disk
-            .tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        drop(tx); // closes the channel; the persister drains and exits
-        let worker = disk
-            .worker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(worker) = worker {
-            let _ = worker.join();
-        }
+        disk.stop_persister();
         let _ = disk.store.compact();
         self.mirror_cache_stats();
     }
@@ -379,20 +389,7 @@ impl Server {
     pub fn simulate_kill(&self) {
         let Some(disk) = &self.disk else { return };
         disk.killed.store(true, Ordering::SeqCst);
-        let tx = disk
-            .tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        drop(tx);
-        let worker = disk
-            .worker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(worker) = worker {
-            let _ = worker.join();
-        }
+        disk.stop_persister();
     }
 
     /// Hands an artifact to the write-behind persister. A full or closed
@@ -418,89 +415,203 @@ impl Server {
     /// panics on malformed input — every failure mode is an `ok:false`
     /// response.
     pub fn handle_line(&self, line: &str) -> Handled {
-        let (handled, wall) = time_once(|| self.dispatch(line));
-        self.mirror_cache_stats();
-        let mut handled = handled;
-        if let Json::Obj(fields) = &mut handled.response {
-            for (k, v) in fields.iter_mut() {
-                if k == "wall_us" {
-                    *v = Json::from((wall.median / 1_000).min(u128::from(u64::MAX)) as u64);
-                }
+        let started = self.begin();
+        let request = match Request::parse(line) {
+            Ok(request) => request,
+            Err(e) => return self.finish(Json::Null, "", Answer::error(e), started),
+        };
+        let answer = {
+            let _span = trace::span_with(
+                "serve.request",
+                vec![
+                    kv("request_id", id_label(&request.id)),
+                    kv("op", request.op.as_str()),
+                ],
+            );
+            match self.start(&request) {
+                Start::Answer(answer) => answer,
+                Start::Run(job) => self.execute(&request, &job),
             }
-        }
-        if let Some(path) = &self.config.metrics_out {
-            let _ = std::fs::write(path, format!("{}\n", self.metrics.to_json()));
-        }
-        handled
+        };
+        self.finish(request.id, &request.op, answer, started)
     }
 
-    fn dispatch(&self, line: &str) -> Handled {
+    /// Counts a request that began processing (`serve.requests`, and
+    /// `serve.in_flight` until [`Server::finish`]) and returns the
+    /// instant its end-to-end latency is measured from.
+    fn begin(&self) -> Instant {
         self.metrics.add("serve.requests", 1);
         self.metrics.gauge_add("serve.in_flight", 1);
-        let handled = self.dispatch_inner(line);
-        self.metrics.gauge_add("serve.in_flight", -1);
-        if handled
-            .response
-            .get("ok")
-            .and_then(Json::as_bool)
-            .unwrap_or(false)
-        {
-            handled
-        } else {
-            self.metrics.add("serve.errors", 1);
-            handled
-        }
+        Instant::now()
     }
 
-    fn dispatch_inner(&self, line: &str) -> Handled {
-        let request = match Json::parse(line) {
-            Ok(r) => r,
-            Err(e) => return self.error(Json::Null, &format!("malformed request: {e}")),
-        };
-        let id = request.get("id").cloned().unwrap_or(Json::Null);
-        let op = request
-            .get("op")
-            .and_then(Json::as_str)
-            .unwrap_or("compile")
-            .to_string();
-        let _span = trace::span_with(
-            "serve.request",
-            vec![kv("request_id", id_label(&id)), kv("op", op.as_str())],
-        );
-        match op.as_str() {
-            "compile" | "run" => self.serve_compile(&request, id, &op),
-            "stats" => Handled {
-                response: self.envelope(id, &op, "none", self.metrics.to_json()),
-                shutdown: false,
-            },
+    /// Answers `request` now, or returns the `run` to execute: its
+    /// artifact, where the artifact came from, and its quota.
+    fn start(&self, request: &Request) -> Start {
+        let answer = match request.op.as_str() {
+            "compile" | "run" => {
+                let (artifact, cache) = match self.artifact_for(request) {
+                    Ok(pair) => pair,
+                    Err(answer) => return Start::Answer(answer),
+                };
+                if request.op == "run" {
+                    return Start::Run(RunJob {
+                        artifact,
+                        cache,
+                        quota: self.run_quota(request),
+                    });
+                }
+                Answer::Ok {
+                    cache,
+                    payload: Json::obj(vec![
+                        ("schema", "oic.report.v1".into()),
+                        ("tier", artifact.outcome.tier_name().into()),
+                        ("report", artifact.outcome.optimized.report.to_json()),
+                    ]),
+                }
+            }
+            "stats" => {
+                // A pumped `run` still executing has already looked its
+                // artifact up; the counters include that lookup.
+                self.mirror_cache_stats();
+                Answer::Ok {
+                    cache: "none",
+                    payload: self.metrics.to_json(),
+                }
+            }
             // Liveness probes: cheap, never queued behind compile work
             // once admitted, and they carry the overload-control state a
             // retrying client steers by.
-            "health" | "ping" => Handled {
-                response: self.envelope(
-                    id,
-                    &op,
-                    "none",
-                    Json::obj(vec![
-                        ("status", "ok".into()),
-                        ("brownout_tier", self.brownout_level().name().into()),
-                        ("breaker_open", (self.breaker.open_count() as u64).into()),
-                        ("in_flight", self.metrics.gauge("serve.in_flight").into()),
-                    ]),
-                ),
-                shutdown: false,
+            "health" | "ping" => Answer::Ok {
+                cache: "none",
+                payload: Json::obj(vec![
+                    ("status", "ok".into()),
+                    ("brownout_tier", self.brownout_level().name().into()),
+                    ("breaker_open", (self.breaker.open_count() as u64).into()),
+                    ("in_flight", self.metrics.gauge("serve.in_flight").into()),
+                ]),
             },
-            "shutdown" => Handled {
-                response: self.envelope(id, &op, "none", Json::Null),
-                shutdown: true,
+            "shutdown" => Answer::Ok {
+                cache: "none",
+                payload: Json::Null,
             },
-            other => self.error(id, &format!("unknown op `{other}`")),
+            other => Answer::error(format!("unknown op `{other}`")),
+        };
+        Start::Answer(answer)
+    }
+
+    /// Effective quota for a `run` request: server-level limits, with a
+    /// per-request `config.run_deadline_ms` override for the deadline.
+    fn run_quota(&self, request: &Request) -> TenantQuota {
+        let c = &self.config;
+        let d = TenantQuota::default();
+        TenantQuota {
+            max_instructions: c.max_instructions.unwrap_or(d.max_instructions),
+            max_heap_words: c.max_heap_words.unwrap_or(d.max_heap_words),
+            max_depth: c.max_depth.unwrap_or(d.max_depth),
+            max_concurrent: c.tenant_concurrent,
+            deadline: request
+                .run_deadline_ms
+                .or(c.run_deadline_ms)
+                .map(Duration::from_millis),
+        }
+    }
+
+    /// Runs a `run` request's program on the calling thread under its
+    /// quota's instruction, heap and depth limits. The wall deadline and
+    /// tenant concurrency stay the scheduler's: a synchronous caller has
+    /// one request in flight.
+    fn execute(&self, request: &Request, job: &RunJob) -> Answer {
+        let (result, execute) = {
+            let _s = trace::span_with(
+                "serve.execute",
+                vec![kv("request_id", id_label(&request.id))],
+            );
+            time_once(|| {
+                oi_vm::run(
+                    &job.artifact.outcome.optimized.program,
+                    &job.quota.vm_config(),
+                )
+            })
+        };
+        self.metrics.observe_ns("serve.execute_ns", execute.median);
+        let (verdict, result) = match result {
+            Ok(result) => (Verdict::Done, Some(result)),
+            Err(e) => (sched::classify(e), None),
+        };
+        self.run_answer(verdict, result.as_ref(), &request.tenant, job)
+    }
+
+    /// The answer to an executed `run`, shared by the synchronous path and
+    /// the pump's completion forwarder.
+    fn run_answer(
+        &self,
+        verdict: Verdict,
+        result: Option<&oi_vm::RunResult>,
+        tenant: &str,
+        job: &RunJob,
+    ) -> Answer {
+        match (verdict, result) {
+            (Verdict::Done, Some(result)) => Answer::Ok {
+                cache: job.cache,
+                payload: run_payload(result, &job.artifact.outcome),
+            },
+            (Verdict::Done, None) => Answer::error("internal: completed run lost its result"),
+            (Verdict::Quota(kind), _) => {
+                self.metrics.add("serve.quota_kills_total", 1);
+                Answer::typed(
+                    "quota-exceeded",
+                    format!("tenant `{tenant}` exceeded its {} quota", kind.name()),
+                )
+            }
+            (Verdict::RuntimeError(e), _) => Answer::error(format!("runtime error: {e}")),
+            (Verdict::Panicked(msg), _) => {
+                Answer::typed("panic", format!("contained panic during execution: {msg}"))
+            }
+            (Verdict::Shed, _) => {
+                self.metrics.add("serve.shed_total", 1);
+                Answer::typed("shedding", "cancelled by shutdown drain")
+            }
+        }
+    }
+
+    /// Finishes a request [`Server::begin`] counted: builds its response
+    /// (the envelope with `wall_us`, or an `ok:false` error), counts its
+    /// error and its exit from `serve.in_flight`, observes its end-to-end
+    /// latency (split by cache outcome), mirrors the cache counters and
+    /// rewrites `--metrics-out`.
+    fn finish(&self, id: Json, op: &str, answer: Answer, started: Instant) -> Handled {
+        let wall_ns = started.elapsed().as_nanos();
+        let m = &self.metrics;
+        m.gauge_add("serve.in_flight", -1);
+        m.observe_ns("serve.total_ns", wall_ns);
+        let response = match answer {
+            Answer::Ok { cache, payload } => {
+                match cache {
+                    "hit" => m.observe_ns("serve.hit_ns", wall_ns),
+                    "miss" => m.observe_ns("serve.miss_ns", wall_ns),
+                    "disk" => m.observe_ns("serve.disk_ns", wall_ns),
+                    _ => {}
+                }
+                self.envelope(id, op, cache, payload, wall_ns)
+            }
+            Answer::Err { kind, message } => {
+                m.add("serve.errors", 1);
+                self.error_response(id, kind, &message)
+            }
+        };
+        self.mirror_cache_stats();
+        if let Some(path) = &self.config.metrics_out {
+            let _ = std::fs::write(path, format!("{}\n", m.to_json()));
+        }
+        Handled {
+            response,
+            shutdown: op == "shutdown",
         }
     }
 
     /// Resolves a request to its compile artifact: cache hit or fresh
     /// compile (folding per-request budget overrides into the key).
-    /// Shared by the synchronous path and the scheduled `run` path.
     ///
     /// The brownout level shapes the answer: degraded levels start the
     /// compile ladder lower (under a *distinct* cache key — the start
@@ -508,35 +619,22 @@ impl Server {
     /// never alias full-tier ones), and `cache-only` serves hits but
     /// sheds misses. A quarantined source fingerprint is refused before
     /// any compile work is spent on it.
-    fn artifact_for(
-        &self,
-        request: &Json,
-        id: &Json,
-    ) -> Result<(std::sync::Arc<Artifact>, &'static str), ServeRefusal> {
-        let source = request_source(request).map_err(ServeRefusal::Error)?;
+    fn artifact_for(&self, request: &Request) -> Result<(Arc<Artifact>, &'static str), Answer> {
+        let source = request.text().map_err(Answer::error)?;
         // Per-request budget overrides fold into the cache key: an
         // artifact compiled under a tighter budget may be degraded, so it
         // must not alias an unbudgeted compile of the same bytes.
-        let max_rounds = request
-            .get("config")
-            .and_then(|c| c.get("max_rounds"))
-            .and_then(Json::as_i64)
-            .map(|n| n.max(0) as u64)
-            .or(self.config.max_rounds);
-        let deadline_ms = request
-            .get("config")
-            .and_then(|c| c.get("deadline_ms"))
-            .and_then(Json::as_i64)
-            .map(|n| n.max(0) as u64)
-            .or(self.config.deadline_ms);
+        let max_rounds = request.max_rounds.or(self.config.max_rounds);
+        let deadline_ms = request.deadline_ms.or(self.config.deadline_ms);
         let level = self.brownout_level();
         // Any start tier at or above the brownout level is acceptable —
         // a cached guarded-full artifact is never worse than what a
         // degraded tier would compile — so probe keys best-first. At
         // guarded-full this is exactly one probe (the historical
         // behavior).
-        let keys: Vec<CacheKey> = (0..=level.index().min(2))
-            .filter_map(|i| BrownoutLevel::from_index(i).start_tier())
+        let keys: Vec<CacheKey> = BrownoutLevel::ladder()
+            .take(level.index() + 1)
+            .filter_map(BrownoutLevel::start_tier)
             .map(|start| {
                 let mut ladder = self.ladder;
                 ladder.start = start;
@@ -565,43 +663,35 @@ impl Server {
             // cache-only brownout: the service survives on what it has.
             self.metrics.add("serve.shed_total", 1);
             self.metrics.add("serve.brownout_shed_total", 1);
-            return Err(ServeRefusal::Typed {
-                kind: "shedding",
-                message: "brownout cache-only: compile shed, retry later".to_string(),
-            });
+            return Err(Answer::typed(
+                "shedding",
+                "brownout cache-only: compile shed, retry later",
+            ));
         };
         let fp = source_fingerprint(&source);
         let admission = self.breaker.admit(fp);
         if let Admission::Refuse { retry_after_ms } = admission {
             self.metrics.add("serve.quarantined_total", 1);
-            return Err(ServeRefusal::Typed {
-                kind: "quarantined",
-                message: format!(
+            return Err(Answer::typed(
+                "quarantined",
+                format!(
                     "source quarantined after repeated watchdog kills; probe in {retry_after_ms}ms"
                 ),
-            });
+            ));
         }
         // Chaos seam: a compile-phase fixpoint that ignores its budget.
         // The sleep sits inside the worker's `compile` heartbeat stage,
         // so the watchdog sees exactly what a real wedge looks like; the
         // error afterwards models the artifact never materializing.
-        if self.config.allow_chaos_faults {
-            if let Some(ms) = request
-                .get("chaos")
-                .and_then(|c| c.get("wedge_compile_ms"))
-                .and_then(Json::as_i64)
-            {
-                std::thread::sleep(Duration::from_millis(ms.max(0) as u64));
-                return Err(ServeRefusal::Error(
-                    "chaos: compile wedged past its budget".to_string(),
-                ));
-            }
+        if let (true, Some(ms)) = (self.config.allow_chaos_faults, request.wedge_compile_ms) {
+            std::thread::sleep(Duration::from_millis(ms));
+            return Err(Answer::error("chaos: compile wedged past its budget"));
         }
         let mut ladder = self.ladder;
         ladder.start = start;
         let built = self
-            .compile_fresh(&source, id, max_rounds, deadline_ms, &ladder)
-            .map_err(ServeRefusal::Error);
+            .compile_fresh(&source, &request.id, max_rounds, deadline_ms, &ladder)
+            .map_err(Answer::error);
         // Any compile that *returned* (success or clean failure) did not
         // wedge: a half-open probe closes its circuit. A probe the
         // watchdog killed mid-compile was already re-opened by its
@@ -616,42 +706,10 @@ impl Server {
         );
         let shared = self.cache.insert(key, built);
         self.persist_behind(key, Arc::clone(&shared));
-        if level != BrownoutLevel::GuardedFull {
+        if level != BrownoutLevel::GUARDED_FULL {
             self.metrics.add("serve.brownout_degraded_compiles", 1);
         }
         Ok((shared, "miss"))
-    }
-
-    fn serve_compile(&self, request: &Json, id: Json, op: &str) -> Handled {
-        let (artifact, cache_state) = match self.artifact_for(request, &id) {
-            Ok(pair) => pair,
-            Err(ServeRefusal::Error(e)) => return self.error(id, &e),
-            Err(ServeRefusal::Typed { kind, message }) => {
-                return self.error_typed(id, kind, &message)
-            }
-        };
-
-        let payload = if op == "run" {
-            let (result, execute) = {
-                let _s = trace::span_with("serve.execute", vec![kv("request_id", id_label(&id))]);
-                time_once(|| oi_vm::run(&artifact.outcome.optimized.program, &Default::default()))
-            };
-            self.metrics.observe_ns("serve.execute_ns", execute.median);
-            match result {
-                Ok(r) => run_payload(&r, &artifact.outcome),
-                Err(e) => return self.error(id, &format!("runtime error: {e}")),
-            }
-        } else {
-            Json::obj(vec![
-                ("schema", "oic.report.v1".into()),
-                ("tier", artifact.outcome.tier_name().into()),
-                ("report", artifact.outcome.optimized.report.to_json()),
-            ])
-        };
-        Handled {
-            response: self.envelope(id, op, cache_state, payload),
-            shutdown: false,
-        }
     }
 
     /// A cold compile: parse + ladder, with per-stage latency recorded.
@@ -701,7 +759,7 @@ impl Server {
         Ok(Artifact::new(outcome))
     }
 
-    fn envelope(&self, id: Json, op: &str, cache: &str, payload: Json) -> Json {
+    fn envelope(&self, id: Json, op: &str, cache: &str, payload: Json, wall_ns: u128) -> Json {
         Json::obj(vec![
             ("schema", "oi.serve.v1".into()),
             ("id", id),
@@ -712,21 +770,12 @@ impl Server {
             // response was built — clients see degraded service without
             // digging through the payload.
             ("brownout_tier", self.brownout_level().name().into()),
-            ("wall_us", 0u64.into()), // patched by handle_line
+            (
+                "wall_us",
+                ((wall_ns / 1_000).min(u128::from(u64::MAX)) as u64).into(),
+            ),
             ("payload", payload),
         ])
-    }
-
-    fn error(&self, id: Json, message: &str) -> Handled {
-        Handled {
-            response: Json::obj(vec![
-                ("schema", "oi.serve.v1".into()),
-                ("id", id),
-                ("ok", false.into()),
-                ("error", message.into()),
-            ]),
-            shutdown: false,
-        }
     }
 
     /// The `retry_after_ms` hint stamped on backpressure responses: the
@@ -742,26 +791,25 @@ impl Server {
         Some(base << self.brownout_level().index().min(3))
     }
 
-    /// An `ok:false` response carrying a machine-readable `error_kind`
-    /// (`overloaded`, `shedding`, `request-too-large`, `quota-exceeded`,
-    /// `tenant-over-concurrency`, `panic`, `watchdog-killed`,
-    /// `quarantined`) alongside the human message. Backpressure kinds
-    /// additionally carry a typed `retry_after_ms` hint.
-    fn error_typed(&self, id: Json, kind: &str, message: &str) -> Handled {
+    /// An `ok:false` response. A `kind` adds the machine-readable
+    /// `error_kind` (`overloaded`, `shedding`, `request-too-large`,
+    /// `quota-exceeded`, `tenant-over-concurrency`, `panic`,
+    /// `watchdog-killed`, `quarantined`) before the human message;
+    /// backpressure kinds additionally carry a typed `retry_after_ms` hint.
+    fn error_response(&self, id: Json, kind: Option<&str>, message: &str) -> Json {
         let mut fields = vec![
             ("schema", Json::from("oi.serve.v1")),
             ("id", id),
             ("ok", false.into()),
-            ("error_kind", kind.into()),
-            ("error", message.into()),
         ];
-        if let Some(ms) = self.retry_hint_ms(kind) {
+        if let Some(kind) = kind {
+            fields.push(("error_kind", kind.into()));
+        }
+        fields.push(("error", message.into()));
+        if let Some(ms) = kind.and_then(|kind| self.retry_hint_ms(kind)) {
             fields.push(("retry_after_ms", ms.into()));
         }
-        Handled {
-            response: Json::obj(fields),
-            shutdown: false,
-        }
+        Json::obj(fields)
     }
 
     /// Mirrors the cache's own counters into the registry so one
@@ -803,20 +851,6 @@ impl Server {
         self.metrics
             .gauge_set("serve.breaker_open", self.breaker.open_count() as i64);
     }
-
-    /// Records the end-to-end service latency of one already-handled
-    /// request (split by cache outcome). Kept separate from
-    /// [`Server::handle_line`] so the total includes response
-    /// serialization when the caller wants it to.
-    pub fn observe_total(&self, cache_state: &str, ns: u128) {
-        self.metrics.observe_ns("serve.total_ns", ns);
-        match cache_state {
-            "hit" => self.metrics.observe_ns("serve.hit_ns", ns),
-            "miss" => self.metrics.observe_ns("serve.miss_ns", ns),
-            "disk" => self.metrics.observe_ns("serve.disk_ns", ns),
-            _ => {}
-        }
-    }
 }
 
 impl Drop for Server {
@@ -839,13 +873,108 @@ fn analyze_total_us() -> u128 {
     })
 }
 
-/// Why [`Server::artifact_for`] refused to produce an artifact.
-enum ServeRefusal {
-    /// A plain failure (`ok:false` with `error` only).
-    Error(String),
-    /// A typed refusal (`ok:false` with `error_kind` and, for
-    /// backpressure kinds, `retry_after_ms`).
-    Typed { kind: &'static str, message: String },
+/// One request line, parsed once into every field its handling reads.
+struct Request {
+    id: Json,
+    /// `compile` when absent.
+    op: String,
+    /// The `run` accounting identity; `anon` when absent.
+    tenant: String,
+    /// Inline program text; wins over `path`.
+    source: Option<String>,
+    path: Option<String>,
+    /// `config` overrides: the analysis budget (folded into the cache
+    /// key) and the `run` wall deadline.
+    max_rounds: Option<u64>,
+    deadline_ms: Option<u64>,
+    run_deadline_ms: Option<u64>,
+    /// `chaos` fields, honored only under
+    /// [`ServeConfig::allow_chaos_faults`].
+    wedge_compile_ms: Option<u64>,
+    panic_at_slice: Option<u64>,
+}
+
+impl Request {
+    fn parse(line: &str) -> Result<Request, String> {
+        let json = Json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
+        let text = |key: &str| json.get(key).and_then(Json::as_str).map(str::to_string);
+        let count = |group: &str, key: &str| {
+            json.get(group)
+                .and_then(|g| g.get(key))
+                .and_then(Json::as_i64)
+                .map(|n| n.max(0) as u64)
+        };
+        Ok(Request {
+            id: json.get("id").cloned().unwrap_or(Json::Null),
+            op: text("op").unwrap_or_else(|| "compile".to_string()),
+            tenant: text("tenant").unwrap_or_else(|| "anon".to_string()),
+            source: text("source"),
+            path: text("path"),
+            max_rounds: count("config", "max_rounds"),
+            deadline_ms: count("config", "deadline_ms"),
+            run_deadline_ms: count("config", "run_deadline_ms"),
+            wedge_compile_ms: count("chaos", "wedge_compile_ms"),
+            panic_at_slice: count("chaos", "panic_at_slice"),
+        })
+    }
+
+    /// The program text: inline `source` wins, else `path` is read from
+    /// disk.
+    fn text(&self) -> Result<Cow<'_, str>, String> {
+        if let Some(source) = &self.source {
+            return Ok(Cow::Borrowed(source));
+        }
+        match &self.path {
+            Some(path) => std::fs::read_to_string(path)
+                .map(Cow::Owned)
+                .map_err(|e| format!("cannot read {path}: {e}")),
+            None => Err("request needs `source` or `path`".to_string()),
+        }
+    }
+}
+
+/// How a request ended, before [`Server::finish`] builds its response.
+enum Answer {
+    /// `ok:true`: `payload` in the envelope, served from `cache`.
+    Ok { cache: &'static str, payload: Json },
+    /// `ok:false`; see [`Server::error_response`] for `kind`.
+    Err {
+        kind: Option<&'static str>,
+        message: String,
+    },
+}
+
+impl Answer {
+    /// A plain failure: `error` only.
+    fn error(message: impl Into<String>) -> Answer {
+        Answer::Err {
+            kind: None,
+            message: message.into(),
+        }
+    }
+
+    /// A typed failure: `error_kind` and `error`.
+    fn typed(kind: &'static str, message: impl Into<String>) -> Answer {
+        Answer::Err {
+            kind: Some(kind),
+            message: message.into(),
+        }
+    }
+}
+
+/// What [`Server::start`] decided for one request.
+enum Start {
+    /// The answer is ready.
+    Answer(Answer),
+    /// A `run` whose program is ready to execute.
+    Run(RunJob),
+}
+
+/// A `run` request's artifact, where it came from, and its quota.
+struct RunJob {
+    artifact: Arc<Artifact>,
+    cache: &'static str,
+    quota: TenantQuota,
 }
 
 /// The circuit-breaker key of a source text: both fingerprint lanes
@@ -854,18 +983,6 @@ enum ServeRefusal {
 fn source_fingerprint(source: &str) -> u64 {
     let f = oi_support::hash::fingerprint(source.as_bytes());
     f.0 ^ f.1
-}
-
-/// Extracts the request's source text: inline `source` wins, else `path`
-/// is read from disk.
-fn request_source(request: &Json) -> Result<String, String> {
-    if let Some(source) = request.get("source").and_then(Json::as_str) {
-        return Ok(source.to_string());
-    }
-    match request.get("path").and_then(Json::as_str) {
-        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")),
-        None => Err("request needs `source` or `path`".to_string()),
-    }
 }
 
 /// A human-readable request id for trace span fields (string ids stay
@@ -972,10 +1089,9 @@ enum Emit {
 struct PendingRun {
     seq: u64,
     id: Json,
-    cache_state: &'static str,
-    artifact: Arc<Artifact>,
     tenant: String,
-    received: Instant,
+    job: RunJob,
+    started: Instant,
 }
 
 /// What a worker is doing right now, stamped for the watchdog. Only the
@@ -1010,16 +1126,6 @@ impl WorkerSlot {
     fn lock_active(&self) -> std::sync::MutexGuard<'_, Option<ActiveStage>> {
         self.active.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
-
-/// The outcome of starting a `run` request.
-enum RunStart {
-    /// Submitted to the scheduler; the completion forwarder answers.
-    Submitted,
-    /// An immediate response (refusal or compile failure) to send now.
-    Respond(Handled),
-    /// The watchdog already answered this request; nothing left to send.
-    Suppressed,
 }
 
 /// The concurrent request pump: bounded admission, fuel-sliced fair
@@ -1098,211 +1204,90 @@ impl<'a> ServeLoop<'a> {
     }
 
     fn process_request(&self, req: QueuedReq, depth: usize, tx: &Sender<Emit>, slot: &WorkerSlot) {
-        let m = self.server.metrics();
+        let server = self.server;
         let wait_ns = req.at.elapsed().as_nanos();
-        m.observe_ns("serve.queue_wait_ns", wait_ns);
+        server.metrics.observe_ns("serve.queue_wait_ns", wait_ns);
         // One brownout observation per dequeue: the depth left behind at
         // the pop and the wait this request just paid.
-        self.server.brownout_note(depth, wait_ns);
-        let parsed = Json::parse(&req.line);
-        let id = parsed
-            .as_ref()
-            .ok()
-            .and_then(|r| r.get("id").cloned())
-            .unwrap_or(Json::Null);
+        server.brownout_note(depth, wait_ns);
+        let parsed = Request::parse(&req.line);
         if self.pump.draining.load(Ordering::SeqCst) {
-            m.add("serve.shed_total", 1);
-            let resp = self
-                .server
-                .error_typed(id, "shedding", "server is draining");
-            self.send(tx, req.seq, resp.response);
+            server.metrics.add("serve.shed_total", 1);
+            let id = parsed.map_or(Json::Null, |r| r.id);
+            let resp = server.error_response(id, Some("shedding"), "server is draining");
+            self.send(tx, req.seq, resp);
             return;
         }
-        let op = parsed
-            .as_ref()
-            .ok()
-            .and_then(|r| r.get("op"))
-            .and_then(Json::as_str)
-            .unwrap_or("compile");
-        let is_run = op == "run";
+        let started = server.begin();
+        let request = match parsed {
+            Ok(request) => request,
+            Err(e) => {
+                let handled = server.finish(Json::Null, "", Answer::error(e), started);
+                self.send(tx, req.seq, handled.response);
+                return;
+            }
+        };
         // Stamp the compile stage for ops that can wedge in the compiler
         // so the watchdog can answer on our behalf and replace us. The
         // `answered` flag gates every response for this seq: whoever
         // swaps it first owns the answer.
         let answered = Arc::new(AtomicBool::new(false));
-        if matches!(op, "run" | "compile") && self.server.config.watchdog_ms.is_some() {
-            let fp = parsed
-                .as_ref()
-                .ok()
-                .and_then(|r| request_source(r).ok())
-                .map(|s| source_fingerprint(&s))
-                .unwrap_or(0);
+        if matches!(request.op.as_str(), "run" | "compile") && server.config.watchdog_ms.is_some() {
             *slot.lock_active() = Some(ActiveStage {
                 stage: "compile",
                 seq: req.seq,
-                id: id.clone(),
-                fp,
+                id: request.id.clone(),
+                fp: request.text().map_or(0, |s| source_fingerprint(&s)),
                 started: Instant::now(),
                 answered: Arc::clone(&answered),
             });
         }
-        if !is_run {
-            // Synchronous ops (compile, stats, shutdown, malformed input)
-            // reuse the single-threaded path wholesale.
-            let line = &req.line;
-            let outcome = contained(|| {
-                let (handled, wall) = time_once(|| self.server.handle_line(line));
-                let cache_state = handled
-                    .response
-                    .get("cache")
-                    .and_then(Json::as_str)
-                    .unwrap_or("none")
-                    .to_string();
-                self.server.observe_total(&cache_state, wall.median);
-                handled
-            });
-            *slot.lock_active() = None;
-            match outcome {
-                Ok(handled) => {
-                    if handled.shutdown {
-                        self.start_drain();
-                    }
-                    if !answered.swap(true, Ordering::SeqCst) {
-                        self.send(tx, req.seq, handled.response);
-                    }
-                }
-                Err(msg) => {
-                    m.add("serve.errors", 1);
-                    if !answered.swap(true, Ordering::SeqCst) {
-                        let resp = self.server.error_typed(
-                            id,
-                            "panic",
-                            &format!("contained panic: {msg}"),
-                        );
-                        self.send(tx, req.seq, resp.response);
-                    }
-                }
-            }
-            return;
-        }
-        let Ok(request) = parsed else {
-            // `is_run` can only be true when the line parsed, but a panic
-            // here would take a worker down with it — answer instead.
-            *slot.lock_active() = None;
-            m.add("serve.errors", 1);
-            if !answered.swap(true, Ordering::SeqCst) {
-                let resp = self
-                    .server
-                    .error_typed(id, "bad-request", "malformed run request");
-                self.send(tx, req.seq, resp.response);
-            }
-            return;
-        };
-        match contained(|| self.begin_run(&request, &id, req.seq, slot, &answered)) {
-            // Submitted: the completion forwarder responds. Suppressed:
-            // the watchdog already did.
-            Ok(RunStart::Submitted) | Ok(RunStart::Suppressed) => {}
-            Ok(RunStart::Respond(handled)) => self.send(tx, req.seq, handled.response),
-            Err(msg) => {
-                *slot.lock_active() = None;
-                m.add("serve.errors", 1);
-                if !answered.swap(true, Ordering::SeqCst) {
-                    let resp =
-                        self.server
-                            .error_typed(id, "panic", &format!("contained panic: {msg}"));
-                    self.send(tx, req.seq, resp.response);
-                }
-            }
-        }
-    }
-
-    /// Effective quota for a `run` request: server-level limits, with a
-    /// per-request `config.run_deadline_ms` override for the deadline.
-    fn run_quota(&self, request: &Json) -> TenantQuota {
-        let c = &self.server.config;
-        let d = TenantQuota::default();
-        let deadline_ms = request
-            .get("config")
-            .and_then(|c| c.get("run_deadline_ms"))
-            .and_then(Json::as_i64)
-            .map(|n| n.max(0) as u64)
-            .or(c.run_deadline_ms);
-        TenantQuota {
-            max_instructions: c.max_instructions.unwrap_or(d.max_instructions),
-            max_heap_words: c.max_heap_words.unwrap_or(d.max_heap_words),
-            max_depth: c.max_depth.unwrap_or(d.max_depth),
-            max_concurrent: c.tenant_concurrent,
-            deadline: deadline_ms.map(Duration::from_millis),
-        }
-    }
-
-    /// Compiles (or cache-hits) a `run` request and submits its execution
-    /// to the scheduler. Returns an immediate error response for compile
-    /// failures and typed admission rejections, [`RunStart::Submitted`]
-    /// once the scheduler owns the job, and [`RunStart::Suppressed`] when
-    /// the watchdog answered the request while its compile was wedged.
-    fn begin_run(
-        &self,
-        request: &Json,
-        id: &Json,
-        seq: u64,
-        slot: &WorkerSlot,
-        answered: &Arc<AtomicBool>,
-    ) -> RunStart {
-        let m = self.server.metrics();
-        m.add("serve.requests", 1);
-        m.gauge_add("serve.in_flight", 1);
-        // Refusals race the watchdog: the loser's response is dropped,
-        // but the accounting (one error, one in-flight exit) is ours
-        // either way — the watchdog only counts its kill.
-        let refuse = |handled: Handled| {
-            *slot.lock_active() = None;
-            m.add("serve.errors", 1);
-            m.gauge_add("serve.in_flight", -1);
-            if answered.swap(true, Ordering::SeqCst) {
-                RunStart::Suppressed
-            } else {
-                RunStart::Respond(handled)
-            }
-        };
-        let tenant = request
-            .get("tenant")
-            .and_then(Json::as_str)
-            .unwrap_or("anon")
-            .to_string();
-        let received = Instant::now();
-        let (artifact, cache_state) = match self.server.artifact_for(request, id) {
-            Ok(pair) => pair,
-            Err(ServeRefusal::Error(e)) => return refuse(self.server.error(id.clone(), &e)),
-            Err(ServeRefusal::Typed { kind, message }) => {
-                return refuse(self.server.error_typed(id.clone(), kind, &message))
-            }
-        };
-        self.server.mirror_cache_stats();
-        // Compile done: leave the watchdog's killable window (stage-clear
-        // and kill are atomic under the slot lock), then claim the
-        // answer. Losing the claim means the watchdog answered while the
-        // compile was wedged — the artifact stays cached for future
-        // requests, but this run must not execute.
+        let start = contained(|| server.start(&request)).unwrap_or_else(|msg| {
+            Start::Answer(Answer::typed("panic", format!("contained panic: {msg}")))
+        });
+        // Leave the watchdog's killable window (stage-clear and kill are
+        // atomic under the slot lock), then claim the answer. Losing the
+        // claim means the watchdog answered while the compile was wedged:
+        // the request is still finished and counted here, as an error,
+        // but nothing is sent and nothing runs (a compiled artifact stays
+        // cached for future requests).
         *slot.lock_active() = None;
-        if answered.swap(true, Ordering::SeqCst) {
-            m.add("serve.errors", 1);
-            m.gauge_add("serve.in_flight", -1);
-            return RunStart::Suppressed;
-        }
-        let fault = if self.server.config.allow_chaos_faults {
-            request
-                .get("chaos")
-                .and_then(|c| c.get("panic_at_slice"))
-                .and_then(Json::as_i64)
-                .map(|n| JobFault::PanicAtSlice(n.max(0) as u64))
-        } else {
-            None
+        let claimed = !answered.swap(true, Ordering::SeqCst);
+        let answer = match start {
+            _ if !claimed => Answer::typed("watchdog-killed", "answered by the watchdog"),
+            Start::Answer(answer) => answer,
+            Start::Run(job) => match self.submit(&request, job, req.seq, started) {
+                // The completion forwarder finishes the request.
+                Ok(()) => return,
+                Err(refusal) => refusal,
+            },
         };
+        let handled = server.finish(request.id, &request.op, answer, started);
+        if handled.shutdown {
+            self.start_drain();
+        }
+        if claimed {
+            self.send(tx, req.seq, handled.response);
+        }
+    }
+
+    /// Hands a `run` to the scheduler, or returns the typed refusal to
+    /// answer it with.
+    fn submit(
+        &self,
+        request: &Request,
+        job: RunJob,
+        seq: u64,
+        started: Instant,
+    ) -> Result<(), Answer> {
+        let fault = request
+            .panic_at_slice
+            .filter(|_| self.server.config.allow_chaos_faults)
+            .map(JobFault::PanicAtSlice);
         let spec = JobSpec {
-            tenant: tenant.clone(),
-            program: ProgramRef::Artifact(artifact.clone()),
-            quota: self.run_quota(request),
+            tenant: request.tenant.clone(),
+            program: ProgramRef::Artifact(Arc::clone(&job.artifact)),
+            quota: job.quota.clone(),
             fault,
         };
         // Hold the pending lock across submit so the completion
@@ -1315,33 +1300,27 @@ impl<'a> ServeLoop<'a> {
                     job_seq,
                     PendingRun {
                         seq,
-                        id: id.clone(),
-                        cache_state,
-                        artifact,
-                        tenant,
-                        received,
+                        id: request.id.clone(),
+                        tenant: request.tenant.clone(),
+                        job,
+                        started,
                     },
                 );
-                RunStart::Submitted
+                Ok(())
             }
             Err(e) => {
-                drop(pending);
-                m.add("serve.shed_total", 1);
-                let msg = match &e {
-                    crate::sched::SubmitError::Overloaded { live } => {
+                self.server.metrics.add("serve.shed_total", 1);
+                let message = match &e {
+                    SubmitError::Overloaded { live } => {
                         format!("scheduler queue is full ({live} jobs live)")
                     }
-                    crate::sched::SubmitError::TenantBusy { active } => format!(
-                        "tenant `{tenant}` is at its concurrency quota ({active} in flight)"
+                    SubmitError::TenantBusy { active } => format!(
+                        "tenant `{}` is at its concurrency quota ({active} in flight)",
+                        request.tenant
                     ),
-                    crate::sched::SubmitError::Draining => "server is draining".to_string(),
+                    SubmitError::Draining => "server is draining".to_string(),
                 };
-                // The answer is already claimed above — respond directly
-                // (not through `refuse`, which would treat the earlier
-                // claim as a watchdog kill and drop this response).
-                m.add("serve.errors", 1);
-                m.gauge_add("serve.in_flight", -1);
-                RunStart::Respond(self.server.error_typed(id.clone(), e.name(), &msg))
+                Err(Answer::typed(e.name(), message))
             }
         }
     }
@@ -1417,18 +1396,15 @@ impl<'a> ServeLoop<'a> {
             slot.killed.store(true, Ordering::SeqCst);
             let m = self.server.metrics();
             m.add("serve.watchdog_kills_total", 1);
-            let resp = self.server.error_typed(
+            let resp = self.server.error_response(
                 st.id,
-                "watchdog-killed",
+                Some("watchdog-killed"),
                 &format!(
                     "compile wedged past its {} ms watchdog budget; worker replaced",
                     budget.as_millis()
                 ),
             );
-            let _ = tx.send(Emit::Response {
-                seq: st.seq,
-                response: resp.response,
-            });
+            self.send(tx, st.seq, resp);
             if st.fp != 0 {
                 if self.server.breaker.strike(st.fp) {
                     m.add("serve.breaker_opened_total", 1);
@@ -1448,9 +1424,10 @@ impl<'a> ServeLoop<'a> {
         }
     }
 
-    /// Converts scheduler completions into ordered responses with
-    /// per-tenant accounting. Runs until the scheduler is sealed.
+    /// Converts scheduler completions into ordered responses. Runs until
+    /// the scheduler is sealed.
     fn forward_completions(&self, rx: Receiver<Completion>, tx: &Sender<Emit>) {
+        let server = self.server;
         for c in rx {
             let ctx = self
                 .pending
@@ -1458,87 +1435,15 @@ impl<'a> ServeLoop<'a> {
                 .unwrap_or_else(PoisonError::into_inner)
                 .remove(&c.seq);
             let Some(ctx) = ctx else {
-                self.server.metrics().add("serve.orphan_completions", 1);
+                server.metrics.add("serve.orphan_completions", 1);
                 continue;
             };
-            let m = self.server.metrics();
-            let (mut response, ok) = match (c.verdict, c.result) {
-                (Verdict::Done, Some(result)) => {
-                    let payload = run_payload(&result, &ctx.artifact.outcome);
-                    (
-                        self.server
-                            .envelope(ctx.id, "run", ctx.cache_state, payload),
-                        true,
-                    )
-                }
-                (Verdict::Done, None) => (
-                    self.server
-                        .error(ctx.id, "internal: completed run lost its result")
-                        .response,
-                    false,
-                ),
-                (Verdict::Quota(kind), _) => {
-                    m.add("serve.quota_kills_total", 1);
-                    (
-                        self.server
-                            .error_typed(
-                                ctx.id,
-                                "quota-exceeded",
-                                &format!(
-                                    "tenant `{}` exceeded its {} quota",
-                                    ctx.tenant,
-                                    kind.name()
-                                ),
-                            )
-                            .response,
-                        false,
-                    )
-                }
-                (Verdict::RuntimeError(e), _) => (
-                    self.server
-                        .error(ctx.id, &format!("runtime error: {e}"))
-                        .response,
-                    false,
-                ),
-                (Verdict::Panicked(msg), _) => (
-                    self.server
-                        .error_typed(
-                            ctx.id,
-                            "panic",
-                            &format!("contained panic during execution: {msg}"),
-                        )
-                        .response,
-                    false,
-                ),
-                (Verdict::Shed, _) => {
-                    m.add("serve.shed_total", 1);
-                    (
-                        self.server
-                            .error_typed(ctx.id, "shedding", "cancelled by shutdown drain")
-                            .response,
-                        false,
-                    )
-                }
-            };
-            let wall_ns = ctx.received.elapsed().as_nanos();
-            patch_wall(
-                &mut response,
-                (wall_ns / 1_000).min(u128::from(u64::MAX)) as u64,
-            );
-            m.observe_ns("serve.execute_ns", c.run_time.as_nanos());
-            if !ok {
-                m.add("serve.errors", 1);
-            }
-            m.gauge_add("serve.in_flight", -1);
-            self.server.observe_total(ctx.cache_state, wall_ns);
-            self.server.mirror_cache_stats();
-            if let Some(path) = &self.server.config.metrics_out {
-                let _ = std::fs::write(path, format!("{}\n", m.to_json()));
-            }
-            let _ = tx.send(Emit::Response {
-                seq: ctx.seq,
-                response,
-            });
+            server
+                .metrics
+                .observe_ns("serve.execute_ns", c.run_time.as_nanos());
+            let answer = server.run_answer(c.verdict, c.result.as_deref(), &ctx.tenant, &ctx.job);
+            let handled = server.finish(ctx.id, "run", answer, ctx.started);
+            self.send(tx, ctx.seq, handled.response);
         }
     }
 
@@ -1553,18 +1458,20 @@ impl<'a> ServeLoop<'a> {
             let (seq, response) = match emit {
                 Emit::Done => break,
                 Emit::Response { seq, response } => (seq, response),
-                Emit::Shed { seq, kind, message } => {
-                    let m = self.server.metrics();
-                    if kind == "request-too-large" {
-                        m.add("serve.requests", 1);
-                        m.add("serve.errors", 1);
-                    } else {
-                        m.add("serve.shed_total", 1);
-                    }
+                // An oversized line is a request the server rejects; the
+                // other reader-side rejections are sheds.
+                Emit::Shed { seq, kind, message } if kind == "request-too-large" => {
+                    let started = self.server.begin();
+                    let answer = Answer::typed(kind, message);
                     (
                         seq,
-                        self.server.error_typed(Json::Null, kind, &message).response,
+                        self.server.finish(Json::Null, "", answer, started).response,
                     )
+                }
+                Emit::Shed { seq, kind, message } => {
+                    self.server.metrics.add("serve.shed_total", 1);
+                    let resp = self.server.error_response(Json::Null, Some(kind), &message);
+                    (seq, resp)
                 }
             };
             hold.insert(seq, response);
@@ -1720,17 +1627,6 @@ fn finish_line(mut bytes: Vec<u8>) -> String {
         bytes.pop();
     }
     String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// Overwrites the `wall_us` field of a response, when present.
-fn patch_wall(response: &mut Json, wall_us: u64) {
-    if let Json::Obj(fields) = response {
-        for (k, v) in fields.iter_mut() {
-            if k == "wall_us" {
-                *v = Json::from(wall_us);
-            }
-        }
-    }
 }
 
 /// Runs the full serve pipeline over `input`/`output`: bounded admission,
@@ -2184,6 +2080,77 @@ mod tests {
         assert_eq!(server.metrics().gauge("serve.in_flight"), 0);
     }
 
+    /// A synchronous `run` executes under the same quota and outcome
+    /// mapping as a pumped one.
+    #[test]
+    fn synchronous_run_applies_the_quota_and_names_the_tenant() {
+        let server = Server::new(ServeConfig {
+            max_instructions: Some(1_000),
+            ..ServeConfig::default()
+        });
+        let killed = server
+            .handle_line(&Line::run(1, LONG_SOURCE).tenant("mallory").to_string())
+            .response;
+        assert_eq!(Reply(&killed).error_kind(), "quota-exceeded", "{killed}");
+        let msg = killed.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            msg.contains("mallory") && msg.contains("instructions"),
+            "quota kill must name the guilty tenant and quota: {msg}"
+        );
+        let neighbor = server.handle_line(&Line::run(2, "fn main() { print 1 + 1; }").to_string());
+        assert_eq!(Reply(&neighbor.response).output(), Some("2\n"));
+        let m = server.metrics();
+        assert_eq!(m.counter("serve.quota_kills_total"), 1);
+        assert_eq!(m.counter("serve.errors"), 1);
+        assert_eq!(m.gauge("serve.in_flight"), 0);
+    }
+
+    /// `handle_line` one request at a time and the pump at one worker
+    /// answer the same request list alike, up to `wall_us`, and count it
+    /// alike.
+    #[test]
+    fn handle_line_and_pump_answer_and_count_alike() {
+        let requests = [
+            Line::compile(1, SOURCE).to_string(),
+            Line::compile(2, SOURCE).to_string(),
+            Line::run(3, SOURCE).to_string(),
+            "{not json".to_string(),
+            Line::new(4, "launder").to_string(),
+            Line::new(5, "compile").to_string(),
+        ];
+        let without_wall = |response: &Json| {
+            let Json::Obj(fields) = response else {
+                panic!("not an object: {response}")
+            };
+            let kept = fields.iter().filter(|(k, _)| k != "wall_us").cloned();
+            Json::Obj(kept.collect()).to_string()
+        };
+        let counters = |server: &Server| {
+            let m = server.metrics();
+            (
+                m.counter("serve.requests"),
+                m.counter("serve.errors"),
+                m.gauge("serve.in_flight"),
+            )
+        };
+        let direct = Server::new(ServeConfig::default());
+        let answered: Vec<String> = requests
+            .iter()
+            .map(|line| without_wall(&direct.handle_line(line).response))
+            .collect();
+        let pumped = Server::new(ServeConfig {
+            jobs: 1,
+            ..ServeConfig::default()
+        });
+        let piped: Vec<String> = pump_session(&pumped, &requests)
+            .iter()
+            .map(without_wall)
+            .collect();
+        assert_eq!(answered, piped);
+        assert_eq!(counters(&direct), (6, 3, 0));
+        assert_eq!(counters(&pumped), counters(&direct));
+    }
+
     #[test]
     fn overload_sheds_with_typed_backpressure() {
         let server = Server::new(ServeConfig {
@@ -2437,7 +2404,7 @@ mod tests {
         assert_eq!(r.get("retry_after_ms").and_then(Json::as_i64), Some(400));
         assert_eq!(server.metrics().counter("serve.brownout_shed_total"), 1);
         // Recovery restores compiles.
-        server.force_brownout(BrownoutLevel::GuardedFull);
+        server.force_brownout(BrownoutLevel::GUARDED_FULL);
         let again = server.handle_line(&Line::compile(4, "fn main() { print 1; }").to_string());
         assert!(Reply(&again.response).ok());
     }
@@ -2448,7 +2415,7 @@ mod tests {
             brownout_target_ms: Some(1_000),
             ..ServeConfig::default()
         });
-        server.force_brownout(BrownoutLevel::InliningOff);
+        server.force_brownout(BrownoutLevel::Compile(oi_core::Tier::InliningOff));
         let degraded = server.handle_line(&Line::compile(1, SOURCE).to_string());
         assert_eq!(
             degraded
@@ -2467,7 +2434,7 @@ mod tests {
         // Back at full service the same source recompiles at full tier —
         // the degraded artifact must not alias the full-tier key. The
         // degraded artifact remains a valid hit *while degraded*.
-        server.force_brownout(BrownoutLevel::GuardedFull);
+        server.force_brownout(BrownoutLevel::GUARDED_FULL);
         let full = server.handle_line(&Line::compile(2, SOURCE).to_string());
         assert_eq!(
             full.response
@@ -2483,7 +2450,7 @@ mod tests {
         );
         // Degraded levels prefer the best available artifact: the
         // guarded-full artifact now outranks the inlining-off one.
-        server.force_brownout(BrownoutLevel::InliningOff);
+        server.force_brownout(BrownoutLevel::Compile(oi_core::Tier::InliningOff));
         let best = server.handle_line(&Line::compile(3, SOURCE).to_string());
         assert_eq!(Reply(&best.response).cache(), Some("hit"));
         assert_eq!(

@@ -76,100 +76,6 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// One rung of the *brownout* ladder — the service-level overload dial.
-///
-/// The first three rungs map onto the compilation [`Tier`] the ladder
-/// starts from; the fourth, `cache-only`, is a service policy with no
-/// compilation tier at all: cached artifacts are served, cache misses are
-/// shed with retry guidance instead of compiled. Deeper rungs trade
-/// precision (and finally freshness) for queue drain rate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BrownoutLevel {
-    /// Normal service: the full guarded pipeline.
-    GuardedFull,
-    /// Compiles start at [`Tier::ReducedPrecision`].
-    ReducedPrecision,
-    /// Compiles start at [`Tier::InliningOff`].
-    InliningOff,
-    /// Serve cache hits only; shed every compile miss.
-    CacheOnly,
-}
-
-impl BrownoutLevel {
-    /// Every level, shallowest first.
-    pub const ALL: [BrownoutLevel; 4] = [
-        BrownoutLevel::GuardedFull,
-        BrownoutLevel::ReducedPrecision,
-        BrownoutLevel::InliningOff,
-        BrownoutLevel::CacheOnly,
-    ];
-
-    /// Stable kebab-case name used in gauges, responses, and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            BrownoutLevel::GuardedFull => "guarded-full",
-            BrownoutLevel::ReducedPrecision => "reduced-precision",
-            BrownoutLevel::InliningOff => "inlining-off",
-            BrownoutLevel::CacheOnly => "cache-only",
-        }
-    }
-
-    /// Depth index (0 = `guarded-full` … 3 = `cache-only`), the value of
-    /// the `serve.brownout_tier` gauge.
-    pub fn index(self) -> usize {
-        match self {
-            BrownoutLevel::GuardedFull => 0,
-            BrownoutLevel::ReducedPrecision => 1,
-            BrownoutLevel::InliningOff => 2,
-            BrownoutLevel::CacheOnly => 3,
-        }
-    }
-
-    /// The level at `index`, saturating at `cache-only`.
-    pub fn from_index(index: usize) -> BrownoutLevel {
-        *BrownoutLevel::ALL
-            .get(index)
-            .unwrap_or(&BrownoutLevel::CacheOnly)
-    }
-
-    /// One rung deeper, or `None` at `cache-only`.
-    pub fn descend(self) -> Option<BrownoutLevel> {
-        match self {
-            BrownoutLevel::GuardedFull => Some(BrownoutLevel::ReducedPrecision),
-            BrownoutLevel::ReducedPrecision => Some(BrownoutLevel::InliningOff),
-            BrownoutLevel::InliningOff => Some(BrownoutLevel::CacheOnly),
-            BrownoutLevel::CacheOnly => None,
-        }
-    }
-
-    /// One rung shallower, or `None` at `guarded-full`.
-    pub fn recover(self) -> Option<BrownoutLevel> {
-        match self {
-            BrownoutLevel::GuardedFull => None,
-            BrownoutLevel::ReducedPrecision => Some(BrownoutLevel::GuardedFull),
-            BrownoutLevel::InliningOff => Some(BrownoutLevel::ReducedPrecision),
-            BrownoutLevel::CacheOnly => Some(BrownoutLevel::InliningOff),
-        }
-    }
-
-    /// The compilation tier compiles should start from at this level, or
-    /// `None` at `cache-only` (no compiles happen at all).
-    pub fn start_tier(self) -> Option<Tier> {
-        match self {
-            BrownoutLevel::GuardedFull => Some(Tier::GuardedFull),
-            BrownoutLevel::ReducedPrecision => Some(Tier::ReducedPrecision),
-            BrownoutLevel::InliningOff => Some(Tier::InliningOff),
-            BrownoutLevel::CacheOnly => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BrownoutLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Ladder configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct LadderConfig {
@@ -537,49 +443,6 @@ mod tests {
         let out = optimize_with_ladder(&p, &config, &budget);
         assert_eq!(out.tier, Tier::GuardedFull);
         assert_eq!(out.optimized.report.fields_inlined, 2);
-    }
-
-    #[test]
-    fn brownout_levels_walk_down_and_back_up() {
-        let mut level = BrownoutLevel::GuardedFull;
-        let mut names = vec![level.name()];
-        while let Some(next) = level.descend() {
-            level = next;
-            names.push(level.name());
-        }
-        assert_eq!(
-            names,
-            [
-                "guarded-full",
-                "reduced-precision",
-                "inlining-off",
-                "cache-only"
-            ]
-        );
-        assert_eq!(level.descend(), None);
-        while let Some(up) = level.recover() {
-            level = up;
-        }
-        assert_eq!(level, BrownoutLevel::GuardedFull);
-        assert_eq!(level.recover(), None);
-        for (i, l) in BrownoutLevel::ALL.iter().enumerate() {
-            assert_eq!(l.index(), i);
-            assert_eq!(BrownoutLevel::from_index(i), *l);
-        }
-        assert_eq!(BrownoutLevel::from_index(99), BrownoutLevel::CacheOnly);
-        assert_eq!(
-            BrownoutLevel::GuardedFull.start_tier(),
-            Some(Tier::GuardedFull)
-        );
-        assert_eq!(
-            BrownoutLevel::ReducedPrecision.start_tier(),
-            Some(Tier::ReducedPrecision)
-        );
-        assert_eq!(
-            BrownoutLevel::InliningOff.start_tier(),
-            Some(Tier::InliningOff)
-        );
-        assert_eq!(BrownoutLevel::CacheOnly.start_tier(), None);
     }
 
     #[test]

@@ -68,6 +68,6 @@ pub use fault::{Fault, IoFault};
 pub use firewall::{
     optimize_guarded, optimize_guarded_budgeted, Divergence, FirewallConfig, Guarded,
 };
-pub use ladder::{optimize_with_ladder, BrownoutLevel, LadderConfig, LadderOutcome, Tier};
+pub use ladder::{optimize_with_ladder, LadderConfig, LadderOutcome, Tier};
 pub use pipeline::{baseline, optimize, InlineConfig, Optimized};
 pub use report::EffectivenessReport;

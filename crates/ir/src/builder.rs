@@ -83,11 +83,6 @@ impl FunctionBuilder {
         self.current = bb;
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Returns `true` if the current block already has a terminator.
     pub fn is_terminated(&self) -> bool {
         !matches!(self.blocks[self.current].term, Terminator::Unterminated)

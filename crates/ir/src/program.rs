@@ -176,11 +176,6 @@ impl InlineLayout {
     pub fn width(&self) -> usize {
         self.child_fields.len()
     }
-
-    /// Index of `field` within the child's layout, if present.
-    pub fn child_field_index(&self, field: Symbol) -> Option<usize> {
-        self.child_fields.iter().position(|&f| f == field)
-    }
 }
 
 /// A whole-program IR unit.

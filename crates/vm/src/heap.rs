@@ -156,11 +156,6 @@ impl Heap {
         &mut self.objects[id]
     }
 
-    /// Number of live objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Words handed out so far (headers included).
     pub fn words_allocated(&self) -> u64 {
         self.words_allocated
