@@ -8,8 +8,8 @@
 //! (`oi_ir::opt`) run inside both, so any change to what they emit shows
 //! here. On a mismatch the test prints the lines it computed.
 
-use oi_bench::loadgen::synthetic_source;
-use oi_bench::synth::{generate, SynthParams};
+mod common;
+
 use oi_benchmarks::{all_benchmarks, BenchSize};
 use oi_core::pipeline::{baseline, optimize, InlineConfig};
 use oi_ir::serial::encode_program;
@@ -26,54 +26,19 @@ fn line(name: &str, source: &str) -> String {
     format!("{name} {} {}", fingerprint(&optimized), fingerprint(&base))
 }
 
-/// Compares the computed lines of one family with the golden file's.
-fn check(family: &str, sources: Vec<(String, String)>) {
-    let prefix = format!("{family}/");
-    let expected: Vec<&str> = GOLDEN.lines().filter(|l| l.starts_with(&prefix)).collect();
-    let actual: Vec<String> = sources
-        .iter()
-        .map(|(name, source)| line(&format!("{prefix}{name}"), source))
-        .collect();
-    assert!(
-        expected == actual,
-        "{family}: cleanup output changed; computed lines:\n{}",
-        actual.join("\n")
-    );
-}
-
 #[test]
 fn fig17_programs_match_golden() {
-    let mut sources = Vec::new();
-    for size in [BenchSize::Small, BenchSize::Default] {
-        for bench in all_benchmarks(size) {
-            sources.push((format!("{size:?}/{}", bench.name), bench.source));
-        }
-    }
-    check("fig17", sources);
+    common::check(GOLDEN, "fig17", common::fig17(), line);
 }
 
 #[test]
 fn synth_grid_matches_golden() {
-    let mut sources = Vec::new();
-    for class_pairs in [2, 4, 8, 16, 32, 64] {
-        for call_depth in 1..=4 {
-            let source = generate(SynthParams {
-                class_pairs,
-                call_depth,
-                ..Default::default()
-            });
-            sources.push((format!("{class_pairs}x{call_depth}"), source));
-        }
-    }
-    check("synth", sources);
+    common::check(GOLDEN, "synth", common::synth(), line);
 }
 
 #[test]
 fn loadgen_sources_match_golden() {
-    let sources = (0..40)
-        .map(|i| (i.to_string(), synthetic_source(i)))
-        .collect();
-    check("loadgen", sources);
+    common::check(GOLDEN, "loadgen", common::loadgen(), line);
 }
 
 /// Richards has divergent inlining groups whose member order once
