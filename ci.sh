@@ -25,9 +25,13 @@ cargo test --workspace -q
 
 echo "==> cargo test (property tests)"
 cargo test -q --features property-tests --test proptest_pipeline
-# The cleanup-pass properties live behind oi-ir's own feature, which the
-# root feature above does not enable.
+# The crates' own properties live behind each crate's own feature, which
+# the root feature above does not enable.
 cargo test -q -p oi-ir --features property-tests --test proptest_opt
+cargo test -q -p oi-analysis --features property-tests --test proptest_lattice
+cargo test -q -p oi-lang --features property-tests --test proptest_roundtrip
+cargo test -q -p oi-support --features property-tests --test proptest_support
+cargo test -q -p oi-vm --features property-tests --test proptest_cache
 
 echo "==> bench-smoke (snapshot + noise-aware regression gate)"
 # Fresh snapshots against the committed baselines. The modeled VM is

@@ -2,11 +2,12 @@
 
 use crate::contour::{CtxKey, MContour, MCtxId, OContour, OCtxId};
 use crate::result::AnalysisResult;
-use crate::types::{AbstractVal, PathSeg, Tag, TagTable, TypeElem};
-use oi_ir::{BinOp, Builtin, ConstValue, Instr, LayoutId, MethodId, Program, SiteId, Terminator};
+use crate::types::{AbstractVal, PathSeg, Tag, TagTable, TypeElem, ValKey};
+use oi_ir::{Builtin, ConstValue, Instr, LayoutId, MethodId, Program, SiteId, Temp, Terminator};
 use oi_support::trace::{self, kv};
 use oi_support::{Budget, BudgetDimension, IdxVec, OiError, Symbol};
 use std::collections::{BTreeSet, HashMap};
+use std::mem;
 
 /// Rounds allowed to finish the fixpoint *after* the engine freezes its
 /// contour set. With creation frozen the abstract domain is finite and
@@ -91,8 +92,9 @@ pub fn try_analyze(program: &Program, config: &AnalysisConfig) -> Result<Analysi
 
 /// Runs the analysis to a fixpoint under a resource [`Budget`].
 ///
-/// The budget is charged per abstract-interpretation step, per fixpoint
-/// round, and per contour creation; its deadline is polled alongside. When
+/// The budget is charged per interpreted abstract instruction (a round
+/// skips the instructions of clean contours), per fixpoint round, and per
+/// contour creation; its deadline is polled alongside. When
 /// any dimension runs out — or `config.max_rounds` passes — the engine
 /// *freezes*: no new contours are created (every later request lands on
 /// the per-method / per-site catch-all contour, the same widening the
@@ -142,6 +144,40 @@ struct Engine<'p> {
     globals: Vec<AbstractVal>,
     changed: bool,
     init_sym: Option<Symbol>,
+    /// Per method contour: whether an input it reads changed since its
+    /// last transfer began. Only dirty contours are transferred.
+    dirty: IdxVec<MCtxId, bool>,
+    /// Contours that read each method contour's return value.
+    ret_readers: IdxVec<MCtxId, Vec<MCtxId>>,
+    /// Contours that read each object contour field.
+    field_readers: HashMap<(OCtxId, Symbol), Vec<MCtxId>>,
+    /// Contours that read each array contour's element summary.
+    elem_readers: HashMap<OCtxId, Vec<MCtxId>>,
+    /// Contours that read each global.
+    global_readers: Vec<Vec<MCtxId>>,
+}
+
+/// One method a call-shaped instruction invokes, with the key of the
+/// `self` it binds. A `Send` restricts the receiver to one object contour
+/// per target (each receiver contour gets its own callee contour — the
+/// framework's receiver splitting); `New` binds the fresh object.
+struct CallTarget {
+    method: MethodId,
+    this: ValKey,
+}
+
+/// Records that `reader` read the input `readers` lists.
+fn subscribe(readers: &mut Vec<MCtxId>, reader: MCtxId) {
+    if !readers.contains(&reader) {
+        readers.push(reader);
+    }
+}
+
+/// Marks every contour in `readers` dirty.
+fn wake(dirty: &mut IdxVec<MCtxId, bool>, readers: &[MCtxId]) {
+    for &r in readers {
+        dirty[r] = true;
+    }
 }
 
 impl<'p> Engine<'p> {
@@ -165,16 +201,25 @@ impl<'p> Engine<'p> {
             globals: vec![AbstractVal::bottom(); program.globals.len()],
             changed: false,
             init_sym: program.interner.get("init"),
+            dirty: IdxVec::new(),
+            ret_readers: IdxVec::new(),
+            field_readers: HashMap::new(),
+            elem_readers: HashMap::new(),
+            global_readers: vec![Vec::new(); program.globals.len()],
         }
     }
 
     fn run(&mut self) -> Result<(), OiError> {
         // Seed the entry contour; `self` of a free function is nil.
-        let entry = self.mcontour_for(self.program.entry, vec![AbstractVal::fresh(TypeElem::Nil)]);
+        let entry = self.mcontour_for(
+            self.program.entry,
+            vec![AbstractVal::fresh(TypeElem::Nil).key()],
+        );
         debug_assert_eq!(entry.index(), 0);
 
         let mut round = 0usize;
         let mut frozen_rounds = 0usize;
+        let mut transfers = 0;
         loop {
             if !self.frozen {
                 if round >= self.config.max_rounds {
@@ -196,9 +241,15 @@ impl<'p> Engine<'p> {
             self.changed = false;
             let mut i = 0;
             // The contour list can grow while we iterate; newly created
-            // contours are picked up in the same round.
+            // contours start dirty and are picked up in the same round. A
+            // clean contour would read the inputs of its last transfer
+            // again, so transferring it would change nothing.
             while i < self.mcontours.len() {
-                self.transfer(MCtxId::new(i));
+                let id = MCtxId::new(i);
+                if mem::replace(&mut self.dirty[id], false) {
+                    self.transfer(id);
+                    transfers += 1;
+                }
                 i += 1;
             }
             trace::counter("analysis.rounds", 1);
@@ -218,6 +269,7 @@ impl<'p> Engine<'p> {
             }
             round += 1;
         }
+        trace::counter("analysis.transfers", transfers);
         Ok(())
     }
 
@@ -338,16 +390,26 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn into_result(mut self) -> AnalysisResult {
+    fn into_result(self) -> AnalysisResult {
         // Record the contour-level call graph with the final state.
         let mut call_edges: HashMap<(MCtxId, oi_ir::BlockId, usize), Vec<MCtxId>> = HashMap::new();
-        for mctx in self.mcontours.ids().collect::<Vec<_>>() {
-            let method = self.mcontours[mctx].method;
-            let body = &self.program.methods[method];
+        for (mctx, contour) in self.mcontours.iter_enumerated() {
+            let body = &self.program.methods[contour.method];
             for (bb, idx, instr) in body.instrs() {
-                let targets = self.callee_contours(mctx, instr);
-                if !targets.is_empty() {
-                    call_edges.insert((mctx, bb, idx), targets);
+                let (args, targets) = self.call_targets(mctx, instr);
+                // At fixpoint every callee contour exists: look them up.
+                let callees: BTreeSet<MCtxId> = targets
+                    .into_iter()
+                    .filter_map(|t| {
+                        let key = self.call_key(mctx, t.this, args);
+                        self.mctx_memo
+                            .get(&(t.method, key))
+                            .or_else(|| self.widened_mctx.get(&t.method))
+                            .copied()
+                    })
+                    .collect();
+                if !callees.is_empty() {
+                    call_edges.insert((mctx, bb, idx), callees.into_iter().collect());
                 }
             }
         }
@@ -368,9 +430,13 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Callee contours of a call-shaped instruction, using the memo tables
-    /// (no new contours are created; at fixpoint they all exist).
-    fn callee_contours(&mut self, mctx: MCtxId, instr: &Instr) -> Vec<MCtxId> {
+    /// The argument temps of the call-shaped `instr` and the methods it
+    /// invokes from contour `mctx` (none for other instructions). `exec`
+    /// and the call graph share this enumeration. Each target's `self` key
+    /// is read here, before any of the calls runs; the argument keys are
+    /// read when each call is made.
+    fn call_targets<'i>(&self, mctx: MCtxId, instr: &'i Instr) -> (&'i [Temp], Vec<CallTarget>) {
+        let mut out = Vec::new();
         match instr {
             Instr::Send {
                 recv,
@@ -378,112 +444,101 @@ impl<'p> Engine<'p> {
                 args,
                 ..
             } => {
-                let recv_val = self.mcontours[mctx].frame[recv.index()].clone();
-                let mut out = BTreeSet::new();
-                for oc in recv_val.object_contours().collect::<Vec<_>>() {
+                let recv = &self.mcontours[mctx].frame[recv.index()];
+                for oc in recv.object_contours() {
                     let Some(class) = self.ocontours[oc].class else {
                         continue;
                     };
-                    let Some(target) = self.program.lookup_method(class, *selector) else {
+                    let Some(method) = self.program.lookup_method(class, *selector) else {
                         continue;
                     };
-                    let argv = self.call_key(mctx, Some(oc), &recv_val, args);
-                    if let Some(id) = self.lookup_mcontour(target, &argv) {
-                        out.insert(id);
+                    // A call with the wrong argument count would trap at
+                    // runtime.
+                    if self.program.methods[method].param_count as usize == args.len() {
+                        out.push(CallTarget {
+                            method,
+                            this: ValKey {
+                                types: vec![TypeElem::Obj(oc)],
+                                tags: recv.tags.iter().copied().collect(),
+                                untagged: recv.untagged,
+                                tag_top: recv.tag_top,
+                            },
+                        });
                     }
                 }
-                out.into_iter().collect()
+                (args, out)
             }
             Instr::CallStatic {
                 method, recv, args, ..
             } => {
-                let recv_val = self.mcontours[mctx].frame[recv.index()].clone();
-                let argv = self.call_key(mctx, None, &recv_val, args);
-                self.lookup_mcontour(*method, &argv).into_iter().collect()
+                out.push(CallTarget {
+                    method: *method,
+                    this: self.mcontours[mctx].frame[recv.index()].key(),
+                });
+                (args, out)
             }
             Instr::New {
                 class, args, site, ..
             } => {
-                let Some(init) = self
+                let init = self
                     .init_sym
-                    .and_then(|s| self.program.lookup_method(*class, s))
+                    .and_then(|s| self.program.lookup_method(*class, s));
+                // The raw-allocation form (empty args, constructor invoked
+                // explicitly) has no implicit init call.
+                let Some(init) = init
+                    .filter(|&init| self.program.methods[init].param_count as usize == args.len())
                 else {
-                    return vec![];
+                    return (args, out);
                 };
-                if self.program.methods[init].param_count as usize != args.len() {
-                    return vec![]; // raw allocation form
-                }
-                let Some(&oc) = self
+                // The object contour `ocontour_for` gives this allocation.
+                let oc = self
                     .octx_memo
                     .get(&(*site, Some(mctx)))
-                    .or_else(|| self.widened_octx.get(site))
-                else {
-                    return vec![];
-                };
-                let self_val = AbstractVal::fresh(TypeElem::Obj(oc));
-                let argv = self.call_key(mctx, None, &self_val, args);
-                self.lookup_mcontour(init, &argv).into_iter().collect()
+                    .or_else(|| self.widened_octx.get(site));
+                if let Some(&oc) = oc {
+                    out.push(CallTarget {
+                        method: init,
+                        this: AbstractVal::fresh(TypeElem::Obj(oc)).key(),
+                    });
+                }
+                (args, out)
             }
-            _ => vec![],
+            _ => (&[], out),
         }
     }
 
-    fn lookup_mcontour(&self, method: MethodId, argv: &[AbstractVal]) -> Option<MCtxId> {
-        let key: CtxKey = argv.iter().map(AbstractVal::key).collect();
-        self.mctx_memo
-            .get(&(method, key))
-            .copied()
-            .or_else(|| self.widened_mctx.get(&method).copied())
-    }
-
-    /// Assembles the (self, args) abstract vector for a call. When `recv_oc`
-    /// is given, the receiver's types are restricted to that contour (each
-    /// receiver contour gets its own callee contour — the framework's
-    /// receiver splitting).
-    fn call_key(
-        &self,
-        mctx: MCtxId,
-        recv_oc: Option<OCtxId>,
-        recv_val: &AbstractVal,
-        args: &[oi_ir::Temp],
-    ) -> Vec<AbstractVal> {
+    /// The context key of a call from contour `mctx`: the key of `self`,
+    /// then those of the arguments, read straight from the caller's frame.
+    fn call_key(&self, mctx: MCtxId, this: ValKey, args: &[Temp]) -> CtxKey {
         let frame = &self.mcontours[mctx].frame;
-        let self_val = match recv_oc {
-            Some(oc) => AbstractVal {
-                types: std::iter::once(TypeElem::Obj(oc)).collect(),
-                tags: recv_val.tags.clone(),
-                untagged: recv_val.untagged,
-                tag_top: recv_val.tag_top,
-            },
-            None => recv_val.clone(),
-        };
-        let mut out = vec![self_val];
-        out.extend(args.iter().map(|a| frame[a.index()].clone()));
-        out
+        let mut key = Vec::with_capacity(args.len() + 1);
+        key.push(this);
+        key.extend(args.iter().map(|a| frame[a.index()].key()));
+        key
     }
 
-    /// Finds or creates the contour of `method` for the given (self, args)
-    /// abstraction, joining the abstraction into its frame.
-    fn mcontour_for(&mut self, method: MethodId, argv: Vec<AbstractVal>) -> MCtxId {
-        let key: CtxKey = argv.iter().map(AbstractVal::key).collect();
-        let id = if let Some(&id) = self.mctx_memo.get(&(method, key.clone())) {
-            id
-        } else if let Some(&w) = self.widened_mctx.get(&method) {
+    /// Finds or creates the contour of `method` for the call abstraction
+    /// `key`, joining the abstraction into its frame.
+    fn mcontour_for(&mut self, method: MethodId, key: CtxKey) -> MCtxId {
+        let probe = (method, key);
+        if let Some(&id) = self.mctx_memo.get(&probe) {
+            // The key is lossless and was bound when the contour was
+            // made, so the frame already holds these values.
+            return id;
+        }
+        let (_, key) = probe;
+        let id = if let Some(&w) = self.widened_mctx.get(&method) {
             w
         } else {
             let count = *self.mctx_count.get(&method).unwrap_or(&0);
-            let temp_count = self.program.methods[method].temp_count as usize;
             if !self.frozen
                 && count < self.config.max_contours_per_method
                 && self.charge_contour_or_freeze()
             {
                 let nth = count + 1;
                 self.mctx_count.insert(method, nth);
-                let id = self
-                    .mcontours
-                    .push(MContour::new(method, key.clone(), temp_count, false));
-                self.mctx_memo.insert((method, key), id);
-                self.changed = true;
+                let id = self.push_mcontour(method, key.clone(), false);
+                self.mctx_memo.insert((method, key.clone()), id);
                 trace::counter("analysis.mcontours", 1);
                 if nth > 1 {
                     trace::counter("analysis.mcontour_splits", 1);
@@ -492,11 +547,8 @@ impl<'p> Engine<'p> {
                 id
             } else {
                 // Widen: one catch-all contour absorbs everything else.
-                let id = self
-                    .mcontours
-                    .push(MContour::new(method, vec![], temp_count, true));
+                let id = self.push_mcontour(method, vec![], true);
                 self.widened_mctx.insert(method, id);
-                self.changed = true;
                 trace::counter("analysis.mcontour_widenings", 1);
                 if trace::is_enabled() {
                     trace::event(
@@ -510,14 +562,27 @@ impl<'p> Engine<'p> {
                 id
             }
         };
-        // Bind the abstraction into the callee frame (idempotent on re-calls
-        // with the same key, monotone for the widened contour).
-        for (i, v) in argv.iter().enumerate() {
-            if i < self.mcontours[id].frame.len() {
-                let changed = self.mcontours[id].frame[i].join(v);
-                self.changed |= changed;
-            }
+        // Bind the abstraction into the callee frame (monotone for the
+        // widened contour).
+        let mut changed = false;
+        for (slot, k) in self.mcontours[id].frame.iter_mut().zip(&key) {
+            changed |= slot.join_key(k);
         }
+        if changed {
+            self.frame_changed(id);
+        }
+        id
+    }
+
+    /// Appends a new, dirty method contour.
+    fn push_mcontour(&mut self, method: MethodId, key: CtxKey, widened: bool) -> MCtxId {
+        let temp_count = self.program.methods[method].temp_count as usize;
+        let id = self
+            .mcontours
+            .push(MContour::new(method, key, temp_count, widened));
+        self.dirty.push(true);
+        self.ret_readers.push(Vec::new());
+        self.changed = true;
         id
     }
 
@@ -589,33 +654,76 @@ impl<'p> Engine<'p> {
     // -- transfer -------------------------------------------------------------
 
     fn transfer(&mut self, mctx: MCtxId) {
-        let method = self.mcontours[mctx].method;
-        let body = &self.program.methods[method];
-        for (bb, block) in body.blocks.iter_enumerated() {
-            let _ = bb;
+        let program = self.program;
+        let body = &program.methods[self.mcontours[mctx].method];
+        for block in body.blocks.iter() {
             for instr in &block.instrs {
                 self.exec(mctx, instr);
             }
             if let Terminator::Return(t) = block.term {
-                let v = self.mcontours[mctx].frame[t.index()].clone();
-                let changed = self.mcontours[mctx].ret.join(&v);
-                self.changed |= changed;
+                let c = &mut self.mcontours[mctx];
+                if c.ret.join(&c.frame[t.index()]) {
+                    self.changed = true;
+                    wake(&mut self.dirty, &self.ret_readers[mctx]);
+                }
             }
         }
     }
 
-    fn frame_val(&self, mctx: MCtxId, t: oi_ir::Temp) -> AbstractVal {
-        self.mcontours[mctx].frame[t.index()].clone()
+    /// Notes a change to the frame of `mctx`, which only `mctx` reads.
+    fn frame_changed(&mut self, mctx: MCtxId) {
+        self.changed = true;
+        self.dirty[mctx] = true;
     }
 
-    fn join_temp(&mut self, mctx: MCtxId, t: oi_ir::Temp, v: &AbstractVal) {
-        let changed = self.mcontours[mctx].frame[t.index()].join(v);
-        self.changed |= changed;
+    fn join_temp(&mut self, mctx: MCtxId, t: Temp, v: &AbstractVal) {
+        if self.mcontours[mctx].frame[t.index()].join(v) {
+            self.frame_changed(mctx);
+        }
     }
 
-    fn join_temp_fresh(&mut self, mctx: MCtxId, t: oi_ir::Temp, ty: TypeElem) {
-        let changed = self.mcontours[mctx].frame[t.index()].join_fresh(ty);
-        self.changed |= changed;
+    fn join_temp_fresh(&mut self, mctx: MCtxId, t: Temp, ty: TypeElem) {
+        if self.mcontours[mctx].frame[t.index()].join_fresh(ty) {
+            self.frame_changed(mctx);
+        }
+    }
+
+    /// Joins one frame slot into another of the same frame.
+    fn join_within(&mut self, mctx: MCtxId, dst: Temp, src: Temp) {
+        let (dst, src) = (dst.index(), src.index());
+        let frame = &mut self.mcontours[mctx].frame;
+        let changed = match dst.cmp(&src) {
+            std::cmp::Ordering::Equal => false,
+            std::cmp::Ordering::Less => {
+                let (lo, hi) = frame.split_at_mut(src);
+                lo[dst].join(&hi[0])
+            }
+            std::cmp::Ordering::Greater => {
+                let (lo, hi) = frame.split_at_mut(dst);
+                hi[0].join(&lo[src])
+            }
+        };
+        if changed {
+            self.frame_changed(mctx);
+        }
+    }
+
+    /// Runs the calls of a call-shaped instruction, joining each callee's
+    /// return value into `dst` when there is one.
+    fn exec_call(&mut self, mctx: MCtxId, instr: &Instr, dst: Option<Temp>) {
+        let (args, targets) = self.call_targets(mctx, instr);
+        for target in targets {
+            let key = self.call_key(mctx, target.this, args);
+            let callee = self.mcontour_for(target.method, key);
+            if let Some(dst) = dst {
+                subscribe(&mut self.ret_readers[callee], mctx);
+                // `callee` may be `mctx` itself: take the return value out
+                // of its contour while joining it.
+                let ret = mem::take(&mut self.mcontours[callee].ret);
+                self.join_temp(mctx, dst, &ret);
+                self.mcontours[callee].ret = ret;
+            }
+        }
     }
 
     fn exec(&mut self, mctx: MCtxId, instr: &Instr) {
@@ -640,68 +748,45 @@ impl<'p> Engine<'p> {
                 };
                 self.join_temp_fresh(mctx, *dst, ty);
             }
-            Instr::Move { dst, src } => {
-                let v = self.frame_val(mctx, *src);
-                self.join_temp(mctx, *dst, &v);
-            }
-            Instr::Unary { dst, op, src } => {
-                let v = self.frame_val(mctx, *src);
-                match op {
-                    oi_ir::UnOp::Not => self.join_temp_fresh(mctx, *dst, TypeElem::Bool),
-                    oi_ir::UnOp::Neg => {
-                        if v.types.contains(&TypeElem::Int) {
-                            self.join_temp_fresh(mctx, *dst, TypeElem::Int);
-                        }
-                        if v.types.contains(&TypeElem::Float) {
-                            self.join_temp_fresh(mctx, *dst, TypeElem::Float);
-                        }
-                        if v.types.is_empty() {
-                            // Nothing known yet; stay bottom.
-                        }
+            Instr::Move { dst, src } => self.join_within(mctx, *dst, *src),
+            Instr::Unary { dst, op, src } => match op {
+                oi_ir::UnOp::Not => self.join_temp_fresh(mctx, *dst, TypeElem::Bool),
+                oi_ir::UnOp::Neg => {
+                    let types = &self.mcontours[mctx].frame[src.index()].types;
+                    let (int, float) = (
+                        types.contains(&TypeElem::Int),
+                        types.contains(&TypeElem::Float),
+                    );
+                    if int {
+                        self.join_temp_fresh(mctx, *dst, TypeElem::Int);
+                    }
+                    if float {
+                        self.join_temp_fresh(mctx, *dst, TypeElem::Float);
                     }
                 }
-            }
+            },
             Instr::Binary { dst, op, lhs, rhs } => {
                 if op.is_comparison() {
                     self.join_temp_fresh(mctx, *dst, TypeElem::Bool);
                 } else {
-                    let l = self.frame_val(mctx, *lhs);
-                    let r = self.frame_val(mctx, *rhs);
-                    let has_float =
-                        l.types.contains(&TypeElem::Float) || r.types.contains(&TypeElem::Float);
-                    let has_int =
-                        l.types.contains(&TypeElem::Int) && r.types.contains(&TypeElem::Int);
+                    let frame = &self.mcontours[mctx].frame;
+                    let (l, r) = (&frame[lhs.index()].types, &frame[rhs.index()].types);
+                    let has_float = l.contains(&TypeElem::Float) || r.contains(&TypeElem::Float);
+                    let has_int = l.contains(&TypeElem::Int) && r.contains(&TypeElem::Int);
                     if has_float {
                         self.join_temp_fresh(mctx, *dst, TypeElem::Float);
                     }
                     if has_int {
                         self.join_temp_fresh(mctx, *dst, TypeElem::Int);
                     }
-                    if *op == BinOp::Rem || *op == BinOp::Div {
-                        // Same typing as other arithmetic; nothing extra.
-                    }
                 }
             }
             Instr::New {
-                dst,
-                class,
-                args,
-                site,
+                dst, class, site, ..
             } => {
                 let oc = self.ocontour_for(*site, Some(*class), mctx);
                 self.join_temp_fresh(mctx, *dst, TypeElem::Obj(oc));
-                if let Some(init) = self
-                    .init_sym
-                    .and_then(|s| self.program.lookup_method(*class, s))
-                {
-                    // The raw-allocation form (empty args, constructor
-                    // invoked explicitly) has no implicit init call.
-                    if self.program.methods[init].param_count as usize == args.len() {
-                        let self_val = AbstractVal::fresh(TypeElem::Obj(oc));
-                        let argv = self.call_key(mctx, None, &self_val, args);
-                        self.mcontour_for(init, argv);
-                    }
-                }
+                self.exec_call(mctx, instr, None);
             }
             Instr::NewArray { dst, site, .. } => {
                 let oc = self.ocontour_for(*site, None, mctx);
@@ -712,9 +797,10 @@ impl<'p> Engine<'p> {
                 self.join_temp_fresh(mctx, *dst, TypeElem::Arr(oc));
             }
             Instr::GetField { dst, obj, field } => {
-                let objv = self.frame_val(mctx, *obj);
+                let objv = &self.mcontours[mctx].frame[obj.index()];
                 let mut result = AbstractVal::bottom();
                 for oc in objv.object_contours() {
+                    subscribe(self.field_readers.entry((oc, *field)).or_default(), mctx);
                     if let Some(sum) = self.ocontours[oc].field(*field) {
                         // The loaded value's *types* come from the summary;
                         // its provenance is the field itself.
@@ -761,17 +847,22 @@ impl<'p> Engine<'p> {
                 self.join_temp(mctx, *dst, &result);
             }
             Instr::SetField { obj, field, src } => {
-                let objv = self.frame_val(mctx, *obj);
-                let srcv = self.frame_val(mctx, *src);
-                for oc in objv.object_contours().collect::<Vec<_>>() {
-                    let changed = self.ocontours[oc].field_mut(*field).join(&srcv);
-                    self.changed |= changed;
+                let frame = &self.mcontours[mctx].frame;
+                let srcv = &frame[src.index()];
+                for oc in frame[obj.index()].object_contours() {
+                    if self.ocontours[oc].field_mut(*field).join(srcv) {
+                        self.changed = true;
+                        if let Some(readers) = self.field_readers.get(&(oc, *field)) {
+                            wake(&mut self.dirty, readers);
+                        }
+                    }
                 }
             }
             Instr::ArrayGet { dst, arr, .. } => {
-                let arrv = self.frame_val(mctx, *arr);
+                let arrv = &self.mcontours[mctx].frame[arr.index()];
                 let mut result = AbstractVal::bottom();
                 for oc in arrv.array_contours() {
+                    subscribe(self.elem_readers.entry(oc).or_default(), mctx);
                     for &t in &self.ocontours[oc].elem.types {
                         result.types.insert(t);
                     }
@@ -811,11 +902,15 @@ impl<'p> Engine<'p> {
                 self.join_temp(mctx, *dst, &result);
             }
             Instr::ArraySet { arr, src, .. } => {
-                let arrv = self.frame_val(mctx, *arr);
-                let srcv = self.frame_val(mctx, *src);
-                for oc in arrv.array_contours().collect::<Vec<_>>() {
-                    let changed = self.ocontours[oc].elem.join(&srcv);
-                    self.changed |= changed;
+                let frame = &self.mcontours[mctx].frame;
+                let srcv = &frame[src.index()];
+                for oc in frame[arr.index()].array_contours() {
+                    if self.ocontours[oc].elem.join(srcv) {
+                        self.changed = true;
+                        if let Some(readers) = self.elem_readers.get(&oc) {
+                            wake(&mut self.dirty, readers);
+                        }
+                    }
                 }
             }
             Instr::GetGlobal { dst, global } => {
@@ -823,6 +918,7 @@ impl<'p> Engine<'p> {
                 // object fields) — this deliberately makes global-roundtrips
                 // ambiguous at uses, which is what rejects the Silo event
                 // list (§6.1).
+                subscribe(&mut self.global_readers[global.index()], mctx);
                 let mut v = self.globals[global.index()].clone();
                 v.tags.clear();
                 v.tag_top = false;
@@ -830,44 +926,14 @@ impl<'p> Engine<'p> {
                 self.join_temp(mctx, *dst, &v);
             }
             Instr::SetGlobal { global, src } => {
-                let srcv = self.frame_val(mctx, *src);
-                let changed = self.globals[global.index()].join(&srcv);
-                self.changed |= changed;
-            }
-            Instr::Send {
-                dst,
-                recv,
-                selector,
-                args,
-            } => {
-                let recv_val = self.frame_val(mctx, *recv);
-                for oc in recv_val.object_contours().collect::<Vec<_>>() {
-                    let Some(class) = self.ocontours[oc].class else {
-                        continue;
-                    };
-                    let Some(target) = self.program.lookup_method(class, *selector) else {
-                        continue;
-                    };
-                    if self.program.methods[target].param_count as usize != args.len() {
-                        continue; // would trap at runtime
-                    }
-                    let argv = self.call_key(mctx, Some(oc), &recv_val, args);
-                    let callee = self.mcontour_for(target, argv);
-                    let ret = self.mcontours[callee].ret.clone();
-                    self.join_temp(mctx, *dst, &ret);
+                let srcv = &self.mcontours[mctx].frame[src.index()];
+                if self.globals[global.index()].join(srcv) {
+                    self.changed = true;
+                    wake(&mut self.dirty, &self.global_readers[global.index()]);
                 }
             }
-            Instr::CallStatic {
-                dst,
-                method,
-                recv,
-                args,
-            } => {
-                let recv_val = self.frame_val(mctx, *recv);
-                let argv = self.call_key(mctx, None, &recv_val, args);
-                let callee = self.mcontour_for(*method, argv);
-                let ret = self.mcontours[callee].ret.clone();
-                self.join_temp(mctx, *dst, &ret);
+            Instr::Send { dst, .. } | Instr::CallStatic { dst, .. } => {
+                self.exec_call(mctx, instr, Some(*dst));
             }
             Instr::CallBuiltin { dst, builtin, .. } => {
                 let ty = match builtin {
@@ -1154,6 +1220,59 @@ mod tests {
         assert!(!r.degraded);
         assert_eq!(r.mcontours.len(), plain.mcontours.len());
         assert_eq!(r.ocontours.len(), plain.ocontours.len());
+    }
+
+    /// A send whose argument count matches no target is never bound, so
+    /// it has no call edge, not even to the method's widened contour.
+    #[test]
+    fn send_with_wrong_arity_has_no_call_edge() {
+        let p = compile(
+            "class A { method m(x) { return x; } }
+             fn main() {
+               var a = new A();
+               print a.m(1); print a.m(2.0);
+               if (false) { print a.m(); }
+             }",
+        )
+        .unwrap();
+        let cfg = AnalysisConfig {
+            max_contours_per_method: 1,
+            ..Default::default()
+        };
+        let r = analyze(&p, &cfg);
+        let m = p.method_by_name("A", "m").unwrap();
+        assert!(r.contours_of_method[&m]
+            .iter()
+            .any(|&c| r.mcontours[c].widened));
+        let mut arities = Vec::new();
+        for (bb, idx, instr) in p.methods[p.entry].instrs() {
+            if let Instr::Send { args, .. } = instr {
+                let edge = r.call_edges.get(&(MCtxId::new(0), bb, idx));
+                arities.push((args.len(), edge.map_or(0, Vec::len)));
+            }
+        }
+        assert_eq!(arities, vec![(1, 1), (1, 1), (0, 0)]);
+    }
+
+    /// `analysis.transfers` counts the contour transfers that ran. Worked
+    /// by hand for `main` (mctx0) calling `id` (mctx1):
+    /// round 0 transfers main, which creates and binds id, then id, which
+    /// sets its return value and so wakes main; round 1 transfers main,
+    /// whose call now returns an int into its frame; round 2 transfers
+    /// main once more and nothing changes. id is clean after round 0.
+    #[test]
+    fn transfers_count_only_dirty_contours() {
+        let p = compile("fn id(x) { return x; } fn main() { print id(1); }").unwrap();
+        let tracer = std::rc::Rc::new(trace::Tracer::new(vec![]));
+        {
+            let _guard = trace::install(tracer.clone());
+            analyze(&p, &AnalysisConfig::default());
+        }
+        let counters = tracer.counters();
+        let count = |name: &str| counters.iter().find(|(n, _)| n == name).map(|c| c.1);
+        assert_eq!(count("analysis.rounds"), Some(3));
+        assert_eq!(count("analysis.mcontours"), Some(2));
+        assert_eq!(count("analysis.transfers"), Some(4));
     }
 
     #[test]

@@ -162,18 +162,34 @@ impl AbstractVal {
 
     /// Least-upper-bound join; returns `true` if `self` changed.
     pub fn join(&mut self, other: &AbstractVal) -> bool {
+        self.join_parts(&other.types, &other.tags, other.untagged, other.tag_top)
+    }
+
+    /// [`Self::join`] with the value a [`ValKey`] stands for; the key is
+    /// lossless, so this equals joining the value it was made from.
+    pub fn join_key(&mut self, key: &ValKey) -> bool {
+        self.join_parts(&key.types, &key.tags, key.untagged, key.tag_top)
+    }
+
+    fn join_parts<'a>(
+        &mut self,
+        types: impl IntoIterator<Item = &'a TypeElem>,
+        tags: impl IntoIterator<Item = &'a TagId>,
+        untagged: bool,
+        tag_top: bool,
+    ) -> bool {
         let mut changed = false;
-        for &t in &other.types {
+        for &t in types {
             changed |= self.types.insert(t);
         }
-        for &t in &other.tags {
+        for &t in tags {
             changed |= self.tags.insert(t);
         }
-        if other.untagged && !self.untagged {
+        if untagged && !self.untagged {
             self.untagged = true;
             changed = true;
         }
-        if other.tag_top && !self.tag_top {
+        if tag_top && !self.tag_top {
             self.tag_top = true;
             changed = true;
         }
@@ -227,7 +243,8 @@ impl AbstractVal {
 
 /// Canonicalized [`AbstractVal`] used to key method contours. Two calls with
 /// equal keys share a contour; the subset condition of §4.1 is satisfied
-/// trivially (equal sets are mutual subsets).
+/// trivially (equal sets are mutual subsets). The key is lossless:
+/// `a.key() == b.key()` exactly when `a == b`.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValKey {
     /// Sorted types.

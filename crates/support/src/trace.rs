@@ -394,7 +394,13 @@ pub fn event(name: &str, fields: Vec<(String, Json)>) {
 pub fn counter(name: &str, delta: i64) {
     if let Some(tracer) = current() {
         let mut counters = tracer.counters.borrow_mut();
-        *counters.entry(name.to_string()).or_insert(0) += delta;
+        // Allocate the name only the first time it is counted.
+        match counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                counters.insert(name.to_string(), delta);
+            }
+        }
     }
 }
 
