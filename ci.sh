@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, warnings are errors)"
+# A doc link to a renamed or removed item is a broken link; this step
+# turns it into a CI failure.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 

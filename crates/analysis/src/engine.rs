@@ -15,6 +15,10 @@ use std::mem;
 /// exceeding this cap indicates a non-monotone transfer-function bug.
 const COMPLETION_ROUNDS: usize = 10_000;
 
+/// Safety bound on fixpoint rounds before the engine freezes its contour
+/// set. Callers that want a tighter cap set the [`Budget`] round dimension.
+const MAX_ROUNDS: usize = 1_000;
+
 /// Knobs controlling analysis sensitivity.
 ///
 /// `track_tags` toggles the object-inlining tag analysis of §4.1; Figure 16
@@ -31,8 +35,6 @@ pub struct AnalysisConfig {
     pub max_tag_path: usize,
     /// Maximum tags per abstract value before `tag_top`.
     pub max_tags_per_value: usize,
-    /// Safety bound on fixpoint rounds.
-    pub max_rounds: usize,
 }
 
 impl Default for AnalysisConfig {
@@ -43,7 +45,6 @@ impl Default for AnalysisConfig {
             max_ocontours_per_site: 12,
             max_tag_path: 3,
             max_tags_per_value: 8,
-            max_rounds: 1_000,
         }
     }
 }
@@ -59,10 +60,10 @@ impl AnalysisConfig {
     }
 }
 
-/// Runs the analysis to a fixpoint.
+/// Runs the analysis to a fixpoint with an unlimited resource [`Budget`].
 ///
-/// Exhausting `config.max_rounds` no longer fails: the engine freezes its
-/// contour set (globally widening every later contour request to the
+/// Exhausting the internal round bound does not fail: the engine freezes
+/// its contour set (globally widening every later contour request to the
 /// catch-all) and completes the fixpoint over the now-finite domain, so the
 /// result is sound but flagged [`AnalysisResult::degraded`].
 ///
@@ -72,22 +73,10 @@ impl AnalysisConfig {
 /// would indicate a non-monotone transfer-function bug, not a property of
 /// the input program.
 pub fn analyze(program: &Program, config: &AnalysisConfig) -> AnalysisResult {
-    match try_analyze(program, config) {
+    match try_analyze(program, config, &Budget::unlimited()) {
         Ok(result) => result,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// Runs the analysis to a fixpoint with an unlimited resource [`Budget`].
-///
-/// # Errors
-///
-/// Returns [`OiError::AnalysisDivergence`] only when the frozen fixpoint
-/// fails to complete (a transfer-function bug); round exhaustion degrades
-/// instead of failing — see [`try_analyze_budgeted`].
-pub fn try_analyze(program: &Program, config: &AnalysisConfig) -> Result<AnalysisResult, OiError> {
-    let budget = Budget::unlimited();
-    try_analyze_budgeted(program, config, &budget)
 }
 
 /// Runs the analysis to a fixpoint under a resource [`Budget`].
@@ -95,7 +84,7 @@ pub fn try_analyze(program: &Program, config: &AnalysisConfig) -> Result<Analysi
 /// The budget is charged per interpreted abstract instruction (a round
 /// skips the instructions of clean contours), per fixpoint round, and per
 /// contour creation; its deadline is polled alongside. When
-/// any dimension runs out — or `config.max_rounds` passes — the engine
+/// any dimension runs out — or the internal round bound passes — the engine
 /// *freezes*: no new contours are created (every later request lands on
 /// the per-method / per-site catch-all contour, the same widening the
 /// per-method caps already trigger) and the fixpoint completes over the
@@ -110,7 +99,7 @@ pub fn try_analyze(program: &Program, config: &AnalysisConfig) -> Result<Analysi
 /// Returns [`OiError::AnalysisDivergence`] only when the frozen fixpoint
 /// fails to complete within an internal safety cap, which indicates a
 /// non-monotone transfer-function bug rather than a hostile input.
-pub fn try_analyze_budgeted(
+pub fn try_analyze(
     program: &Program,
     config: &AnalysisConfig,
     budget: &Budget,
@@ -222,7 +211,7 @@ impl<'p> Engine<'p> {
         let mut transfers = 0;
         loop {
             if !self.frozen {
-                if round >= self.config.max_rounds {
+                if round >= MAX_ROUNDS {
                     self.freeze(BudgetDimension::Rounds);
                 } else if !self.budget.charge_round() {
                     self.freeze(
@@ -1127,15 +1116,13 @@ mod tests {
     #[test]
     fn exhausted_round_cap_degrades_instead_of_failing() {
         let p = compile("fn main() { print 1; }").unwrap();
-        let cfg = AnalysisConfig {
-            max_rounds: 0,
-            ..Default::default()
-        };
-        let r = try_analyze(&p, &cfg).expect("round exhaustion freezes, not fails");
+        let budget = Budget::unlimited().with_rounds(0);
+        let r = try_analyze(&p, &AnalysisConfig::default(), &budget)
+            .expect("round exhaustion freezes, not fails");
         assert!(r.degraded);
         assert_eq!(r.exhausted, Some(BudgetDimension::Rounds));
         // A sane budget converges cleanly and matches the panicking wrapper.
-        let ok = try_analyze(&p, &AnalysisConfig::default()).unwrap();
+        let ok = try_analyze(&p, &AnalysisConfig::default(), &Budget::unlimited()).unwrap();
         assert!(!ok.degraded);
         assert_eq!(ok.exhausted, None);
         assert_eq!(
@@ -1179,7 +1166,7 @@ mod tests {
     fn zero_contour_budget_widens_everything_soundly() {
         let p = compile(POLY_SRC).unwrap();
         let budget = Budget::unlimited().with_contours(0);
-        let r = try_analyze_budgeted(&p, &AnalysisConfig::default(), &budget).unwrap();
+        let r = try_analyze(&p, &AnalysisConfig::default(), &budget).unwrap();
         assert!(r.degraded);
         assert_eq!(r.exhausted, Some(BudgetDimension::Contours));
         // Every method contour is the widened catch-all; at most one per
@@ -1195,7 +1182,7 @@ mod tests {
     fn tiny_step_budget_degrades_but_completes() {
         let p = compile(POLY_SRC).unwrap();
         let budget = Budget::unlimited().with_steps(5);
-        let r = try_analyze_budgeted(&p, &AnalysisConfig::default(), &budget).unwrap();
+        let r = try_analyze(&p, &AnalysisConfig::default(), &budget).unwrap();
         assert!(r.degraded);
         assert_eq!(r.exhausted, Some(BudgetDimension::Steps));
         assert_overapproximates(&p, &r);
@@ -1205,7 +1192,7 @@ mod tests {
     fn expired_deadline_degrades_but_completes() {
         let p = compile(POLY_SRC).unwrap();
         let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = try_analyze_budgeted(&p, &AnalysisConfig::default(), &budget).unwrap();
+        let r = try_analyze(&p, &AnalysisConfig::default(), &budget).unwrap();
         assert!(r.degraded);
         assert_eq!(r.exhausted, Some(BudgetDimension::Deadline));
         assert_overapproximates(&p, &r);
@@ -1215,7 +1202,7 @@ mod tests {
     fn unlimited_budget_matches_unbudgeted_analysis() {
         let p = compile(POLY_SRC).unwrap();
         let budget = Budget::unlimited();
-        let r = try_analyze_budgeted(&p, &AnalysisConfig::default(), &budget).unwrap();
+        let r = try_analyze(&p, &AnalysisConfig::default(), &budget).unwrap();
         let plain = analyze(&p, &AnalysisConfig::default());
         assert!(!r.degraded);
         assert_eq!(r.mcontours.len(), plain.mcontours.len());

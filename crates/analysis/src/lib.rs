@@ -44,7 +44,7 @@ pub mod result;
 pub mod types;
 
 pub use contour::{MCtxId, OCtxId};
-pub use engine::{analyze, try_analyze, try_analyze_budgeted, AnalysisConfig};
+pub use engine::{analyze, try_analyze, AnalysisConfig};
 pub use report::ContourStats;
 pub use result::AnalysisResult;
 pub use types::{AbstractVal, PathSeg, Tag, TagId, TypeElem};

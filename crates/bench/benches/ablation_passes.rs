@@ -2,7 +2,7 @@
 
 use oi_bench::harness::Group;
 use oi_benchmarks::{all_benchmarks, BenchSize};
-use oi_core::pipeline::{try_optimize, InlineConfig};
+use oi_core::pipeline::{optimize, InlineConfig};
 use oi_vm::VmConfig;
 
 fn main() {
@@ -27,9 +27,7 @@ fn main() {
             ),
         ];
         for (label, config) in configs {
-            let opt = try_optimize(&program, &config)
-                .expect("pipeline error")
-                .program;
+            let opt = optimize(&program, &config).program;
             group.bench(&format!("{}/{}", b.name, label), || {
                 oi_vm::run(&opt, &VmConfig::default()).unwrap();
             });

@@ -4,7 +4,7 @@
 use oi_analysis::{analyze, AnalysisConfig};
 use oi_bench::harness::Group;
 use oi_bench::synth::{generate, SynthParams};
-use oi_core::pipeline::{try_optimize, InlineConfig};
+use oi_core::pipeline::{optimize, InlineConfig};
 
 fn main() {
     let group = Group::new("analysis_scaling").sample_size(10);
@@ -18,7 +18,7 @@ fn main() {
             analyze(&program, &AnalysisConfig::default());
         });
         group.bench(&format!("optimize/{pairs}"), || {
-            try_optimize(&program, &InlineConfig::default()).expect("pipeline error");
+            optimize(&program, &InlineConfig::default());
         });
     }
 }

@@ -3,16 +3,14 @@
 
 use oi_bench::harness::Group;
 use oi_benchmarks::{all_benchmarks, BenchSize};
-use oi_core::pipeline::{baseline, try_optimize, InlineConfig};
+use oi_core::pipeline::{baseline, optimize, InlineConfig};
 
 fn main() {
     let group = Group::new("fig15_code_size").sample_size(10);
     for b in all_benchmarks(BenchSize::Small) {
         let program = oi_ir::lower::compile(&b.source).unwrap();
         let base = baseline(&program, &Default::default());
-        let opt = try_optimize(&program, &InlineConfig::default())
-            .expect("pipeline error")
-            .program;
+        let opt = optimize(&program, &InlineConfig::default()).program;
         let without = oi_ir::size::measure(&base).kilobytes();
         let with = oi_ir::size::measure(&opt).kilobytes();
         assert!(

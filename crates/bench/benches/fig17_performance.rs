@@ -3,7 +3,7 @@
 
 use oi_bench::harness::Group;
 use oi_benchmarks::{all_benchmarks, BenchSize};
-use oi_core::pipeline::{baseline, try_optimize, InlineConfig};
+use oi_core::pipeline::{baseline, optimize, InlineConfig};
 use oi_vm::VmConfig;
 
 fn main() {
@@ -11,9 +11,7 @@ fn main() {
     for b in all_benchmarks(BenchSize::Small) {
         let program = oi_ir::lower::compile(&b.source).unwrap();
         let base = baseline(&program, &Default::default());
-        let opt = try_optimize(&program, &InlineConfig::default())
-            .expect("pipeline error")
-            .program;
+        let opt = optimize(&program, &InlineConfig::default()).program;
         group.bench(&format!("{}/baseline", b.name), || {
             oi_vm::run(&base, &VmConfig::default()).unwrap();
         });

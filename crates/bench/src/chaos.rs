@@ -439,12 +439,12 @@ impl ChaosReport {
 /// Runs one `(fault, sentinel)` cell: inject, probe, classify.
 fn run_case(name: &str, source: &str, fault: Fault) -> Case {
     let program = oi_ir::lower::compile(source).expect("sentinel programs compile");
-    let inline = InlineConfig::default();
-    let fw = FirewallConfig {
+    let inline = InlineConfig {
         fault: Some(fault),
-        ..FirewallConfig::default()
+        ..InlineConfig::default()
     };
-    let g = match optimize_guarded(&program, &inline, &fw) {
+    let fw = FirewallConfig::default();
+    let g = match optimize_guarded(&program, &inline, &fw, &oi_support::Budget::unlimited()) {
         Ok(g) => g,
         Err(e) => {
             // The injected fault broke the build itself; the pipeline's
@@ -1314,6 +1314,21 @@ mod tests {
             .find(|c| c.program == "copy")
             .unwrap();
         assert_eq!(copy.outcome, Outcome::Benign, "{copy:?}");
+    }
+
+    #[test]
+    fn inline_config_fault_reaches_the_oracle() {
+        // The fault is set on the pipeline config alone; a default
+        // firewall must probe the faulted build, not a clean one.
+        let (_, source) = SENTINELS.iter().find(|(n, _)| *n == "rect").unwrap();
+        let program = oi_ir::lower::compile(source).unwrap();
+        let inline = InlineConfig {
+            fault: Some(Fault::SkipUseRedirect),
+            ..InlineConfig::default()
+        };
+        let fw = FirewallConfig::default();
+        let g = optimize_guarded(&program, &inline, &fw, &oi_support::Budget::unlimited()).unwrap();
+        assert!(!g.initial_divergences.is_empty(), "{:?}", g.retracted);
     }
 
     #[test]

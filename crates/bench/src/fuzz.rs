@@ -19,8 +19,9 @@ use oi_core::firewall::{compare_runs, optimize_guarded, Divergence, FirewallConf
 use oi_core::pipeline::{try_baseline, try_optimize, InlineConfig};
 use oi_support::panic::{contained, silence_hook};
 use oi_support::rng::XorShift64;
-use oi_support::Json;
+use oi_support::{Budget, Json};
 use oi_vm::{run, CheckLevel, VmConfig};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Fuzzing-loop parameters.
@@ -462,10 +463,11 @@ fn classify(src: &str, vm: &VmConfig) -> Option<Badness> {
         let Ok(p) = oi_ir::lower::compile(src) else {
             return None;
         };
-        let Ok(base) = try_baseline(&p, &InlineConfig::default().opt) else {
+        let budget = Budget::unlimited();
+        let Ok(base) = try_baseline(&p, &budget) else {
             return Some(Badness::Diverges);
         };
-        let Ok(opt) = try_optimize(&p, &InlineConfig::default()) else {
+        let Ok(opt) = try_optimize(&p, &InlineConfig::default(), &BTreeSet::new(), &budget) else {
             return Some(Badness::Diverges);
         };
         let b = run(&base, vm);
@@ -544,7 +546,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         };
         let outcome = contained(|| {
             let p = oi_ir::lower::compile(&src).expect("checked above");
-            optimize_guarded(&p, &InlineConfig::default(), &fw)
+            optimize_guarded(&p, &InlineConfig::default(), &fw, &Budget::unlimited())
         });
         match outcome {
             Ok(Ok(g)) => {
@@ -685,6 +687,7 @@ mod tests {
                     vm: fuzz_vm_config(),
                     ..Default::default()
                 },
+                &Budget::unlimited(),
             )
             .unwrap_or_else(|e| panic!("scenario {which}: {e}"));
             assert!(

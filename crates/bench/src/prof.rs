@@ -168,12 +168,13 @@ struct ProfReport {
 
 /// Compiles and runs `source` under full instrumentation.
 fn measure(path: &str, source: &str) -> Result<ProfReport, String> {
-    use oi_core::pipeline::InlineConfig;
+    use oi_core::pipeline::{try_baseline, try_optimize, InlineConfig};
 
     let sink = Rc::new(MemorySink::default());
     let sinks: Vec<Rc<dyn Sink>> = vec![sink.clone()];
     let tracer = Rc::new(Tracer::new(sinks));
     let inline = InlineConfig::default();
+    let budget = oi_support::Budget::unlimited();
     let (base, opt) = {
         let _guard = trace::install(tracer.clone());
         let _root = trace::span("compile");
@@ -183,12 +184,12 @@ fn measure(path: &str, source: &str) -> Result<ProfReport, String> {
         };
         let base = {
             let _s = trace::span("compile.baseline");
-            oi_core::pipeline::try_baseline(&program, &inline.opt)
+            try_baseline(&program, &budget)
                 .map_err(|e| format!("{path}: baseline pipeline: {e}"))?
         };
         let opt = {
             let _s = trace::span("compile.inlined");
-            oi_core::pipeline::try_optimize(&program, &inline)
+            try_optimize(&program, &inline, &Default::default(), &budget)
                 .map_err(|e| format!("{path}: inlining pipeline: {e}"))?
         };
         (base, opt)

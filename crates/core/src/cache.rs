@@ -4,7 +4,7 @@
 //! artifacts by [`CacheKey`] — a pair of [`Fingerprint`]s: the raw *source
 //! bytes* and the full *configuration/cost-model* the ladder would compile
 //! them under. Two requests share an artifact only when both match, so a
-//! changed inline threshold, analysis cap, VM cost constant, or start tier
+//! changed array layout, analysis cap, VM cost constant, or start tier
 //! can never serve a stale artifact, while byte-identical re-submissions
 //! always hit.
 //!
@@ -39,7 +39,7 @@ pub struct CacheKey {
     /// Fingerprint of the raw source bytes.
     pub source: Fingerprint,
     /// Fingerprint of the complete compile configuration (ladder knobs,
-    /// analysis caps, optimizer thresholds, VM cost model) — see
+    /// inlining and analysis settings, VM cost model) — see
     /// [`config_fingerprint`].
     pub config: Fingerprint,
 }
@@ -55,10 +55,11 @@ impl CacheKey {
 }
 
 /// Fingerprints every configuration knob that can change the optimized
-/// artifact: the inline/opt/analysis configs, ladder oracle + start tier,
-/// firewall retraction budget and sanitizer level, and the VM cost model
-/// and cache geometry (the cost model steers devirtualization and
-/// explosion decisions, so it is part of the artifact's identity).
+/// artifact: the inline and analysis configs (fault injection included),
+/// ladder oracle + start tier, firewall retraction budget and sanitizer
+/// level, and the VM cost model, cache geometry and limits the oracle runs
+/// under (an oracle verdict decides which decisions survive, so they are
+/// part of the artifact's identity).
 ///
 /// Extra service-level knobs that bound the compile (`max_rounds`,
 /// `deadline_ms` analysis budgets) are folded in too: a compile that ran
@@ -77,16 +78,7 @@ pub fn config_fingerprint(
     h.write_bool(inline.array_elements);
     h.write_str(&format!("{:?}", inline.array_layout));
     h.write_bool(inline.check_assignments);
-    h.write_u64(inline.max_passes as u64);
     h.write_str(&format!("{:?}", inline.fault));
-
-    let opt = &inline.opt;
-    h.write_u64(opt.inline_threshold as u64);
-    h.write_u64(opt.max_inline_rounds as u64);
-    h.write_bool(opt.enable_inlining);
-    h.write_bool(opt.enable_dead_alloc_removal);
-    h.write_bool(opt.enable_ctor_explosion);
-    h.write_u64(opt.explode_threshold as u64);
 
     let an = &inline.analysis;
     h.write_bool(an.track_tags);
@@ -94,12 +86,10 @@ pub fn config_fingerprint(
     h.write_u64(an.max_ocontours_per_site as u64);
     h.write_u64(an.max_tag_path as u64);
     h.write_u64(an.max_tags_per_value as u64);
-    h.write_u64(an.max_rounds as u64);
 
     h.write_bool(ladder.oracle);
     h.write_str(ladder.start.name());
     h.write_u64(ladder.firewall.max_retractions as u64);
-    h.write_str(&format!("{:?}", ladder.firewall.fault));
     h.write_str(&format!("{:?}", ladder.firewall.checked));
 
     let vm = &ladder.firewall.vm;
@@ -372,28 +362,40 @@ mod tests {
 
     #[test]
     fn config_fingerprint_sees_every_knob_family() {
+        use crate::fault::Fault;
+        use crate::ladder::Tier;
+        use oi_ir::ArrayLayoutKind;
+        use oi_vm::CheckLevel;
         let base = LadderConfig::default();
         let fp = config_fingerprint(&base, None, None);
-
-        let mut threshold = base;
-        threshold.inline.opt.inline_threshold += 1;
-        assert_ne!(fp, config_fingerprint(&threshold, None, None));
-
-        let mut analysis = base;
-        analysis.inline.analysis.max_contours_per_method -= 1;
-        assert_ne!(fp, config_fingerprint(&analysis, None, None));
-
-        let mut cost = base;
-        cost.firewall.vm.cost.cache_miss += 1;
-        assert_ne!(fp, config_fingerprint(&cost, None, None));
-
-        let mut tier = base;
-        tier.start = crate::ladder::Tier::InliningOff;
-        assert_ne!(fp, config_fingerprint(&tier, None, None));
-
-        let mut oracle = base;
-        oracle.oracle = false;
-        assert_ne!(fp, config_fingerprint(&oracle, None, None));
+        let differs = |name: &str, mutate: fn(&mut LadderConfig)| {
+            let mut changed = base;
+            mutate(&mut changed);
+            assert_ne!(fp, config_fingerprint(&changed, None, None), "{name}");
+        };
+        differs("object_fields", |c| c.inline.object_fields = false);
+        differs("array_elements", |c| c.inline.array_elements = false);
+        differs("array_layout", |c| {
+            c.inline.array_layout = ArrayLayoutKind::Parallel;
+        });
+        differs("check_assignments", |c| c.inline.check_assignments = false);
+        differs("fault", |c| c.inline.fault = Some(Fault::SkipUseRedirect));
+        differs("track_tags", |c| c.inline.analysis.track_tags = false);
+        differs("max_contours_per_method", |c| {
+            c.inline.analysis.max_contours_per_method -= 1;
+        });
+        differs("max_ocontours_per_site", |c| {
+            c.inline.analysis.max_ocontours_per_site -= 1;
+        });
+        differs("max_tag_path", |c| c.inline.analysis.max_tag_path -= 1);
+        differs("max_tags_per_value", |c| {
+            c.inline.analysis.max_tags_per_value -= 1;
+        });
+        differs("vm", |c| c.firewall.vm.cost.cache_miss += 1);
+        differs("max_retractions", |c| c.firewall.max_retractions = 0);
+        differs("checked", |c| c.firewall.checked = CheckLevel::Basic);
+        differs("oracle", |c| c.oracle = false);
+        differs("start", |c| c.start = Tier::InliningOff);
 
         // Budget knobs are part of the identity, and None != Some(0).
         assert_ne!(fp, config_fingerprint(&base, Some(0), None));

@@ -71,7 +71,8 @@ const MAX_RECORD_BYTES: u32 = 4096;
 pub enum Corruption {
     /// Magic string or structural framing did not parse.
     BadEnvelope,
-    /// Envelope version differs from [`FORMAT_VERSION`].
+    /// Envelope version differs from the format version this build
+    /// writes.
     VersionSkew,
     /// Envelope key does not match the content address it was stored
     /// under.

@@ -13,6 +13,7 @@
 //!   Richards private-data case, which C++ cannot express, §6.1).
 
 use crate::assignspec::AssignSpec;
+use crate::pipeline::InlineConfig;
 use crate::usespec::{self, RecvInfo};
 use oi_analysis::AnalysisResult;
 use oi_ir::{ArrayLayoutKind, ClassId, Instr, LayoutId, Program, SiteId, Terminator};
@@ -161,31 +162,6 @@ impl InlinePlan {
     }
 }
 
-/// Options for the decision stage.
-#[derive(Clone, Copy, Debug)]
-pub struct DecisionConfig {
-    /// Inline object fields.
-    pub object_fields: bool,
-    /// Inline array elements.
-    pub array_elements: bool,
-    /// Layout for inlined arrays.
-    pub array_layout: ArrayLayoutKind,
-    /// Skip the assignment-safety check (ablation only; unsound in
-    /// general).
-    pub check_assignments: bool,
-}
-
-impl Default for DecisionConfig {
-    fn default() -> Self {
-        Self {
-            object_fields: true,
-            array_elements: true,
-            array_layout: ArrayLayoutKind::Interleaved,
-            check_assignments: true,
-        }
-    }
-}
-
 /// The stable key naming one inlining decision, used by the soundness
 /// firewall's denylist: `Class.field` for object fields (declaring class)
 /// and `array@siteN` for array-element sites.
@@ -290,13 +266,9 @@ fn ctor_definitely_assigns(program: &Program, class: ClassId, field: Symbol) -> 
         .all(|(bb, block)| !matches!(block.term, Terminator::Return(_)) || out[bb.index()])
 }
 
-/// Computes the inlining plan for one transformation pass.
-pub fn decide(program: &Program, result: &AnalysisResult, config: &DecisionConfig) -> InlinePlan {
-    decide_denying(program, result, config, &BTreeSet::new())
-}
-
-/// [`decide`], minus an explicit denylist of decision keys (see
-/// [`field_decision_key`] / [`array_decision_key`]).
+/// Computes the inlining plan for one transformation pass, minus an
+/// explicit denylist of decision keys (see [`field_decision_key`] /
+/// [`array_decision_key`]).
 ///
 /// Denied decisions are filtered out *before* the grouping step and the
 /// demotion fixpoint, so rules that depend on the planned set — use
@@ -304,10 +276,10 @@ pub fn decide(program: &Program, result: &AnalysisResult, config: &DecisionConfi
 /// retraction and stay sound. Each denied decision that would otherwise
 /// have been considered is recorded as a [`ReasonCode::Retracted`]
 /// rejection for provenance.
-pub fn decide_denying(
+pub fn decide(
     program: &Program,
     result: &AnalysisResult,
-    config: &DecisionConfig,
+    config: &InlineConfig,
     denied: &BTreeSet<String>,
 ) -> InlinePlan {
     let mut plan = InlinePlan::default();
@@ -904,7 +876,7 @@ mod tests {
     fn plan_for(src: &str) -> (Program, InlinePlan) {
         let p = compile(src).unwrap();
         let r = analyze(&p, &AnalysisConfig::default());
-        let plan = decide(&p, &r, &DecisionConfig::default());
+        let plan = decide(&p, &r, &InlineConfig::default(), &BTreeSet::new());
         (p, plan)
     }
 
@@ -941,7 +913,7 @@ mod tests {
         let p = compile(RECT).unwrap();
         let r = analyze(&p, &AnalysisConfig::default());
         let denied: BTreeSet<String> = ["Rect.ll".to_owned()].into_iter().collect();
-        let plan = decide_denying(&p, &r, &DecisionConfig::default(), &denied);
+        let plan = decide(&p, &r, &InlineConfig::default(), &denied);
         let rect = p.class_by_name("Rect").unwrap();
         let ll = p.interner.get("ll").unwrap();
         assert!(
@@ -973,11 +945,11 @@ mod tests {
              }";
         let p = compile(src).unwrap();
         let r = analyze(&p, &AnalysisConfig::default());
-        let plan = decide(&p, &r, &DecisionConfig::default());
+        let plan = decide(&p, &r, &InlineConfig::default(), &BTreeSet::new());
         assert_eq!(plan.array_sites.len(), 1);
         let site = *plan.array_sites.keys().next().unwrap();
         let denied: BTreeSet<String> = [array_decision_key(site)].into_iter().collect();
-        let plan = decide_denying(&p, &r, &DecisionConfig::default(), &denied);
+        let plan = decide(&p, &r, &InlineConfig::default(), &denied);
         assert!(plan.array_sites.is_empty(), "{:?}", plan.array_sites);
         assert!(plan
             .rejected

@@ -71,17 +71,6 @@ impl Fault {
     pub fn parse(s: &str) -> Option<Fault> {
         Fault::ALL.iter().copied().find(|f| f.name() == s)
     }
-
-    /// `true` for faults applied *inside* the pipeline's transformation
-    /// passes (threaded through
-    /// [`crate::pipeline::InlineConfig::fault`]) rather than post-hoc on
-    /// the built program.
-    pub(crate) fn is_pipeline_fault(self) -> bool {
-        matches!(
-            self,
-            Fault::SkipUseRedirect | Fault::DropAssignCopy | Fault::WrongDevirtTarget
-        )
-    }
 }
 
 /// A storage-corruption or crash class injected against the persistent
@@ -190,6 +179,54 @@ pub(crate) fn wrong_devirt_target(p: &mut oi_ir::Program) -> bool {
         }
     }
     false
+}
+
+/// Corrupts the built program's layout table for the two layout faults
+/// ([`Fault::CompactFirstLayoutSlots`], [`Fault::OffByOneSlotRewrite`]);
+/// every other fault is injected inside the passes and is a no-op here.
+/// Runs after the pipeline's final verification, since the verifier
+/// cannot see either corruption.
+pub(crate) fn corrupt_layouts(p: &mut oi_ir::Program, fault: Option<Fault>) {
+    match fault {
+        Some(Fault::CompactFirstLayoutSlots) => {
+            for layout in p.layouts.iter_mut() {
+                let max = layout.slots.iter().copied().max().unwrap_or(0);
+                let compact: Vec<usize> = (0..layout.slots.len())
+                    .map(|i| layout.slots.first().copied().unwrap_or(0) + i)
+                    .collect();
+                // Only corrupt a layout where the compacted form is (a) different
+                // — i.e. the true layout is non-contiguous — and (b) still in
+                // bounds for the container (`max` is a known-valid slot).
+                if layout.array_kind.is_none()
+                    && layout.slots.len() >= 2
+                    && compact != layout.slots
+                    && *compact.last().expect("len >= 2") <= max
+                {
+                    layout.slots = compact;
+                    break;
+                }
+            }
+        }
+        Some(Fault::OffByOneSlotRewrite) => {
+            // Shift one slot of the first applicable object layout down by
+            // one. The target slot is chosen so it stays in bounds and does
+            // not collide with another slot of the *same* layout, so the
+            // program keeps running — reads just resolve one word off.
+            'layouts: for layout in p.layouts.iter_mut() {
+                if layout.array_kind.is_some() {
+                    continue;
+                }
+                for j in 0..layout.slots.len() {
+                    let s = layout.slots[j];
+                    if s >= 1 && !layout.slots.contains(&(s - 1)) {
+                        layout.slots[j] = s - 1;
+                        break 'layouts;
+                    }
+                }
+            }
+        }
+        _ => {}
+    }
 }
 
 #[cfg(test)]

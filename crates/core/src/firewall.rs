@@ -16,16 +16,12 @@
 //!
 //! [`ReasonCode::Retracted`]: crate::decision::ReasonCode::Retracted
 
-use crate::pipeline::{
-    try_baseline_budgeted, try_optimize_budgeted, InlineConfig, Optimized, PipelineError,
-};
+use crate::pipeline::{try_baseline, try_optimize, InlineConfig, Optimized, PipelineError};
 use oi_ir::Program;
 use oi_support::trace::{self, kv};
 use oi_support::Budget;
 use oi_vm::{run, CheckLevel, RunResult, VmConfig, VmError};
 use std::collections::BTreeSet;
-
-pub use crate::fault::Fault;
 
 /// Firewall configuration.
 #[derive(Clone, Copy, Debug)]
@@ -36,11 +32,10 @@ pub struct FirewallConfig {
     /// Upper bound on retraction rounds (each round retracts at least one
     /// decision, so this also bounds pipeline re-runs). `0` disables
     /// repair entirely: the oracle still runs, but divergences surface in
-    /// [`Guarded::divergences`] instead of being bisected away — the
-    /// degradation ladder uses this to descend a tier instead.
+    /// [`Guarded::divergences`] instead of being bisected away. That is
+    /// how tests reach the degradation ladder's "unrepaired rejection →
+    /// descend a tier" path.
     pub max_retractions: usize,
-    /// Test-only fault injection; `None` in production.
-    pub fault: Option<Fault>,
     /// Sanitizer level for the *inlined* oracle run. The baseline run is
     /// never checked (its heap has no inline regions to validate). Any
     /// sanitizer finding is an oracle rejection ([`Divergence::Sanitizer`])
@@ -54,7 +49,6 @@ impl Default for FirewallConfig {
         Self {
             vm: VmConfig::default(),
             max_retractions: 32,
-            fault: None,
             checked: CheckLevel::Full,
         }
     }
@@ -264,63 +258,6 @@ fn compare_census(base: &RunResult, opt: &RunResult) -> Vec<Divergence> {
     }
 }
 
-/// Builds the inlined program under a denylist and applies the configured
-/// fault, if any. Rewrite-pass faults ([`Fault::SkipUseRedirect`],
-/// [`Fault::DropAssignCopy`]) are threaded into the pipeline itself; the
-/// rest corrupt the built program post-hoc.
-fn build(
-    program: &Program,
-    config: &InlineConfig,
-    fw: &FirewallConfig,
-    denied: &BTreeSet<String>,
-    budget: &Budget,
-) -> Result<Optimized, PipelineError> {
-    let mut cfg = *config;
-    cfg.fault = fw.fault.filter(|f| f.is_pipeline_fault());
-    let mut opt = try_optimize_budgeted(program, &cfg, denied, budget)?;
-    match fw.fault {
-        Some(Fault::CompactFirstLayoutSlots) => {
-            for layout in opt.program.layouts.iter_mut() {
-                let max = layout.slots.iter().copied().max().unwrap_or(0);
-                let compact: Vec<usize> = (0..layout.slots.len())
-                    .map(|i| layout.slots.first().copied().unwrap_or(0) + i)
-                    .collect();
-                // Only corrupt a layout where the compacted form is (a) different
-                // — i.e. the true layout is non-contiguous — and (b) still in
-                // bounds for the container (`max` is a known-valid slot).
-                if layout.array_kind.is_none()
-                    && layout.slots.len() >= 2
-                    && compact != layout.slots
-                    && *compact.last().expect("len >= 2") <= max
-                {
-                    layout.slots = compact;
-                    break;
-                }
-            }
-        }
-        Some(Fault::OffByOneSlotRewrite) => {
-            // Shift one slot of the first applicable object layout down by
-            // one. The target slot is chosen so it stays in bounds and does
-            // not collide with another slot of the *same* layout, so the
-            // program keeps running — reads just resolve one word off.
-            'layouts: for layout in opt.program.layouts.iter_mut() {
-                if layout.array_kind.is_some() {
-                    continue;
-                }
-                for j in 0..layout.slots.len() {
-                    let s = layout.slots[j];
-                    if s >= 1 && !layout.slots.contains(&(s - 1)) {
-                        layout.slots[j] = s - 1;
-                        break 'layouts;
-                    }
-                }
-            }
-        }
-        _ => {}
-    }
-    Ok(opt)
-}
-
 /// Applied decisions of a build that are still eligible for retraction.
 fn candidates(opt: &Optimized, denied: &BTreeSet<String>) -> Vec<String> {
     opt.decisions
@@ -338,6 +275,11 @@ fn candidates(opt: &Optimized, denied: &BTreeSet<String>) -> Vec<String> {
 /// permanently denies it, and rebuilds, repeating until the oracle passes
 /// or the decision set is exhausted.
 ///
+/// `budget` is shared by every analysis pass, including the rebuilds
+/// bisection performs. Analysis exhaustion degrades precision (the result
+/// is marked degraded) rather than failing, so the retraction loop keeps
+/// making progress on its remaining budget.
+///
 /// # Errors
 ///
 /// Returns [`PipelineError`] only for failures retraction cannot reach: a
@@ -347,27 +289,9 @@ pub fn optimize_guarded(
     program: &Program,
     config: &InlineConfig,
     fw: &FirewallConfig,
-) -> Result<Guarded, PipelineError> {
-    let budget = Budget::unlimited();
-    optimize_guarded_budgeted(program, config, fw, &budget)
-}
-
-/// [`optimize_guarded`] under a resource [`Budget`] shared by every
-/// analysis pass, including the rebuilds bisection performs. Analysis
-/// exhaustion degrades precision (the result is marked degraded) rather
-/// than failing, so the retraction loop keeps making progress on its
-/// remaining budget.
-///
-/// # Errors
-///
-/// See [`optimize_guarded`].
-pub fn optimize_guarded_budgeted(
-    program: &Program,
-    config: &InlineConfig,
-    fw: &FirewallConfig,
     budget: &Budget,
 ) -> Result<Guarded, PipelineError> {
-    let baseline_program = try_baseline_budgeted(program, &config.opt, budget)?;
+    let baseline_program = try_baseline(program, budget)?;
     let baseline_run = run(&baseline_program, &fw.vm);
 
     let mut denied: BTreeSet<String> = BTreeSet::new();
@@ -384,7 +308,7 @@ pub fn optimize_guarded_budgeted(
     // `healthy` = builds, verifies, and the oracle finds no divergence.
     // Returning the outcome lets the top loop reuse the probe's work.
     let probe = |denied: &BTreeSet<String>| -> Result<(Optimized, Vec<Divergence>), PipelineError> {
-        let opt = build(program, config, fw, denied, budget)?;
+        let opt = try_optimize(program, config, denied, budget)?;
         let opt_run = run(&opt.program, &checked_vm);
         let divs = compare_runs(&baseline_run, &opt_run);
         Ok((opt, divs))
@@ -515,6 +439,7 @@ fn isolate(healthy: &mut impl FnMut(&[String]) -> bool, mut set: Vec<String>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
     use oi_ir::lower::compile;
 
     // The global store keeps the Rect on the heap (otherwise scalar
@@ -537,10 +462,21 @@ mod tests {
           print KEEP.span();
         }";
 
+    fn guarded(p: &Program, inline: &InlineConfig, fw: &FirewallConfig) -> Guarded {
+        optimize_guarded(p, inline, fw, &Budget::unlimited()).unwrap()
+    }
+
+    fn faulted(fault: Fault) -> InlineConfig {
+        InlineConfig {
+            fault: Some(fault),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn healthy_program_passes_without_retraction() {
         let p = compile(RECT).unwrap();
-        let g = optimize_guarded(&p, &InlineConfig::default(), &FirewallConfig::default()).unwrap();
+        let g = guarded(&p, &InlineConfig::default(), &FirewallConfig::default());
         assert!(g.is_equivalent());
         assert!(g.retracted.is_empty());
         assert_eq!(g.optimized.report.retractions, 0);
@@ -550,11 +486,11 @@ mod tests {
     #[test]
     fn injected_layout_bug_is_caught_and_retracted() {
         let p = compile(RECT).unwrap();
-        let fw = FirewallConfig {
-            fault: Some(Fault::CompactFirstLayoutSlots),
-            ..Default::default()
-        };
-        let g = optimize_guarded(&p, &InlineConfig::default(), &fw).unwrap();
+        let g = guarded(
+            &p,
+            &faulted(Fault::CompactFirstLayoutSlots),
+            &FirewallConfig::default(),
+        );
         // The oracle caught the miscompilation and the pipeline degraded
         // instead of aborting: the surviving program is equivalent.
         assert!(g.is_equivalent(), "divergences: {:?}", g.divergences);
@@ -585,11 +521,11 @@ mod tests {
         // one layout, so bisection must retract one decision and keep the
         // other inlined.
         let p = compile(RECT).unwrap();
-        let fw = FirewallConfig {
-            fault: Some(Fault::CompactFirstLayoutSlots),
-            ..Default::default()
-        };
-        let g = optimize_guarded(&p, &InlineConfig::default(), &fw).unwrap();
+        let g = guarded(
+            &p,
+            &faulted(Fault::CompactFirstLayoutSlots),
+            &FirewallConfig::default(),
+        );
         assert_eq!(g.retracted.len(), 1, "retracted: {:?}", g.retracted);
         assert_eq!(
             g.optimized.report.fields_inlined, 1,
@@ -605,7 +541,7 @@ mod tests {
         // program must still run and match the baseline observably.
         let p = compile(RECT).unwrap();
         let budget = Budget::unlimited().with_rounds(1).with_contours(1);
-        let g = optimize_guarded_budgeted(
+        let g = optimize_guarded(
             &p,
             &InlineConfig::default(),
             &FirewallConfig::default(),
@@ -632,11 +568,10 @@ mod tests {
     fn zero_retraction_budget_surfaces_divergences() {
         let p = compile(RECT).unwrap();
         let fw = FirewallConfig {
-            fault: Some(Fault::CompactFirstLayoutSlots),
             max_retractions: 0,
             ..Default::default()
         };
-        let g = optimize_guarded(&p, &InlineConfig::default(), &fw).unwrap();
+        let g = guarded(&p, &faulted(Fault::CompactFirstLayoutSlots), &fw);
         assert!(
             !g.is_equivalent(),
             "repair is disabled; the fault must show"
@@ -648,7 +583,7 @@ mod tests {
     fn oracle_accepts_matching_runtime_errors() {
         // Both builds fail the same way at runtime; that is equivalence.
         let p = compile("fn main() { var x = nil; print x.f; }").unwrap();
-        let g = optimize_guarded(&p, &InlineConfig::default(), &FirewallConfig::default()).unwrap();
+        let g = guarded(&p, &InlineConfig::default(), &FirewallConfig::default());
         assert!(g.is_equivalent());
         assert!(g.baseline_run.is_err());
     }
@@ -718,11 +653,7 @@ mod tests {
     /// for fault-specific assertions.
     fn catch_and_repair(src: &str, fault: Fault) -> Guarded {
         let p = compile(src).unwrap();
-        let fw = FirewallConfig {
-            fault: Some(fault),
-            ..Default::default()
-        };
-        let g = optimize_guarded(&p, &InlineConfig::default(), &fw).unwrap();
+        let g = guarded(&p, &faulted(fault), &FirewallConfig::default());
         assert!(
             !g.initial_divergences.is_empty(),
             "{fault:?} escaped the oracle entirely"
@@ -814,8 +745,7 @@ mod tests {
         // compile of both fixtures must stay finding-free.
         for src in [RECT, COPY] {
             let p = compile(src).unwrap();
-            let g =
-                optimize_guarded(&p, &InlineConfig::default(), &FirewallConfig::default()).unwrap();
+            let g = guarded(&p, &InlineConfig::default(), &FirewallConfig::default());
             assert!(g.is_equivalent(), "{:?}", g.divergences);
             assert!(
                 g.initial_divergences.is_empty(),
@@ -839,7 +769,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let g = optimize_guarded(&p, &InlineConfig::default(), &fw).unwrap();
+        let g = guarded(&p, &InlineConfig::default(), &fw);
         assert!(matches!(g.baseline_run, Err(VmError::InstructionLimit)));
         assert!(g.is_equivalent(), "{:?}", g.divergences);
         assert!(g.initial_divergences.is_empty());
@@ -881,7 +811,7 @@ mod tests {
                 vm: cfg,
                 ..Default::default()
             };
-            let g = optimize_guarded(&p, &InlineConfig::default(), &fw).unwrap();
+            let g = guarded(&p, &InlineConfig::default(), &fw);
             assert!(
                 g.baseline_run
                     .as_ref()

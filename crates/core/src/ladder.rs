@@ -21,13 +21,13 @@
 //! divergences that retraction could not repair within the firewall's
 //! retraction budget. Resource-budget exhaustion is *not* a descent
 //! trigger: the analysis freezes and completes soundly (see
-//! [`oi_analysis::try_analyze_budgeted`]), so the tier's result stays
+//! [`oi_analysis::try_analyze`]), so the tier's result stays
 //! usable and is merely flagged degraded. Should even `inlining-off` fail,
 //! the ladder ships the input program verbatim (`identity`) — no input can
 //! make [`optimize_with_ladder`] fail.
 
-use crate::firewall::{optimize_guarded_budgeted, FirewallConfig};
-use crate::pipeline::{try_baseline_budgeted, try_optimize_budgeted, InlineConfig, Optimized};
+use crate::firewall::{optimize_guarded, FirewallConfig};
+use crate::pipeline::{try_baseline, try_optimize, InlineConfig, Optimized};
 use crate::report::{EffectivenessReport, ProvenanceStep};
 use oi_ir::Program;
 use oi_support::panic::contained;
@@ -258,18 +258,16 @@ fn attempt_tier(
     budget: &Budget,
 ) -> Result<Optimized, String> {
     match tier {
-        Tier::InliningOff => {
-            match contained(|| try_baseline_budgeted(program, &config.inline.opt, budget)) {
-                Ok(Ok(p)) => Ok(Optimized {
-                    program: p,
-                    report: EffectivenessReport::default(),
-                    passes: 0,
-                    decisions: Vec::new(),
-                }),
-                Ok(Err(e)) => Err(format!("pipeline error: {e}")),
-                Err(panic_msg) => Err(format!("panic: {panic_msg}")),
-            }
-        }
+        Tier::InliningOff => match contained(|| try_baseline(program, budget)) {
+            Ok(Ok(p)) => Ok(Optimized {
+                program: p,
+                report: EffectivenessReport::default(),
+                passes: 0,
+                decisions: Vec::new(),
+            }),
+            Ok(Err(e)) => Err(format!("pipeline error: {e}")),
+            Err(panic_msg) => Err(format!("panic: {panic_msg}")),
+        },
         Tier::GuardedFull | Tier::ReducedPrecision => {
             let inline = if tier == Tier::ReducedPrecision {
                 reduced_precision_config(&config.inline)
@@ -277,9 +275,7 @@ fn attempt_tier(
                 config.inline
             };
             if config.oracle {
-                match contained(|| {
-                    optimize_guarded_budgeted(program, &inline, &config.firewall, budget)
-                }) {
+                match contained(|| optimize_guarded(program, &inline, &config.firewall, budget)) {
                     Ok(Ok(g)) if g.is_equivalent() => Ok(g.optimized),
                     Ok(Ok(g)) => Err(format!(
                         "oracle rejection unrepaired after {} retraction(s): {}",
@@ -292,9 +288,7 @@ fn attempt_tier(
                     Err(panic_msg) => Err(format!("panic: {panic_msg}")),
                 }
             } else {
-                match contained(|| {
-                    try_optimize_budgeted(program, &inline, &BTreeSet::new(), budget)
-                }) {
+                match contained(|| try_optimize(program, &inline, &BTreeSet::new(), budget)) {
                     Ok(Ok(o)) => Ok(o),
                     Ok(Err(e)) => Err(format!("pipeline error: {e}")),
                     Err(panic_msg) => Err(format!("panic: {panic_msg}")),
@@ -307,7 +301,7 @@ fn attempt_tier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::firewall::Fault;
+    use crate::fault::Fault;
     use oi_ir::lower::compile;
     use oi_vm::{run, VmConfig};
 
@@ -396,12 +390,12 @@ mod tests {
         let p = compile(src).unwrap();
         let mut config = LadderConfig {
             firewall: FirewallConfig {
-                fault: Some(Fault::CompactFirstLayoutSlots),
                 max_retractions: 0,
                 ..Default::default()
             },
             ..Default::default()
         };
+        config.inline.fault = Some(Fault::CompactFirstLayoutSlots);
         config.inline.analysis.max_contours_per_method = 4;
         let budget = Budget::unlimited();
         let out = optimize_with_ladder(&p, &config, &budget);

@@ -65,9 +65,7 @@ pub mod usespec;
 pub use cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey, CacheStats};
 pub use decision::{InlinePlan, PlanEntry};
 pub use fault::{Fault, IoFault};
-pub use firewall::{
-    optimize_guarded, optimize_guarded_budgeted, Divergence, FirewallConfig, Guarded,
-};
+pub use firewall::{optimize_guarded, Divergence, FirewallConfig, Guarded};
 pub use ladder::{optimize_with_ladder, LadderConfig, LadderOutcome, Tier};
 pub use pipeline::{baseline, optimize, InlineConfig, Optimized};
 pub use report::EffectivenessReport;

@@ -9,13 +9,14 @@
 //! [`baseline`] is "Concert without object inlining": the same analysis
 //! framework (without tag sensitivity), devirtualization and cleanups, but
 //! no inline allocation. Figure 17 normalizes against it.
+//!
+//! Each has one fallible form, [`try_optimize`] and [`try_baseline`], that
+//! takes a resource [`Budget`]; the panicking forms run unbudgeted.
 
-use crate::decision::{
-    array_decision_key, decide_denying, field_decision_key, DecisionConfig, InlinePlan,
-};
+use crate::decision::{array_decision_key, decide, field_decision_key, InlinePlan};
 use crate::report::EffectivenessReport;
-use oi_analysis::{try_analyze_budgeted, AnalysisConfig, AnalysisResult};
-use oi_ir::opt::{optimize as run_opts, OptConfig};
+use oi_analysis::{try_analyze, AnalysisConfig, AnalysisResult};
+use oi_ir::opt::optimize as run_opts;
 use oi_ir::{ArrayLayoutKind, Program};
 use oi_support::trace::{self, kv};
 use oi_support::{Budget, OiError};
@@ -67,6 +68,17 @@ fn staged<T>(name: &str, p: &mut Program, f: impl FnOnce(&mut Program) -> T) -> 
     out
 }
 
+/// Maximum transformation passes (nested inlining depth + 1).
+const MAX_PASSES: usize = 3;
+
+/// The post-pass cleanup configuration. It has no settings: the cleanup
+/// thresholds are constants of [`oi_ir::opt`]. The type and
+/// [`InlineConfig::opt`] remain only so callers of
+/// `baseline(&program, &config.opt)`, the `perfbench/` benchmark among
+/// them, keep compiling.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OptConfig;
+
 /// Configuration for the full object-inlining pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct InlineConfig {
@@ -79,17 +91,14 @@ pub struct InlineConfig {
     pub array_layout: ArrayLayoutKind,
     /// Verify the aliasing-safety of stores (disable only for ablation).
     pub check_assignments: bool,
-    /// Maximum transformation passes (nested inlining depth + 1).
-    pub max_passes: usize,
-    /// Post-pass cleanup configuration.
+    /// Post-pass cleanup configuration (no settings; see [`OptConfig`]).
     pub opt: OptConfig,
     /// Analysis sensitivity knobs.
     pub analysis: AnalysisConfig,
-    /// Rewrite-pass fault injection (`None` in production): applied inside
-    /// [`crate::rewrite::apply`] so the injected bug lives exactly where a
-    /// real use-redirection or assignment-specialization bug would. The
-    /// firewall sets this from its own fault knob; see
-    /// [`crate::fault::Fault`].
+    /// Test-only fault injection (`None` in production); see
+    /// [`crate::fault::Fault`]. Pass faults fire inside the pass they
+    /// model, so the injected bug lives exactly where a real one would;
+    /// layout faults corrupt the finished program.
     pub fault: Option<crate::fault::Fault>,
 }
 
@@ -100,8 +109,7 @@ impl Default for InlineConfig {
             array_elements: true,
             array_layout: ArrayLayoutKind::Interleaved,
             check_assignments: true,
-            max_passes: 3,
-            opt: OptConfig::default(),
+            opt: OptConfig,
             analysis: AnalysisConfig::default(),
             fault: None,
         }
@@ -123,62 +131,39 @@ pub struct Optimized {
     pub decisions: Vec<String>,
 }
 
-/// Runs the full object-inlining pipeline on a copy of `program`.
+/// Runs the full object-inlining pipeline on a copy of `program`, with no
+/// denylist and an unlimited budget.
 ///
 /// # Panics
 ///
 /// Panics if the transformation produces IR that fails verification — a
 /// bug in the transformation, not a property of the input. Callers that
 /// must survive such bugs (the soundness firewall, the fuzz harness) use
-/// [`try_optimize`] / [`try_optimize_denying`] instead.
+/// [`try_optimize`] instead.
 pub fn optimize(program: &Program, config: &InlineConfig) -> Optimized {
-    match try_optimize(program, config) {
+    match try_optimize(program, config, &BTreeSet::new(), &Budget::unlimited()) {
         Ok(o) => o,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Non-panicking [`optimize`].
+/// Non-panicking [`optimize`] with a firewall denylist, under a resource
+/// [`Budget`] shared by every analysis pass.
 ///
-/// # Errors
-///
-/// Returns [`PipelineError`] when a transformation pass produces IR that
-/// fails verification (analysis-resource exhaustion degrades the result
-/// instead of failing — see [`try_optimize_budgeted`]).
-pub fn try_optimize(program: &Program, config: &InlineConfig) -> Result<Optimized, PipelineError> {
-    try_optimize_denying(program, config, &BTreeSet::new())
-}
-
-/// [`try_optimize`] with a firewall denylist: decisions named in `denied`
-/// (see [`field_decision_key`] / [`array_decision_key`]) are withdrawn
-/// from every pass and recorded as rule-5 retractions in the report.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] when the analysis diverges or a
-/// transformation pass produces IR that fails verification; the error
-/// carries the decision keys applied so far so the caller can bisect.
-pub fn try_optimize_denying(
-    program: &Program,
-    config: &InlineConfig,
-    denied: &BTreeSet<String>,
-) -> Result<Optimized, PipelineError> {
-    let budget = Budget::unlimited();
-    try_optimize_budgeted(program, config, denied, &budget)
-}
-
-/// [`try_optimize_denying`] under a resource [`Budget`] shared by every
-/// analysis pass. Budget exhaustion never fails the pipeline: the analysis
-/// freezes and completes with globally widened contours, the result is
-/// marked [`EffectivenessReport::degraded`], and a `budget-exhausted`
-/// provenance step names the exhausted dimension.
+/// Decisions named in `denied` (see [`field_decision_key`] /
+/// [`array_decision_key`]) are withdrawn from every pass and recorded as
+/// rule-5 retractions in the report's provenance. Budget exhaustion never
+/// fails the pipeline: the analysis freezes and completes with globally
+/// widened contours, the result is marked
+/// [`EffectivenessReport::degraded`], and a `budget-exhausted` provenance
+/// step names the exhausted dimension.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError`] when a transformation pass produces IR that
 /// fails verification (carrying the decision keys applied so far for
 /// bisection), or on an internal analysis bug.
-pub fn try_optimize_budgeted(
+pub fn try_optimize(
     program: &Program,
     config: &InlineConfig,
     denied: &BTreeSet<String>,
@@ -190,23 +175,16 @@ pub fn try_optimize_budgeted(
     report.ideal = ideal;
     report.cxx = cxx;
 
-    let decision_config = DecisionConfig {
-        object_fields: config.object_fields,
-        array_elements: config.array_elements,
-        array_layout: config.array_layout,
-        check_assignments: config.check_assignments,
-    };
-
     let mut passes = 0;
     let mut inlined_fields: BTreeSet<String> = Default::default();
     let mut decisions: Vec<String> = Vec::new();
     let mut first_pass_total = None;
     let mut devirt_faulted = false;
-    for pass in 0..config.max_passes.max(1) {
+    for pass in 0..MAX_PASSES {
         let _pass_span = trace::span_with("pipeline.pass", vec![kv("pass", pass)]);
         let result = {
             let _s = trace::span("pipeline.analyze");
-            try_analyze_budgeted(&p, &config.analysis, budget).map_err(PipelineError::Analysis)?
+            try_analyze(&p, &config.analysis, budget).map_err(PipelineError::Analysis)?
         };
         note_degraded(&result, &mut report, pass);
         if first_pass_total.is_none() {
@@ -214,7 +192,7 @@ pub fn try_optimize_budgeted(
         }
         let mut plan: InlinePlan = {
             let _s = trace::span("pipeline.decide");
-            decide_denying(&p, &result, &decision_config, denied)
+            decide(&p, &result, config, denied)
         };
         if trace::is_enabled() {
             trace::event(
@@ -234,16 +212,13 @@ pub fn try_optimize_budgeted(
         staged("pipeline.devirt", &mut p, |p| {
             crate::devirt::devirtualize(p, &result)
         });
-        let has_new_work = !plan.entries.is_empty()
-            || plan.array_sites.values().any(|a| !a.pre_existing)
-            || plan.array_sites.values().any(|a| a.pre_existing);
-        if !has_new_work
-            || (plan.entries.is_empty()
-                && plan.array_sites.values().all(|a| a.pre_existing)
-                && pass + 1 >= config.max_passes.max(1))
-        {
+        // Stop on an empty plan, or on the last pass when the plan only
+        // revisits array sites an earlier pass already inlined.
+        let only_pre_existing =
+            plan.entries.is_empty() && plan.array_sites.values().all(|a| a.pre_existing);
+        if plan.is_empty() || (only_pre_existing && pass + 1 == MAX_PASSES) {
             record_rejections(&p, &plan, &mut report, pass);
-            staged("pipeline.cleanup", &mut p, |p| run_opts(p, &config.opt));
+            staged("pipeline.cleanup", &mut p, run_opts);
             break;
         }
         for e in &plan.entries {
@@ -285,7 +260,7 @@ pub fn try_optimize_budgeted(
             let _s = trace::span("pipeline.verify");
             verified(&p, "transform", &decisions)?;
         }
-        staged("pipeline.cleanup", &mut p, |p| run_opts(p, &config.opt));
+        staged("pipeline.cleanup", &mut p, run_opts);
         passes = pass + 1;
     }
     // A final devirtualization round: inlining exposes monomorphic sends on
@@ -294,26 +269,20 @@ pub fn try_optimize_budgeted(
         let _s = trace::span("pipeline.finalize");
         let result = {
             let _s = trace::span("pipeline.analyze");
-            try_analyze_budgeted(&p, &config.analysis, budget).map_err(PipelineError::Analysis)?
+            try_analyze(&p, &config.analysis, budget).map_err(PipelineError::Analysis)?
         };
         note_degraded(&result, &mut report, passes);
         staged("pipeline.devirt", &mut p, |p| {
             crate::devirt::devirtualize(p, &result)
         });
-        staged("pipeline.cleanup", &mut p, |p| run_opts(p, &config.opt));
+        staged("pipeline.cleanup", &mut p, run_opts);
         let _v = trace::span("pipeline.verify");
         verified(&p, "finalize", &decisions)?;
     }
+    crate::fault::corrupt_layouts(&mut p, config.fault);
 
     report.total_object_fields = first_pass_total.unwrap_or(0);
     report.fields_inlined = inlined_fields.len();
-    report.retractions = report
-        .provenance
-        .iter()
-        .filter(|s| s.code == "retracted")
-        .map(|s| s.field.as_str())
-        .collect::<BTreeSet<_>>()
-        .len();
     Ok(Optimized {
         program: p,
         report,
@@ -354,54 +323,40 @@ fn verified(p: &Program, stage: &'static str, decisions: &[String]) -> Result<()
 }
 
 /// The comparison configuration: identical analysis framework and cleanups,
-/// no object inlining.
+/// no object inlining, unlimited budget. The [`OptConfig`] has no
+/// settings.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline produces IR that fails verification; see
 /// [`try_baseline`] for the non-panicking form.
-pub fn baseline(program: &Program, opt: &OptConfig) -> Program {
-    match try_baseline(program, opt) {
+pub fn baseline(program: &Program, _opt: &OptConfig) -> Program {
+    match try_baseline(program, &Budget::unlimited()) {
         Ok(p) => p,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Non-panicking [`baseline`].
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] when the analysis diverges or the cleaned-up
-/// program fails verification.
-pub fn try_baseline(program: &Program, opt: &OptConfig) -> Result<Program, PipelineError> {
-    let budget = Budget::unlimited();
-    try_baseline_budgeted(program, opt, &budget)
-}
-
-/// [`try_baseline`] under a resource [`Budget`]; exhaustion degrades the
-/// analysis (coarser devirtualization) instead of failing.
+/// Non-panicking [`baseline`] under a resource [`Budget`]; exhaustion
+/// degrades the analysis (coarser devirtualization) instead of failing.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError`] when the cleaned-up program fails
 /// verification or on an internal analysis bug.
-pub fn try_baseline_budgeted(
-    program: &Program,
-    opt: &OptConfig,
-    budget: &Budget,
-) -> Result<Program, PipelineError> {
+pub fn try_baseline(program: &Program, budget: &Budget) -> Result<Program, PipelineError> {
     let mut p = program.clone();
     for round in 0..2usize {
         let _s = trace::span_with("pipeline.baseline_round", vec![kv("round", round)]);
         let result = {
             let _s = trace::span("pipeline.analyze");
-            try_analyze_budgeted(&p, &AnalysisConfig::without_tags(), budget)
+            try_analyze(&p, &AnalysisConfig::without_tags(), budget)
                 .map_err(PipelineError::Analysis)?
         };
         staged("pipeline.devirt", &mut p, |p| {
             crate::devirt::devirtualize(p, &result)
         });
-        staged("pipeline.cleanup", &mut p, |p| run_opts(p, opt));
+        staged("pipeline.cleanup", &mut p, run_opts);
     }
     verified(&p, "baseline", &[])?;
     Ok(p)
@@ -492,7 +447,7 @@ mod tests {
     #[test]
     fn optimize_preserves_output_and_reduces_memory_traffic() {
         let p = compile(RECT_PROGRAM).unwrap();
-        let base = baseline(&p, &OptConfig::default());
+        let base = baseline(&p, &OptConfig);
         let opt = optimize(&p, &InlineConfig::default());
         let base_run = run(&base, &VmConfig::default()).unwrap();
         let opt_run = run(&opt.program, &VmConfig::default()).unwrap();
@@ -551,7 +506,7 @@ mod tests {
               print sum(l);
             }";
         let p = compile(src).unwrap();
-        let base = baseline(&p, &OptConfig::default());
+        let base = baseline(&p, &OptConfig);
         let opt = optimize(&p, &InlineConfig::default());
         assert_eq!(
             run(&base, &VmConfig::default()).unwrap().output,

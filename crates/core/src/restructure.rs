@@ -165,9 +165,11 @@ pub fn apply(program: &mut Program, plan: &mut InlinePlan) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::{decide, DecisionConfig};
+    use crate::decision::decide;
+    use crate::pipeline::InlineConfig;
     use oi_analysis::{analyze, AnalysisConfig};
     use oi_ir::lower::compile;
+    use std::collections::BTreeSet;
 
     #[test]
     fn uniform_restructure_replaces_and_appends() {
@@ -186,7 +188,7 @@ mod tests {
         )
         .unwrap();
         let r = analyze(&p, &AnalysisConfig::default());
-        let mut plan = decide(&p, &r, &DecisionConfig::default());
+        let mut plan = decide(&p, &r, &InlineConfig::default(), &BTreeSet::new());
         assert_eq!(plan.entries.len(), 2);
         apply(&mut p, &mut plan);
 
@@ -234,7 +236,7 @@ mod tests {
         )
         .unwrap();
         let r = analyze(&p, &AnalysisConfig::default());
-        let mut plan = decide(&p, &r, &DecisionConfig::default());
+        let mut plan = decide(&p, &r, &InlineConfig::default(), &BTreeSet::new());
         assert_eq!(plan.entries.len(), 2, "rejected: {:?}", plan.rejected);
         apply(&mut p, &mut plan);
 

@@ -449,14 +449,16 @@ fn fresh_temp(program: &mut Program, mid: MethodId) -> Temp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::{decide, DecisionConfig};
+    use crate::decision::decide;
+    use crate::pipeline::InlineConfig;
     use oi_analysis::{analyze, AnalysisConfig};
     use oi_ir::lower::compile;
+    use std::collections::BTreeSet;
 
     fn transform(src: &str) -> (Program, RewriteStats) {
         let mut p = compile(src).unwrap();
         let r = analyze(&p, &AnalysisConfig::default());
-        let mut plan = decide(&p, &r, &DecisionConfig::default());
+        let mut plan = decide(&p, &r, &InlineConfig::default(), &BTreeSet::new());
         crate::restructure::apply(&mut p, &mut plan);
         let stats = apply(&mut p, &r, &plan, None);
         oi_ir::verify::verify(&p).unwrap();

@@ -4,12 +4,11 @@
 //! inline-array stores.
 
 use oi_core::pipeline::{baseline, optimize, InlineConfig};
-use oi_ir::opt::OptConfig;
 use oi_vm::{run, VmConfig};
 
 fn check(source: &str) -> (oi_vm::Metrics, oi_vm::Metrics) {
     let program = oi_ir::lower::compile(source).unwrap();
-    let base = baseline(&program, &OptConfig::default());
+    let base = baseline(&program, &Default::default());
     let opt = optimize(&program, &InlineConfig::default());
     let b = run(&base, &VmConfig::default()).unwrap();
     let o = run(&opt.program, &VmConfig::default()).unwrap();
@@ -218,7 +217,7 @@ fn partially_covered_divergent_hierarchy_is_demoted() {
         opt.report.outcomes
     );
     let base = run(
-        &baseline(&program, &OptConfig::default()),
+        &baseline(&program, &Default::default()),
         &VmConfig::default(),
     )
     .unwrap();

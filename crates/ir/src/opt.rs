@@ -14,7 +14,7 @@
 //! - [`simplify_cfg`]: folds constant branches, merges straight-line blocks
 //!   and drops unreachable ones.
 //!
-//! [`optimize`] runs them to a fixpoint under an [`OptConfig`].
+//! [`optimize`] runs them to a fixpoint.
 
 use crate::cfg;
 use crate::instr::{ConstValue, Instr, Terminator};
@@ -22,52 +22,20 @@ use crate::program::{Block, BlockId, Method, MethodId, Program, Temp};
 use oi_support::IdxVec;
 use std::collections::{HashMap, HashSet};
 
-/// Tuning knobs for [`optimize`].
-#[derive(Clone, Copy, Debug)]
-pub struct OptConfig {
-    /// Inline `CallStatic` callees with at most this many instructions.
-    pub inline_threshold: usize,
-    /// Upper bound on inlining rounds per method (bounds code growth and
-    /// guards against mutual recursion blowup).
-    pub max_inline_rounds: usize,
-    /// Whether to run method inlining at all.
-    pub enable_inlining: bool,
-    /// Whether to remove dead allocations with effect-free constructors.
-    pub enable_dead_alloc_removal: bool,
-    /// Explode `new C(args)` into a raw allocation plus an explicit
-    /// constructor call when the constructor is small — this is what lets
-    /// inlining + store forwarding scalar-replace non-escaping temporaries
-    /// (the register caching of object state the paper attributes to
-    /// inline allocation and specialization).
-    pub enable_ctor_explosion: bool,
-    /// Only explode constructors with at most this many instructions.
-    pub explode_threshold: usize,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        Self {
-            inline_threshold: 40,
-            max_inline_rounds: 4,
-            enable_inlining: true,
-            enable_dead_alloc_removal: true,
-            enable_ctor_explosion: true,
-            explode_threshold: 48,
-        }
-    }
-}
+/// Inline `CallStatic` callees with at most this many instructions.
+const INLINE_THRESHOLD: usize = 40;
+/// Upper bound on inlining rounds (bounds code growth and guards against
+/// mutual recursion blowup).
+const MAX_INLINE_ROUNDS: usize = 4;
+/// Only explode constructors with at most this many instructions.
+const EXPLODE_THRESHOLD: usize = 48;
 
 /// Runs the full cleanup pipeline over every method until nothing changes
-/// (bounded by `config.max_inline_rounds` rounds of inlining).
-pub fn optimize(program: &mut Program, config: &OptConfig) {
-    for _ in 0..config.max_inline_rounds {
-        let mut changed = false;
-        if config.enable_ctor_explosion {
-            changed |= explode_constructors(program, config);
-        }
-        if config.enable_inlining {
-            changed |= inline_methods(program, config);
-        }
+/// (bounded by a fixed number of inlining rounds).
+pub fn optimize(program: &mut Program) {
+    for _ in 0..MAX_INLINE_ROUNDS {
+        let mut changed = explode_constructors(program);
+        changed |= inline_methods(program);
         let implicit_ctor = classes_with_implicit_ctor(program);
         for mid in program.methods.ids().collect::<Vec<_>>() {
             loop {
@@ -76,7 +44,7 @@ pub fn optimize(program: &mut Program, config: &OptConfig) {
                 local |= forward_stores(&mut program.methods[mid], &implicit_ctor);
                 local |= eliminate_dead_objects(&mut program.methods[mid], &implicit_ctor);
                 local |= simplify_cfg(&mut program.methods[mid]);
-                local |= eliminate_dead_code(program, mid, config);
+                local |= eliminate_dead_code(program, mid);
                 changed |= local;
                 if !local {
                     break;
@@ -94,7 +62,7 @@ pub fn optimize(program: &mut Program, config: &OptConfig) {
 // ---------------------------------------------------------------------------
 
 /// Inlines eligible `CallStatic` calls. Returns `true` if anything changed.
-pub fn inline_methods(program: &mut Program, config: &OptConfig) -> bool {
+pub fn inline_methods(program: &mut Program) -> bool {
     let mut changed = false;
     let method_ids: Vec<MethodId> = program.methods.ids().collect();
     for caller in method_ids {
@@ -102,7 +70,7 @@ pub fn inline_methods(program: &mut Program, config: &OptConfig) -> bool {
         let mut budget = 32;
         while budget > 0 {
             budget -= 1;
-            let Some((bb, idx, callee)) = find_inline_candidate(program, caller, config) else {
+            let Some((bb, idx, callee)) = find_inline_candidate(program, caller) else {
                 break;
             };
             splice_call(program, caller, bb, idx, callee);
@@ -115,7 +83,6 @@ pub fn inline_methods(program: &mut Program, config: &OptConfig) -> bool {
 fn find_inline_candidate(
     program: &Program,
     caller: MethodId,
-    config: &OptConfig,
 ) -> Option<(BlockId, usize, MethodId)> {
     let method = &program.methods[caller];
     for (bb, block) in method.blocks.iter_enumerated() {
@@ -125,7 +92,7 @@ fn find_inline_candidate(
                 if callee == caller {
                     continue;
                 }
-                if program.methods[callee].instr_count() > config.inline_threshold {
+                if program.methods[callee].instr_count() > INLINE_THRESHOLD {
                     continue;
                 }
                 if can_reach(program, callee, caller) {
@@ -582,7 +549,7 @@ pub fn classes_with_implicit_ctor(program: &Program) -> HashSet<crate::program::
 /// `dst = new C[]` followed by `init(dst, args)`, exposing the constructor
 /// to method inlining and the allocation to scalar replacement. Returns
 /// `true` on change.
-pub fn explode_constructors(program: &mut Program, config: &OptConfig) -> bool {
+pub fn explode_constructors(program: &mut Program) -> bool {
     let Some(init_sym) = program.interner.get("init") else {
         return false;
     };
@@ -603,7 +570,7 @@ pub fn explode_constructors(program: &mut Program, config: &OptConfig) -> bool {
                     if !args.is_empty() {
                         if let Some(init) = program.lookup_method(*class, init_sym) {
                             if program.methods[init].param_count as usize == args.len()
-                                && program.methods[init].instr_count() <= config.explode_threshold
+                                && program.methods[init].instr_count() <= EXPLODE_THRESHOLD
                             {
                                 let (dst, class, args, site) = (*dst, *class, args.clone(), *site);
                                 let ret = Temp::new(program.methods[mid].temp_count as usize);
@@ -777,15 +744,14 @@ pub fn eliminate_dead_objects(
 // Dead code elimination
 // ---------------------------------------------------------------------------
 
-/// Removes pure instructions whose results are unused; with
-/// `config.enable_dead_alloc_removal`, also removes `new C(...)`
+/// Removes pure instructions whose results are unused, and `new C(...)`
 /// instructions whose result is unused when `C`'s constructor is
 /// effect-free. Returns `true` on change.
 ///
 /// Each round marks the used temps, decides every removal against that
 /// marking, and applies them with one `retain` per block; rounds repeat
 /// while removals expose more dead values.
-pub fn eliminate_dead_code(program: &mut Program, mid: MethodId, config: &OptConfig) -> bool {
+pub fn eliminate_dead_code(program: &mut Program, mid: MethodId) -> bool {
     let init_sym = program.interner.get("init");
     let mut used: Vec<bool> = Vec::new();
     let mut uses = Vec::new();
@@ -819,8 +785,7 @@ pub fn eliminate_dead_code(program: &mut Program, mid: MethodId, config: &OptCon
                 }
                 instr.is_pure()
                     || matches!(instr, Instr::New { class, .. }
-                        if config.enable_dead_alloc_removal
-                            && ctor_is_effect_free(program, init_sym, *class))
+                        if ctor_is_effect_free(program, init_sym, *class))
             }));
         }
         if !dead.contains(&true) {
@@ -1210,7 +1175,7 @@ mod tests {
              fn main() { print add(1, 2); }",
         )
         .unwrap();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         crate::verify::verify(&p).unwrap();
         let m = &p.methods[p.entry];
         let calls = m
@@ -1232,7 +1197,7 @@ mod tests {
              fn main() { print fact(5); }",
         )
         .unwrap();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         crate::verify::verify(&p).unwrap();
         // fact still exists and still calls itself.
         let fact = p.method_by_name("$Main", "fact").unwrap();
@@ -1254,10 +1219,9 @@ mod tests {
         let mut p = compile(source).unwrap();
         let entry = p.entry;
         p.methods[entry].temp_count = 0;
-        let config = OptConfig::default();
         for q in [&mut expected, &mut p] {
             assert!(copy_propagate(&mut q.methods[entry]));
-            assert!(eliminate_dead_code(q, entry, &config));
+            assert!(eliminate_dead_code(q, entry));
         }
         assert_eq!(
             format!("{:?}", p.methods[entry].blocks),
@@ -1284,7 +1248,7 @@ mod tests {
         let mut p = compile("fn main() { var unused = 1 + 2; print 3; }").unwrap();
         let entry = p.entry;
         let before = p.methods[entry].instr_count();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         let after = p.methods[entry].instr_count();
         assert!(after < before, "{before} -> {after}");
         crate::verify::verify(&p).unwrap();
@@ -1297,7 +1261,7 @@ mod tests {
              fn main() { var p = new P(1); print 2; }",
         )
         .unwrap();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         let entry = p.entry;
         let news = p.methods[entry]
             .instrs()
@@ -1314,7 +1278,7 @@ mod tests {
              fn main() { var p = new P(); print 1; }",
         )
         .unwrap();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         let entry = p.entry;
         // Either the New survives, or it was inlined — in which case the
         // print side effect must survive instead.
@@ -1335,7 +1299,7 @@ mod tests {
         let mut p = compile("fn main() { if (1 < 2) { print 1; } print 2; }").unwrap();
         let entry = p.entry;
         let before = p.methods[entry].blocks.len();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         let after = p.methods[entry].blocks.len();
         assert!(after <= before);
         crate::verify::verify(&p).unwrap();
@@ -1358,7 +1322,7 @@ mod tests {
              }",
         )
         .unwrap();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         crate::verify::verify(&p).unwrap();
     }
 
@@ -1370,7 +1334,7 @@ mod tests {
              fn main() { var c = new Cell(); c.v = 41; print c.v + 1; }",
         )
         .unwrap();
-        optimize(&mut p, &OptConfig::default());
+        optimize(&mut p);
         let entry = p.entry;
         let m = &p.methods[entry];
         let gets = m

@@ -121,7 +121,7 @@ fn optimizer_preserves_behavior() {
             )
         });
         let mut optimized = program.clone();
-        oi_ir::opt::optimize(&mut optimized, &oi_ir::opt::OptConfig::default());
+        oi_ir::opt::optimize(&mut optimized);
         oi_ir::verify::verify(&optimized)
             .unwrap_or_else(|e| panic!("seed {seed}: optimizer broke the IR: {e:?}\n{source}"));
 
@@ -148,9 +148,9 @@ fn optimizer_is_idempotent_enough() {
         let source = render(&ops);
         let program = oi_ir::lower::compile(&source).unwrap();
         let mut once = program.clone();
-        oi_ir::opt::optimize(&mut once, &oi_ir::opt::OptConfig::default());
+        oi_ir::opt::optimize(&mut once);
         let mut twice = once.clone();
-        oi_ir::opt::optimize(&mut twice, &oi_ir::opt::OptConfig::default());
+        oi_ir::opt::optimize(&mut twice);
         oi_ir::verify::verify(&twice).unwrap();
         let config = oi_vm::VmConfig::default();
         let a = oi_vm::run(&once, &config).unwrap();

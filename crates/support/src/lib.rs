@@ -20,8 +20,8 @@
 //! - [`json`]: a dependency-free JSON document model (build, print, parse),
 //! - [`metrics`]: a service-metrics registry (counters, gauges, latency
 //!   histograms) exported as schema-stable `oi.metrics.v1`,
-//! - [`panic`]: panic containment (`catch_unwind` + hook silencing) for
-//!   drivers that survive hostile jobs,
+//! - [`panic`](mod@panic): panic containment (`catch_unwind` + hook
+//!   silencing) for drivers that survive hostile jobs,
 //! - [`trace`]: the `oi-trace` observability layer (spans, events,
 //!   counters, and pluggable sinks selected via `OIC_TRACE`),
 //! - [`rng`]: a seedable xorshift PRNG for synthetic workloads and

@@ -585,9 +585,6 @@ struct VmState {
     tables: RunTables,
     frames: Vec<Frame>,
     instr_budget: u64,
-    alloc_census: Vec<u64>,
-    array_census: u64,
-    inline_array_census: u64,
     profile: Option<ProfileState>,
     sanitizer: Option<Sanitizer>,
     mstack: Vec<MethodId>,
@@ -608,9 +605,6 @@ struct Vm<'p> {
     /// Explicit call stack; its length is the interpreter call depth.
     frames: Vec<Frame>,
     instr_budget: u64,
-    alloc_census: Vec<u64>,
-    array_census: u64,
-    inline_array_census: u64,
     /// Raw profiling counters (`Some` iff `config.profile`).
     profile: Option<ProfileState>,
     /// Shadow-heap sanitizer (`Some` iff `config.checked` is not `Off`).
@@ -636,9 +630,6 @@ impl<'p> Vm<'p> {
             tables: RunTables::new(program),
             frames: Vec::new(),
             instr_budget: config.max_instructions,
-            alloc_census: vec![0; program.classes.len()],
-            array_census: 0,
-            inline_array_census: 0,
             profile: config.profile.then(|| ProfileState {
                 method_calls: vec![0; program.methods.len()],
                 method_cycles: vec![0; program.methods.len()],
@@ -672,9 +663,6 @@ impl<'p> Vm<'p> {
             tables: st.tables,
             frames: st.frames,
             instr_budget: st.instr_budget,
-            alloc_census: st.alloc_census,
-            array_census: st.array_census,
-            inline_array_census: st.inline_array_census,
             profile: st.profile,
             sanitizer: st.sanitizer,
             mstack: st.mstack,
@@ -693,9 +681,6 @@ impl<'p> Vm<'p> {
             tables: self.tables,
             frames: self.frames,
             instr_budget: self.instr_budget,
-            alloc_census: self.alloc_census,
-            array_census: self.array_census,
-            inline_array_census: self.inline_array_census,
             profile: self.profile,
             sanitizer: self.sanitizer,
             mstack: self.mstack,
@@ -706,28 +691,18 @@ impl<'p> Vm<'p> {
     /// Consumes a completed interpreter into its [`RunResult`].
     fn finish(mut self) -> RunResult {
         let program = self.program;
-        let mut census: Vec<(String, u64)> = Vec::new();
-        for (c, &n) in self.alloc_census.iter().enumerate() {
-            if n > 0 {
-                let name = program
-                    .interner
-                    .resolve(program.classes[oi_ir::ClassId::new(c)].name)
-                    .to_owned();
-                census.push((name, n));
-            }
-        }
-        if self.array_census > 0 {
-            census.push(("<array>".to_owned(), self.array_census));
-        }
-        if self.inline_array_census > 0 {
-            census.push(("<array-inline>".to_owned(), self.inline_array_census));
-        }
-        census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let profile = self
             .profile
             .take()
             .map(|state| build_profile(program, &state));
+        // The heap never frees, so its census counts every allocation.
         let heap_census = HeapCensusReport::resolve(&self.heap.census(), program);
+        let mut census: Vec<(String, u64)> = heap_census
+            .classes
+            .iter()
+            .map(|e| (e.class.clone(), e.count))
+            .collect();
+        census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let sanitizer = self.sanitizer.take().map(Sanitizer::into_report);
         RunResult {
             output: self.output,
@@ -1088,7 +1063,6 @@ impl<'p> Vm<'p> {
         // Use the heap's effective (clamped) overhead so `words_allocated`
         // in the metrics agrees with the bump allocator's own accounting.
         let overhead = self.heap.header_words();
-        self.alloc_census[class.index()] += 1;
         self.metrics.allocations += 1;
         self.metrics.words_allocated += size as u64 + overhead;
         self.profile_alloc(site, size as u64 + overhead);
@@ -1144,10 +1118,6 @@ impl<'p> Vm<'p> {
 
     fn alloc_array(&mut self, kind: ObjKind, slots: usize, site: SiteId) -> Result<ObjId, VmError> {
         let id = self.heap.alloc(kind, slots)?;
-        match kind {
-            ObjKind::ArrayInline { .. } => self.inline_array_census += 1,
-            _ => self.array_census += 1,
-        }
         let overhead = self.heap.header_words();
         self.metrics.allocations += 1;
         self.metrics.words_allocated += slots as u64 + overhead;
@@ -2207,22 +2177,56 @@ mod census_tests {
 
     #[test]
     fn census_counts_by_class() {
-        let p = compile(
-            "class A { } class B { }
+        let mut p = compile(
+            "class A { field x; } class B { }
              fn main() {
                var x = new A(); var y = new A(); var z = new B();
-               var arr = array(3);
+               var arr = array(3); var elems = array(2);
                print 1;
              }",
         )
         .unwrap();
+        // Make the second array an inline array of `A`s, as the
+        // transformation would.
+        let layout = p.layouts.push(oi_ir::InlineLayout {
+            child_class: p.class_by_name("A").unwrap(),
+            child_fields: vec![p.interner.get("x").unwrap()],
+            slots: vec![],
+            array_kind: Some(oi_ir::ArrayLayoutKind::Interleaved),
+        });
+        let entry = p.entry;
+        let second = p.methods[entry]
+            .blocks
+            .iter_mut()
+            .flat_map(|b| b.instrs.iter_mut())
+            .filter(|i| matches!(i, Instr::NewArray { .. }))
+            .nth(1)
+            .unwrap();
+        if let Instr::NewArray { dst, len, site } = *second {
+            *second = Instr::NewArrayInline {
+                dst,
+                len,
+                layout,
+                site,
+            };
+        }
         let r = run(&p, &VmConfig::default()).unwrap();
         assert_eq!(r.allocations_of("A"), 2);
         assert_eq!(r.allocations_of("B"), 1);
         assert_eq!(r.allocations_of("<array>"), 1);
+        assert_eq!(r.allocations_of("<array-inline>"), 1);
         assert_eq!(r.allocations_of("Nope"), 0);
         // Census is sorted by descending count.
         assert!(r.allocation_census.windows(2).all(|w| w[0].1 >= w[1].1));
+        // It counts the same groups as the heap census.
+        let mut groups: Vec<(String, u64)> = r
+            .heap_census
+            .classes
+            .iter()
+            .map(|e| (e.class.clone(), e.count))
+            .collect();
+        groups.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        assert_eq!(r.allocation_census, groups);
     }
 
     #[test]
