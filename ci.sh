@@ -25,6 +25,9 @@ echo "==> perfbench build (the benchmark compiles against this tree)"
 # those APIs into a CI failure instead of a failed benchmark run.
 cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
+echo "==> perfbench tests (the benchmark's own oracle and statistics)"
+cargo test --release --locked --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
@@ -49,9 +52,9 @@ echo "==> bench-smoke (snapshot + noise-aware regression gate)"
 # statistical wall gate with --wall-advisory. The same-machine gate is
 # exercised by the wall-stability step below.
 cargo build --release -q -p oi-bench --bins
-OI_BENCH_SAMPLES=2 target/release/oi-bench snapshot --size small --out target/bench_smoke_small.json
+target/release/oi-bench snapshot --size small --samples 2 --out target/bench_smoke_small.json
 target/release/oi-bench compare BENCH_baseline_small.json target/bench_smoke_small.json --wall-advisory
-OI_BENCH_SAMPLES=2 target/release/oi-bench snapshot --size default --out target/bench_smoke_default.json
+target/release/oi-bench snapshot --size default --samples 2 --out target/bench_smoke_default.json
 target/release/oi-bench compare BENCH_baseline.json target/bench_smoke_default.json --wall-advisory
 
 echo "==> prof-smoke (hierarchical profiler end to end)"
@@ -70,8 +73,9 @@ fi
 
 echo "==> wall-stability (statistically gated wall-clock, same tree)"
 # Two back-to-back snapshots of the identical build must compare clean
-# with the full wall-clock gate armed: the noise-calibrated threshold
-# has to absorb same-machine run-to-run jitter. A regression here means
+# with the full wall-clock gate armed on every layer (compile, baseline
+# run, inlined run): the noise-calibrated threshold has to absorb
+# same-machine run-to-run jitter. A regression here means
 # the noise model is underestimating the floor.
 target/release/oi-bench snapshot --size small --samples 5 --out target/wall_a.json
 target/release/oi-bench snapshot --size small --samples 5 --out target/wall_b.json

@@ -6,7 +6,7 @@
 
 use crate::contour::MCtxId;
 use crate::result::AnalysisResult;
-use oi_ir::{Instr, Program};
+use oi_ir::{Instr, MethodId, Program};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Contour statistics for one analysis run.
@@ -43,29 +43,48 @@ impl ContourStats {
 /// specialization through layouts and devirtualization, but the grouping is
 /// still the paper's code-expansion driver, so we report it.
 pub fn clone_groups(program: &Program, result: &AnalysisResult) -> usize {
-    let mut total = 0;
-    for (&method, contours) in &result.contours_of_method {
-        // Signature of a contour: for every call-shaped instruction, the
-        // set of callee methods its recorded edges resolve to.
-        let mut signatures: BTreeSet<Vec<BTreeSet<usize>>> = BTreeSet::new();
-        for &mctx in contours {
-            let mut sig: Vec<BTreeSet<usize>> = Vec::new();
-            for (bb, idx, instr) in program.methods[method].instrs() {
-                let is_call = matches!(
-                    instr,
-                    Instr::Send { .. } | Instr::CallStatic { .. } | Instr::New { .. }
-                );
-                if !is_call {
-                    continue;
-                }
-                let targets: BTreeSet<usize> = resolve_targets(result, mctx, bb, idx);
-                sig.push(targets);
-            }
-            signatures.insert(sig);
-        }
-        total += signatures.len().max(1);
-    }
-    total
+    groups_per_method(program, result).map(|(_, n)| n).sum()
+}
+
+/// Per-method clone-group counts, for diagnostics.
+pub fn clone_groups_by_method(
+    program: &Program,
+    result: &AnalysisResult,
+) -> BTreeMap<String, usize> {
+    groups_per_method(program, result)
+        .map(|(method, n)| (program.method_display(method), n))
+        .collect()
+}
+
+/// The clone-group count of every analyzed method, in no particular
+/// order. A contour's signature is, for every call-shaped instruction,
+/// the set of callee methods its recorded edges resolve to; each
+/// distinct signature is one group.
+fn groups_per_method<'a>(
+    program: &'a Program,
+    result: &'a AnalysisResult,
+) -> impl Iterator<Item = (MethodId, usize)> + 'a {
+    result
+        .contours_of_method
+        .iter()
+        .map(move |(&method, contours)| {
+            let signatures: BTreeSet<Vec<BTreeSet<usize>>> = contours
+                .iter()
+                .map(|&mctx| {
+                    program.methods[method]
+                        .instrs()
+                        .filter(|(_, _, instr)| {
+                            matches!(
+                                instr,
+                                Instr::Send { .. } | Instr::CallStatic { .. } | Instr::New { .. }
+                            )
+                        })
+                        .map(|(bb, idx, _)| resolve_targets(result, mctx, bb, idx))
+                        .collect()
+                })
+                .collect();
+            (method, signatures.len().max(1))
+        })
 }
 
 fn resolve_targets(
@@ -84,31 +103,6 @@ fn resolve_targets(
                 .collect()
         })
         .unwrap_or_default()
-}
-
-/// Per-method clone-group counts, for diagnostics.
-pub fn clone_groups_by_method(
-    program: &Program,
-    result: &AnalysisResult,
-) -> BTreeMap<String, usize> {
-    let mut out = BTreeMap::new();
-    for (&method, contours) in &result.contours_of_method {
-        let mut signatures: BTreeSet<Vec<BTreeSet<usize>>> = BTreeSet::new();
-        for &mctx in contours {
-            let mut sig: Vec<BTreeSet<usize>> = Vec::new();
-            for (bb, idx, instr) in program.methods[method].instrs() {
-                if matches!(
-                    instr,
-                    Instr::Send { .. } | Instr::CallStatic { .. } | Instr::New { .. }
-                ) {
-                    sig.push(resolve_targets(result, mctx, bb, idx));
-                }
-            }
-            signatures.insert(sig);
-        }
-        out.insert(program.method_display(method), signatures.len().max(1));
-    }
-    out
 }
 
 /// Runs the analysis twice — with and without tag sensitivity — and returns

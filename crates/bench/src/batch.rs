@@ -22,14 +22,13 @@
 //! job), 2 on usage errors.
 
 use crate::cli::{scan_args, usage_error, Output};
-use crate::harness::time_once;
 use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
 use oi_core::ladder::{optimize_with_ladder, LadderConfig, LadderOutcome, Tier};
 use oi_support::panic::{contained, silence_hook};
+use oi_support::stats::time_once;
 use oi_support::{Budget, Json};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Batch-driver parameters.
 #[derive(Clone, Debug)]
@@ -94,7 +93,7 @@ pub struct JobResult {
     /// in this invocation). Additive `oi.batch.v1` field.
     pub cache_hit: bool,
     /// Wall-clock time spent on the job (measured through
-    /// [`crate::harness::time_once`], like every wall sample in this
+    /// [`oi_support::stats::time_once`], like every wall sample in this
     /// workspace).
     pub wall_ms: u64,
     /// Fields inlined on the landing tier.
@@ -204,18 +203,6 @@ impl BatchReport {
 /// distinct source compiles once".
 const BATCH_CACHE_BYTES: usize = 64 << 20;
 
-/// The per-job budget dictated by the batch flags.
-fn job_budget(config: &BatchConfig) -> Budget {
-    let mut b = Budget::unlimited();
-    if let Some(ms) = config.deadline_ms {
-        b = b.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(rounds) = config.max_rounds {
-        b = b.with_rounds(rounds);
-    }
-    b
-}
-
 /// A job verdict derived from a ladder outcome (cached or fresh).
 fn result_from_outcome(out: &LadderOutcome, cache_hit: bool) -> JobResult {
     let divergences = out
@@ -285,7 +272,11 @@ fn attempt(
         return Ok(result_from_outcome(&artifact.outcome, true));
     }
     let program = oi_ir::lower::compile(source).map_err(|e| e.render(source))?;
-    let out = optimize_with_ladder(&program, &ladder, &job_budget(config));
+    let out = optimize_with_ladder(
+        &program,
+        &ladder,
+        &Budget::from_limits(config.max_rounds, config.deadline_ms),
+    );
     let result = result_from_outcome(&out, false);
     cache.insert(key, Artifact::new(out));
     Ok(result)
@@ -295,7 +286,7 @@ fn attempt(
 /// `inlining-off`.
 fn run_job(job: &BatchJob, config: &BatchConfig, cache: &ArtifactCache) -> JobResult {
     // One timing path for every wall sample in the workspace: the whole
-    // attempt (retry included) is measured through the bench harness.
+    // attempt (retry included) is measured through `stats::time_once`.
     let (mut result, wall) = time_once(|| {
         match contained(|| attempt(&job.source, Tier::GuardedFull, config, cache)) {
             Ok(Ok(r)) => r,
@@ -320,7 +311,7 @@ fn run_job(job: &BatchJob, config: &BatchConfig, cache: &ArtifactCache) -> JobRe
         }
     });
     result.name = job.name.clone();
-    result.wall_ms = (wall.median / 1_000_000) as u64;
+    result.wall_ms = (wall / 1_000_000) as u64;
     result
 }
 

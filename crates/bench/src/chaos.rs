@@ -30,6 +30,7 @@ use oi_core::cache::store::DiskStore;
 use oi_core::firewall::{optimize_guarded, Divergence, FirewallConfig};
 use oi_core::pipeline::{optimize, InlineConfig};
 use oi_core::{Fault, IoFault};
+use oi_support::stats::time_once;
 use oi_support::Json;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -131,7 +132,7 @@ pub struct Case {
     /// The first divergence the oracle saw, for the report.
     pub first_divergence: String,
     /// Wall-clock spent on the whole cell (inject, probe, classify), in
-    /// milliseconds, via the bench harness clock. Additive `oi.chaos.v1`
+    /// milliseconds, via `stats::time_once`. Additive `oi.chaos.v1`
     /// field.
     pub wall_ms: u64,
 }
@@ -511,8 +512,8 @@ pub fn run_chaos(faults: &[Fault]) -> ChaosReport {
         let cases = SENTINELS
             .iter()
             .map(|&(name, source)| {
-                let (mut case, wall) = crate::harness::time_once(|| run_case(name, source, fault));
-                case.wall_ms = (wall.median / 1_000_000) as u64;
+                let (mut case, wall) = time_once(|| run_case(name, source, fault));
+                case.wall_ms = (wall / 1_000_000) as u64;
                 case
             })
             .collect();
@@ -526,7 +527,7 @@ pub fn run_service_chaos() -> Vec<ServiceRow> {
     ServiceFault::ALL
         .iter()
         .map(|&fault| {
-            let (mut row, wall) = crate::harness::time_once(|| match fault {
+            let (mut row, wall) = time_once(|| match fault {
                 ServiceFault::RequestNeverYields => service_never_yields(),
                 ServiceFault::FuelExhaustionStorm => service_fuel_storm(),
                 ServiceFault::MidRequestPanic => service_mid_request_panic(),
@@ -535,7 +536,7 @@ pub fn run_service_chaos() -> Vec<ServiceRow> {
                 ServiceFault::RetryStorm => service_retry_storm(),
                 ServiceFault::PersisterBacklog => service_persister_backlog(),
             });
-            row.wall_ms = (wall.median / 1_000_000) as u64;
+            row.wall_ms = (wall / 1_000_000) as u64;
             row
         })
         .collect()
@@ -978,8 +979,8 @@ pub fn run_io_chaos() -> Vec<IoRow> {
 
 /// [`run_io_case`] with its wall time recorded on the row.
 fn timed_io_case(fault: IoFault) -> IoRow {
-    let (mut row, wall) = crate::harness::time_once(|| run_io_case(fault));
-    row.wall_ms = (wall.median / 1_000_000) as u64;
+    let (mut row, wall) = time_once(|| run_io_case(fault));
+    row.wall_ms = (wall / 1_000_000) as u64;
     row
 }
 

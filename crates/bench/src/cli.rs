@@ -14,7 +14,6 @@
 //! `compare`, no regression), `1` runtime failure or a regression, `2`
 //! usage error.
 
-use crate::harness;
 use crate::snapshot::{compare, take_snapshot_with, SnapshotOptions, DEFAULT_SAMPLES};
 use crate::{parse_size, size_name};
 use oi_benchmarks::BenchSize;
@@ -25,16 +24,17 @@ const SNAPSHOT_USAGE: &str = "usage: oi-bench snapshot [--size small|default|lar
      [--profile] [--out FILE]\n\
      \n\
      Runs every benchmark and writes one oi.bench.v1 JSON document (stdout\n\
-     by default); OI_BENCH_SAMPLES also sets the sample count; --profile\n\
-     embeds a truncated top-N execution profile per row.";
+     by default); --profile embeds a truncated top-N execution profile per\n\
+     row.";
 
 const COMPARE_USAGE: &str = "usage: oi-bench compare OLD.json NEW.json [--threshold-pct P] \
      [--wall-advisory] [--json] [--out FILE]\n\
      \n\
-     Diffs two snapshots; exits 1 when a gated metric regressed. Wall-clock\n\
-     gates statistically (calibrated noise floors) when both snapshots\n\
-     carry >= 2 samples; --wall-advisory disarms that gate for\n\
-     cross-machine comparisons.";
+     Diffs two snapshots; exits 1 when a gated metric regressed. Each\n\
+     wall-clock layer (compile, baseline run, inlined run) gates\n\
+     statistically (calibrated noise floors) when both snapshots carry\n\
+     >= 2 samples; --wall-advisory disarms those gates for cross-machine\n\
+     comparisons.";
 
 /// The `oi-bench` help: every command's own usage text.
 fn usage() -> String {
@@ -206,11 +206,7 @@ fn snapshot_cmd(args: &[String]) -> u8 {
     if let Err(code) = scanned {
         return code;
     }
-    // Flag beats environment beats default, so CI can pin globally while
-    // a one-off invocation still overrides.
-    let samples = samples
-        .or_else(harness::samples_from_env)
-        .unwrap_or(DEFAULT_SAMPLES);
+    let samples = samples.unwrap_or(DEFAULT_SAMPLES);
 
     eprintln!(
         "snapshotting {} suite ({samples} wall-clock samples per benchmark)...",

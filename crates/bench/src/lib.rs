@@ -12,11 +12,12 @@
 //! - [`ablations`] — array layout, pass toggles, memory-only cost model.
 //!
 //! The `figures` binary prints them (`--json` emits the same tables as a
-//! machine-readable `oi.figures.v1` document); `benches/` time the
-//! underlying pipeline stages with the in-repo [`harness`].
+//! machine-readable `oi.figures.v1` document).
 //!
 //! **Snapshots and profiles.** [`snapshot`] writes and gates
-//! `oi.bench.v1` documents (`oi-bench snapshot|compare`); [`prof`] is
+//! `oi.bench.v1` documents (`oi-bench snapshot|compare`), with the wall
+//! time of each row split into compile, baseline-run and inlined-run
+//! layers; [`prof`] is
 //! `oic prof`, the per-program stage tree and VM profile; [`synth`]
 //! generates scalable synthetic programs.
 //!
@@ -42,7 +43,6 @@ pub mod chaos;
 pub mod cli;
 pub mod client;
 pub mod fuzz;
-pub mod harness;
 pub mod loadgen;
 pub mod overload;
 pub mod prof;

@@ -21,7 +21,7 @@
 //! stages weighted by self microseconds, VM methods by self cycles.
 
 use crate::cli::{emit, scan_args, usage_error};
-use crate::harness;
+use oi_support::stats;
 use oi_support::trace::{self, Event, EventKind, MemorySink, Sink, Tracer};
 use oi_support::Json;
 use std::rc::Rc;
@@ -205,10 +205,10 @@ fn measure(path: &str, source: &str) -> Result<ProfReport, String> {
         ..oi_vm::VmConfig::default()
     };
     let run_side = |program: &oi_ir::Program, what: &str| -> Result<VmSide, String> {
-        let (result, wall) = harness::time_once(|| oi_vm::run(program, &profiled));
+        let (result, wall_ns) = stats::time_once(|| oi_vm::run(program, &profiled));
         let run = result.map_err(|e| format!("{path}: {what} runtime error: {e}"))?;
         Ok(VmSide {
-            wall_ns: wall.median as u64,
+            wall_ns: wall_ns as u64,
             run,
         })
     };
@@ -339,7 +339,7 @@ impl ProfReport {
             out.push_str(&format!(
                 "--- {tag}: {} cycles, wall {} ---\n",
                 side.run.metrics.cycles,
-                harness::format_nanos(side.wall_ns as u128)
+                format_nanos(side.wall_ns)
             ));
             if let Some(profile) = &side.run.profile {
                 out.push_str(&profile.to_string());
@@ -416,9 +416,30 @@ pub fn cli_main(args: &[String]) -> u8 {
     emit(&rendered, out.as_deref(), true)
 }
 
+/// Formats a nanosecond duration with an adaptive unit.
+fn format_nanos(nanos: u64) -> String {
+    if nanos >= 1_000_000_000 {
+        format!("{:.3}s", nanos as f64 / 1e9)
+    } else if nanos >= 1_000_000 {
+        format!("{:.3}ms", nanos as f64 / 1e6)
+    } else if nanos >= 1_000 {
+        format!("{:.3}us", nanos as f64 / 1e3)
+    } else {
+        format!("{nanos}ns")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn formats_adaptive_units() {
+        assert_eq!(format_nanos(999), "999ns");
+        assert_eq!(format_nanos(1_500), "1.500us");
+        assert_eq!(format_nanos(2_000_000), "2.000ms");
+        assert_eq!(format_nanos(3_500_000_000), "3.500s");
+    }
 
     fn span_start(name: &str) -> Event {
         Event {

@@ -34,7 +34,6 @@
 //! `request_id` field stamped on the `serve.*` spans.
 
 use crate::cli::scan_flags;
-use crate::harness::time_once;
 use crate::overload::{
     Admission, BreakerConfig, Brownout, BrownoutConfig, BrownoutLevel, CircuitBreaker, Transition,
 };
@@ -47,6 +46,7 @@ use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
 use oi_core::ladder::{optimize_with_ladder, LadderConfig};
 use oi_support::metrics::Registry;
 use oi_support::panic::contained;
+use oi_support::stats::time_once;
 use oi_support::trace::{self, kv, TraceMode, Tracer};
 use oi_support::{Budget, Json};
 use std::borrow::Cow;
@@ -534,7 +534,7 @@ impl Server {
                 )
             })
         };
-        self.metrics.observe_ns("serve.execute_ns", execute.median);
+        self.metrics.observe_ns("serve.execute_ns", execute);
         let (verdict, result) = match result {
             Ok(result) => (Verdict::Done, Some(result)),
             Err(e) => (sched::classify(e), None),
@@ -727,16 +727,10 @@ impl Server {
             let _s = trace::span_with("serve.parse", vec![kv("request_id", id_label(id))]);
             time_once(|| oi_ir::lower::compile(source))
         };
-        self.metrics.observe_ns("serve.parse_ns", parse.median);
+        self.metrics.observe_ns("serve.parse_ns", parse);
         let program = parsed.map_err(|e| format!("compile error: {}", e.render(source)))?;
 
-        let mut budget = Budget::unlimited();
-        if let Some(rounds) = max_rounds {
-            budget = budget.with_rounds(rounds);
-        }
-        if let Some(ms) = deadline_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
+        let budget = Budget::from_limits(max_rounds, deadline_ms);
         // The analyze share of the ladder comes from the tracer's phase
         // aggregation (the pipeline's own `pipeline.analyze` spans), so
         // the histogram agrees with `--json` phase tables to the µs.
@@ -745,8 +739,7 @@ impl Server {
             let _s = trace::span_with("serve.optimize", vec![kv("request_id", id_label(id))]);
             time_once(|| optimize_with_ladder(&program, ladder, &budget))
         };
-        self.metrics
-            .observe_ns("serve.optimize_ns", optimize.median);
+        self.metrics.observe_ns("serve.optimize_ns", optimize);
         self.metrics.observe_ns(
             "serve.analyze_ns",
             (analyze_total_us() - analyze_before) * 1_000,

@@ -10,7 +10,9 @@
 //!   wall-clock from the `oi-trace` layer),
 //! - a heap census per build, plus the derived header-elimination,
 //!   inlining-coverage, and inline-locality figures,
-//! - wall-clock order statistics from the [`crate::harness`], and
+//! - wall-clock order statistics per layer (the compile, the baseline
+//!   run and the inlined run of each sample) and for their sum, with
+//!   each sample visiting every benchmark in turn, and
 //! - environment provenance (size, sample count, cost model, git rev).
 //!
 //! [`compare`] diffs two snapshots metric by metric. The modeled VM is
@@ -20,19 +22,21 @@
 //! `within_noise`, or `regressed` — by comparing the relative delta
 //! (inclusive) against a per-metric threshold.
 //!
-//! Wall-clock is noisy but still gated, with a threshold the snapshot
-//! itself calibrates (see [`oi_support::stats`]): each row records the
-//! noise floor measured from its own interleaved same-binary samples, and
-//! the comparator regresses `wall_clock_ns.median` only when the paired
-//! delta clears a multiple of both rows' floors (never less than
-//! [`WALL_GATE_MIN_PCT`]) *and* the minimum corroborates the shift. Rows
-//! without calibration (a single sample, or snapshots predating the
-//! floor) fall back to the advisory report, as does every wall metric
-//! when the caller opts out for cross-host compares (`--wall-advisory`).
+//! Wall-clock is noisy but still gated, per layer, with a threshold the
+//! snapshot itself calibrates (see [`oi_support::stats`]): each layer of
+//! each row records the noise floor measured from its own interleaved
+//! same-binary samples, and the comparator regresses a layer's median
+//! only when the paired delta clears a multiple of both rows' floors
+//! (never less than [`WALL_GATE_MIN_PCT`]) *and* the minimum corroborates
+//! the shift. Gating the layers apart keeps a VM-only slowdown from being
+//! diluted by compile time. Layers without calibration (a single sample,
+//! or snapshots predating the layers) fall back to the advisory report,
+//! as does every wall metric when the caller opts out for cross-host
+//! compares (`--wall-advisory`). The whole-sample `wall_clock_ns` and
+//! `wall_speedup` are always advisory.
 
-use crate::harness;
 use crate::size_name;
-use oi_benchmarks::BenchSize;
+use oi_benchmarks::{BenchSize, Build};
 use oi_support::stats;
 use oi_support::trace::{self, TraceMode, Tracer};
 use oi_support::Json;
@@ -53,9 +57,10 @@ pub const PROFILE_TOP_N: usize = 3;
 /// Options for [`take_snapshot_with`] beyond size and sample count.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotOptions {
-    /// VM configuration for every run. Tests inject
-    /// `test_spin_per_instr` here to fake a slowed interpreter and prove
-    /// the wall gate catches it.
+    /// VM configuration for every run. A checked (`CheckLevel::Full`)
+    /// VM is a genuinely slower interpreter with unchanged modeled
+    /// metrics, which is how the tests prove the run-layer wall gates
+    /// fire.
     pub vm: oi_vm::VmConfig,
     /// Embed a truncated (top-[`PROFILE_TOP_N`]) execution profile per
     /// benchmark row (`oic bench snapshot --profile`). Additive to the
@@ -63,8 +68,13 @@ pub struct SnapshotOptions {
     pub profile: bool,
 }
 
+/// The wall-clock layers of one snapshot sample, in the order each
+/// sample times them: [`oi_benchmarks::build`], the baseline run, and
+/// the inlined run.
+pub const WALL_LAYERS: [&str; 3] = ["compile", "baseline_run", "inlined_run"];
+
 /// Takes a full-suite snapshot with default options. `samples` counts the
-/// timed `evaluate` runs per benchmark (the metric-collecting run is
+/// timed samples per benchmark (the metric-collecting evaluation is
 /// extra and untimed). `git_rev` is recorded verbatim as provenance.
 pub fn take_snapshot(size: BenchSize, samples: usize, git_rev: &str) -> Json {
     take_snapshot_with(size, samples, git_rev, &SnapshotOptions::default())
@@ -77,47 +87,62 @@ pub fn take_snapshot_with(
     git_rev: &str,
     opts: &SnapshotOptions,
 ) -> Json {
-    use oi_benchmarks::{all_benchmarks, evaluate};
+    use oi_benchmarks::{all_benchmarks, build, evaluate};
     use oi_core::pipeline::InlineConfig;
 
     let vm = &opts.vm;
     let inline = InlineConfig::default();
+    let samples = samples.max(1);
+    let benches = all_benchmarks(size);
+    // One traced evaluation per benchmark collects the deterministic
+    // metrics and the analysis-cost aggregates. A fresh tracer per
+    // benchmark keeps the counters benchmark-local.
+    let evals: Vec<_> = benches
+        .iter()
+        .map(|bench| {
+            let tracer = Rc::new(Tracer::for_mode(TraceMode::Off));
+            let _guard = trace::install(tracer.clone());
+            (evaluate(bench, vm, &inline), tracer)
+        })
+        .collect();
+    // The wall-clock samples run untraced so span bookkeeping does not
+    // perturb them. Each sample times the three layers of every benchmark
+    // in turn, so a row's samples spread over the whole snapshot and its
+    // noise floor sees the machine's drift; the arrival-order samples
+    // feed that calibration.
+    let mut layers = vec![<[Vec<u128>; 3]>::default(); benches.len()];
+    let mut builds: Vec<Option<Build>> = benches.iter().map(|_| None).collect();
+    for _ in 0..samples {
+        for ((bench, times), built) in benches.iter().zip(&mut layers).zip(&mut builds) {
+            let run = |program: &oi_ir::Program, what: &str| {
+                let (result, nanos) = stats::time_once(|| oi_vm::run(program, vm));
+                result.unwrap_or_else(|e| panic!("{} {what}: {e}", bench.name));
+                nanos
+            };
+            let (sample, compile) = stats::time_once(|| build(bench, &inline));
+            times[0].push(compile);
+            times[1].push(run(&sample.baseline, "baseline"));
+            times[2].push(run(&sample.inlined.program, "inlined"));
+            *built = Some(sample);
+        }
+    }
     let mut rows = Vec::new();
     let mut tiers: Vec<String> = Vec::new();
-    for bench in all_benchmarks(size) {
-        // One traced evaluation collects the deterministic metrics and
-        // the analysis-cost aggregates. A fresh tracer per benchmark
-        // keeps the counters benchmark-local.
-        let tracer = Rc::new(Tracer::for_mode(TraceMode::Off));
-        let eval = {
-            let _guard = trace::install(tracer.clone());
-            evaluate(&bench, vm, &inline)
-        };
-        // The wall-clock samples run untraced so span bookkeeping does
-        // not perturb them. `harness::measure` is the shared clock path;
-        // the arrival-order samples feed the noise-floor calibration.
-        let (_measurement, arrival) = harness::measure(samples.max(1), || {
-            let timed = evaluate(&bench, vm, &inline);
-            std::hint::black_box(&timed);
-        });
-        let noise_floor_pct = stats::noise_floor_pct(&arrival);
-        let wall = stats::TimingStats::from_nanos(arrival);
+    for (((bench, (eval, tracer)), layers), built) in
+        benches.iter().zip(&evals).zip(&layers).zip(builds)
+    {
+        let built = built.expect("at least one sample");
         // Checked-execution cross-run: the inlined build must be
         // finding-free under the Full sanitizer. The measured metrics
         // above stay unchecked (`CheckLevel::Off`) so they are unaffected;
         // the checked run contributes a 0-pinned `sanitizer.findings`
         // gate and an advisory wall-clock overhead figure.
-        let sanitizer = checked_cross_run(&bench, &inline, vm);
-        let profile = opts.profile.then(|| profile_section(&bench, &inline, vm));
+        let sanitizer = checked_cross_run(bench.name, &built, vm);
+        let profile = opts
+            .profile
+            .then(|| profile_section(bench.name, &built, vm));
         tiers.push(eval.report.tier.clone());
-        rows.push(benchmark_row(
-            &eval,
-            &tracer,
-            &wall,
-            noise_floor_pct,
-            &sanitizer,
-            profile,
-        ));
+        rows.push(benchmark_row(eval, tracer, layers, &sanitizer, profile));
     }
     // The fleet-level tier distribution mirrors `oic batch`'s
     // `tier_counts`: on a healthy tree every benchmark compiles at
@@ -141,7 +166,7 @@ pub fn take_snapshot_with(
     Json::obj(vec![
         ("schema", SNAPSHOT_SCHEMA.into()),
         ("size", size_name(size).into()),
-        ("samples", (samples.max(1) as u64).into()),
+        ("samples", (samples as u64).into()),
         ("cost_model", "default".into()),
         ("git_rev", git_rev.into()),
         ("batch", Json::obj(vec![("tier_counts", tier_counts)])),
@@ -156,51 +181,39 @@ struct CheckedCrossRun {
     wall_ns: u64,
 }
 
-fn checked_cross_run(
-    bench: &oi_benchmarks::Benchmark,
-    inline: &oi_core::pipeline::InlineConfig,
-    vm: &oi_vm::VmConfig,
-) -> CheckedCrossRun {
-    let program = oi_ir::lower::compile(&bench.source)
-        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(&bench.source)));
-    let opt = oi_core::pipeline::optimize(&program, inline);
+fn checked_cross_run(name: &str, built: &Build, vm: &oi_vm::VmConfig) -> CheckedCrossRun {
     let checked = oi_vm::VmConfig {
         checked: oi_vm::CheckLevel::Full,
         ..*vm
     };
-    let (run, wall) = harness::time_once(|| oi_vm::run(&opt.program, &checked));
-    let run = run.unwrap_or_else(|e| panic!("{} checked: {e}", bench.name));
+    let (run, wall_ns) = stats::time_once(|| oi_vm::run(&built.inlined.program, &checked));
+    let run = run.unwrap_or_else(|e| panic!("{name} checked: {e}"));
     CheckedCrossRun {
         findings: run.sanitizer.map_or(0, |s| s.total_findings),
-        wall_ns: wall.median as u64,
+        wall_ns: wall_ns as u64,
     }
 }
 
 /// The `--profile` row section: top-[`PROFILE_TOP_N`] method, opcode, and
 /// access-site tables for the baseline and inlined builds. Tables are
 /// sorted hottest-first by the VM, so truncation keeps the head.
-fn profile_section(
-    bench: &oi_benchmarks::Benchmark,
-    inline: &oi_core::pipeline::InlineConfig,
-    vm: &oi_vm::VmConfig,
-) -> Json {
-    let program = oi_ir::lower::compile(&bench.source)
-        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(&bench.source)));
-    let base = oi_core::pipeline::baseline(&program, &inline.opt);
-    let opt = oi_core::pipeline::optimize(&program, inline);
+fn profile_section(name: &str, built: &Build, vm: &oi_vm::VmConfig) -> Json {
     let profiled = oi_vm::VmConfig {
         profile: true,
         ..*vm
     };
     let tables = |p, what: &str| {
-        let run = oi_vm::run(p, &profiled).unwrap_or_else(|e| panic!("{} {what}: {e}", bench.name));
+        let run = oi_vm::run(p, &profiled).unwrap_or_else(|e| panic!("{name} {what}: {e}"));
         let profile = run.profile.expect("profiling was enabled");
         truncate_tables(profile.to_json(), PROFILE_TOP_N)
     };
     Json::obj(vec![
         ("top_n", (PROFILE_TOP_N as u64).into()),
-        ("baseline", tables(&base, "profiled baseline")),
-        ("inlined", tables(&opt.program, "profiled inlined")),
+        ("baseline", tables(&built.baseline, "profiled baseline")),
+        (
+            "inlined",
+            tables(&built.inlined.program, "profiled inlined"),
+        ),
     ])
 }
 
@@ -221,14 +234,51 @@ fn truncate_tables(doc: Json, n: usize) -> Json {
     }
 }
 
+/// The wall-clock statistics of one arrival-ordered sample set. Order
+/// statistics are post-IQR-rejection; `samples` counts what was taken,
+/// `rejected` what the fences dropped. `noise_floor_pct` is the set's
+/// own calibration (interleaved A/B split vs relative MAD, whichever is
+/// larger) and is what arms the comparator's wall-clock gate.
+fn wall_json(arrival: &[u128]) -> (stats::TimingStats, Json) {
+    let wall = stats::TimingStats::from_nanos(arrival.to_vec());
+    let doc = Json::obj(vec![
+        ("min", (wall.min as u64).into()),
+        ("median", (wall.median as u64).into()),
+        ("max", (wall.max as u64).into()),
+        ("samples", (wall.n as u64).into()),
+        ("rejected", (wall.rejected as u64).into()),
+        ("mad", (wall.mad as u64).into()),
+        ("rel_mad_pct", wall.rel_mad_pct.into()),
+        ("noise_floor_pct", stats::noise_floor_pct(arrival).into()),
+    ]);
+    (wall, doc)
+}
+
 fn benchmark_row(
     eval: &oi_benchmarks::Evaluation,
     tracer: &Tracer,
-    wall: &stats::TimingStats,
-    noise_floor_pct: f64,
+    layers: &[Vec<u128>; 3],
     sanitizer: &CheckedCrossRun,
     profile: Option<Json>,
 ) -> Json {
+    let total: Vec<u128> = (0..layers[0].len())
+        .map(|i| layers.iter().map(|layer| layer[i]).sum())
+        .collect();
+    let (_, wall_clock) = wall_json(&total);
+    let layers: Vec<(stats::TimingStats, Json)> = layers.iter().map(|l| wall_json(l)).collect();
+    let (base_median, inlined_median) = (layers[1].0.median, layers[2].0.median);
+    let wall_speedup = if inlined_median == 0 {
+        0.0
+    } else {
+        base_median as f64 / inlined_median as f64
+    };
+    let wall_layers = Json::Obj(
+        WALL_LAYERS
+            .iter()
+            .zip(layers)
+            .map(|(name, (_, doc))| (name.to_string(), doc))
+            .collect(),
+    );
     let (without, with) = &eval.contours;
     let census = &eval.inlined_census;
     let base_census = &eval.baseline_census;
@@ -265,6 +315,7 @@ fn benchmark_row(
         ("baseline", eval.baseline.to_json()),
         ("inlined", eval.inlined.to_json()),
         ("speedup", eval.speedup().into()),
+        ("wall_speedup", wall_speedup.into()),
         ("manual_speedup", eval.manual_speedup().into()),
         (
             "effectiveness",
@@ -324,24 +375,9 @@ fn benchmark_row(
                 ("phases", phases),
             ]),
         ),
-        (
-            // Order statistics are post-IQR-rejection; `samples` counts
-            // what was taken, `rejected` what the fences dropped.
-            // `noise_floor_pct` is the row's own calibration (interleaved
-            // A/B split vs relative MAD, whichever is larger) and is what
-            // arms the comparator's wall-clock gate.
-            "wall_clock_ns",
-            Json::obj(vec![
-                ("min", (wall.min as u64).into()),
-                ("median", (wall.median as u64).into()),
-                ("max", (wall.max as u64).into()),
-                ("samples", (wall.n as u64).into()),
-                ("rejected", (wall.rejected as u64).into()),
-                ("mad", (wall.mad as u64).into()),
-                ("rel_mad_pct", wall.rel_mad_pct.into()),
-                ("noise_floor_pct", noise_floor_pct.into()),
-            ]),
-        ),
+        // Per-sample sum of the three layers; advisory in `compare`.
+        ("wall_clock_ns", wall_clock),
+        ("wall_layers", wall_layers),
         (
             // Additive section (older snapshots lack it; the comparator
             // skips absent metrics). `findings` is 0-pinned by the gate;
@@ -477,14 +513,14 @@ pub const GATES: &[GateSpec] = &[
     },
 ];
 
-/// Advisory wall-clock paths. `wall_clock_ns.median` is listed here for
-/// the *fallback* report: when the statistical gate applies to a row pair
-/// (both sides calibrated, gating not disabled) the median is judged by
-/// the gate instead and skipped here. The checked-run overhead and the
-/// raw minimum always stay advisory.
+/// Always-advisory wall-clock paths: the whole-sample sum, the wall
+/// speedup and the checked-run overhead. Each layer's median in
+/// `wall_layers` is gated when both rows calibrate it, and reported here
+/// otherwise.
 const ADVISORY: &[&str] = &[
     "wall_clock_ns.median",
     "wall_clock_ns.min",
+    "wall_speedup",
     "sanitizer.checked_wall_ns",
 ];
 
@@ -498,28 +534,21 @@ pub const WALL_GATE_MIN_PCT: f64 = 10.0;
 /// wall-clock shift (capped at 100% — a 2x slowdown always regresses).
 const WALL_GATE_FLOOR_MULT: f64 = 4.0;
 
-/// One armed wall-clock gate decision for a row pair.
-struct WallGate {
-    old_v: f64,
-    new_v: f64,
-    threshold_pct: f64,
-    verdict: Verdict,
-}
-
-/// Arms and evaluates the wall-clock gate for one old/new row pair, or
-/// returns `None` when either side lacks calibration: fewer than two
-/// samples (no interleaved split exists) or no recorded noise floor
-/// (snapshot predates it). Uncalibrated rows fall back to the advisory
-/// report. The noise model owns this threshold — the global
-/// `--threshold-pct` override deliberately does not apply.
-fn wall_gate(old_row: &Json, new_row: &Json) -> Option<WallGate> {
-    let old_v = lookup(old_row, "wall_clock_ns.median")?;
-    let new_v = lookup(new_row, "wall_clock_ns.median")?;
-    let old_floor = lookup(old_row, "wall_clock_ns.noise_floor_pct")?;
-    let new_floor = lookup(new_row, "wall_clock_ns.noise_floor_pct")?;
-    if lookup(old_row, "wall_clock_ns.samples")? < 2.0
-        || lookup(new_row, "wall_clock_ns.samples")? < 2.0
-    {
+/// Arms and evaluates the wall-clock gate on one layer (`stats` is the
+/// path of its statistics object, e.g. `wall_layers.compile`) of an
+/// old/new row pair. Returns the median pair, the threshold and the
+/// verdict, or `None` when either side lacks calibration: fewer than two
+/// samples (no interleaved split exists) or no recorded noise floor.
+/// Uncalibrated layers fall back to the advisory report. The noise model
+/// owns this threshold — the global `--threshold-pct` override
+/// deliberately does not apply.
+fn wall_gate(old_row: &Json, new_row: &Json, stats: &str) -> Option<(f64, f64, f64, Verdict)> {
+    let field = |row: &Json, key: &str| lookup(row, &format!("{stats}.{key}"));
+    let old_v = field(old_row, "median")?;
+    let new_v = field(new_row, "median")?;
+    let old_floor = field(old_row, "noise_floor_pct")?;
+    let new_floor = field(new_row, "noise_floor_pct")?;
+    if field(old_row, "samples")? < 2.0 || field(new_row, "samples")? < 2.0 {
         return None;
     }
     let threshold_pct =
@@ -530,21 +559,13 @@ fn wall_gate(old_row: &Json, new_row: &Json) -> Option<WallGate> {
     // noise band. Noise is one-sided (preemption only adds time), which
     // makes the min the most stable location estimate available.
     if verdict != Verdict::WithinNoise {
-        if let (Some(old_min), Some(new_min)) = (
-            lookup(old_row, "wall_clock_ns.min"),
-            lookup(new_row, "wall_clock_ns.min"),
-        ) {
+        if let (Some(old_min), Some(new_min)) = (field(old_row, "min"), field(new_row, "min")) {
             if classify(old_min, new_min, threshold_pct, Polarity::LowerIsBetter) != verdict {
                 verdict = Verdict::WithinNoise;
             }
         }
     }
-    Some(WallGate {
-        old_v,
-        new_v,
-        threshold_pct,
-        verdict,
-    })
+    Some((old_v, new_v, threshold_pct, verdict))
 }
 
 /// Three-way comparison verdict for one gated metric.
@@ -597,6 +618,16 @@ pub fn classify(old: f64, new: f64, threshold_pct: f64, polarity: Polarity) -> V
         Verdict::Regressed
     } else {
         Verdict::Improved
+    }
+}
+
+/// The relative change from `old` to `new` in percent; null when `old`
+/// is zero.
+fn delta_pct(old: f64, new: f64) -> Json {
+    if old == 0.0 {
+        Json::Null
+    } else {
+        ((new - old) / old.abs() * 100.0).into()
     }
 }
 
@@ -705,7 +736,33 @@ pub fn compare(
         };
 
         let mut metric_docs = Vec::new();
+        let mut advisory = ADVISORY.iter().map(|p| p.to_string()).collect::<Vec<_>>();
         let mut worst = Verdict::WithinNoise;
+        let mut judge = |path: &str, old_v: f64, new_v: f64, threshold_pct: f64, verdict| {
+            match verdict {
+                Verdict::Regressed => {
+                    worst = Verdict::Regressed;
+                    text.push_str(&format!(
+                        "REGRESSED  {name} {path}: {old_v} -> {new_v} (threshold {threshold_pct:.1}%)\n"
+                    ));
+                }
+                Verdict::Improved => {
+                    if worst == Verdict::WithinNoise {
+                        worst = Verdict::Improved;
+                    }
+                    text.push_str(&format!("improved   {name} {path}: {old_v} -> {new_v}\n"));
+                }
+                Verdict::WithinNoise => {}
+            }
+            metric_docs.push(Json::obj(vec![
+                ("metric", path.into()),
+                ("old", old_v.into()),
+                ("new", new_v.into()),
+                ("delta_pct", delta_pct(old_v, new_v)),
+                ("threshold_pct", threshold_pct.into()),
+                ("verdict", verdict.name().into()),
+            ]));
+        };
         for gate in GATES {
             let threshold = threshold_override_pct.unwrap_or(gate.threshold_pct);
             let (old_v, new_v) = (lookup(old_row, gate.path), lookup(&new_row, gate.path));
@@ -715,98 +772,37 @@ pub fn compare(
                 continue;
             };
             let verdict = classify(old_v, new_v, threshold, gate.polarity);
-            let delta_pct = if old_v == 0.0 {
-                Json::Null
-            } else {
-                ((new_v - old_v) / old_v.abs() * 100.0).into()
-            };
-            if verdict == Verdict::Regressed {
-                regressed = true;
-                worst = Verdict::Regressed;
-                text.push_str(&format!(
-                    "REGRESSED  {name} {path}: {old_v} -> {new_v} (threshold {threshold}%)\n",
-                    path = gate.path
-                ));
-            } else if verdict == Verdict::Improved {
-                if worst == Verdict::WithinNoise {
-                    worst = Verdict::Improved;
+            judge(gate.path, old_v, new_v, threshold, verdict);
+        }
+        // The statistical wall-clock gate, per layer: armed only when
+        // both rows calibrate the layer and the caller did not opt out.
+        for layer in WALL_LAYERS {
+            let stats = format!("wall_layers.{layer}");
+            let median = format!("{stats}.median");
+            match (!wall_advisory)
+                .then(|| wall_gate(old_row, &new_row, &stats))
+                .flatten()
+            {
+                Some((old_v, new_v, threshold, verdict)) => {
+                    judge(&median, old_v, new_v, threshold, verdict)
                 }
-                text.push_str(&format!(
-                    "improved   {name} {path}: {old_v} -> {new_v}\n",
-                    path = gate.path
-                ));
+                None => advisory.push(median),
             }
-            metric_docs.push(Json::obj(vec![
-                ("metric", gate.path.into()),
-                ("old", old_v.into()),
-                ("new", new_v.into()),
-                ("delta_pct", delta_pct),
-                ("threshold_pct", threshold.into()),
-                ("verdict", verdict.name().into()),
-            ]));
         }
+        regressed |= worst == Verdict::Regressed;
 
-        // The statistical wall-clock gate: armed only when both rows are
-        // calibrated and the caller did not opt out.
-        let armed = (!wall_advisory)
-            .then(|| wall_gate(old_row, &new_row))
-            .flatten();
-        if let Some(gate) = &armed {
-            let delta_pct = if gate.old_v == 0.0 {
-                Json::Null
-            } else {
-                ((gate.new_v - gate.old_v) / gate.old_v.abs() * 100.0).into()
-            };
-            if gate.verdict == Verdict::Regressed {
-                regressed = true;
-                worst = Verdict::Regressed;
-                text.push_str(&format!(
-                    "REGRESSED  {name} wall_clock_ns.median: {old_v} -> {new_v} (noise-derived threshold {threshold:.1}%)\n",
-                    old_v = gate.old_v,
-                    new_v = gate.new_v,
-                    threshold = gate.threshold_pct
-                ));
-            } else if gate.verdict == Verdict::Improved {
-                if worst == Verdict::WithinNoise {
-                    worst = Verdict::Improved;
-                }
-                text.push_str(&format!(
-                    "improved   {name} wall_clock_ns.median: {old_v} -> {new_v}\n",
-                    old_v = gate.old_v,
-                    new_v = gate.new_v
-                ));
-            }
-            metric_docs.push(Json::obj(vec![
-                ("metric", "wall_clock_ns.median".into()),
-                ("old", gate.old_v.into()),
-                ("new", gate.new_v.into()),
-                ("delta_pct", delta_pct),
-                ("threshold_pct", gate.threshold_pct.into()),
-                ("verdict", gate.verdict.name().into()),
-            ]));
-        }
-
-        let mut advisory_docs = Vec::new();
-        for path in ADVISORY {
-            if armed.is_some() && *path == "wall_clock_ns.median" {
-                // Already judged by the gate; don't double-report.
-                continue;
-            }
-            let (Some(old_v), Some(new_v)) = (lookup(old_row, path), lookup(&new_row, path)) else {
-                continue;
-            };
-            let delta_pct = if old_v == 0.0 {
-                Json::Null
-            } else {
-                ((new_v - old_v) / old_v.abs() * 100.0).into()
-            };
-            advisory_docs.push(Json::obj(vec![
-                ("metric", (*path).into()),
-                ("old", old_v.into()),
-                ("new", new_v.into()),
-                ("delta_pct", delta_pct),
-            ]));
-        }
+        let advisory_docs: Vec<Json> = advisory
+            .iter()
+            .filter_map(|path| {
+                let (old_v, new_v) = (lookup(old_row, path)?, lookup(&new_row, path)?);
+                Some(Json::obj(vec![
+                    ("metric", path.as_str().into()),
+                    ("old", old_v.into()),
+                    ("new", new_v.into()),
+                    ("delta_pct", delta_pct(old_v, new_v)),
+                ]))
+            })
+            .collect();
 
         bench_docs.push(Json::obj(vec![
             ("benchmark", name.as_str().into()),
@@ -1037,10 +1033,33 @@ mod tests {
                 "heap_census",
                 "analysis_cost",
                 "wall_clock_ns",
+                "wall_layers",
+                "wall_speedup",
                 "sanitizer",
             ] {
                 assert!(row.get(key).is_some(), "row missing {key}");
             }
+            for layer in WALL_LAYERS {
+                for key in [
+                    "min",
+                    "median",
+                    "max",
+                    "samples",
+                    "rejected",
+                    "mad",
+                    "rel_mad_pct",
+                    "noise_floor_pct",
+                ] {
+                    let path = format!("wall_layers.{layer}.{key}");
+                    assert!(lookup(row, &path).is_some(), "row missing {path}");
+                }
+            }
+            // One sample: the sum is exactly the three layers.
+            let layer_sum: f64 = WALL_LAYERS
+                .iter()
+                .map(|l| lookup(row, &format!("wall_layers.{l}.median")).unwrap())
+                .sum();
+            assert_eq!(lookup(row, "wall_clock_ns.median"), Some(layer_sum));
             assert_eq!(
                 lookup(row, "sanitizer.findings"),
                 Some(0.0),
@@ -1093,8 +1112,16 @@ mod tests {
         assert!(!cmp.regressed, "self-compare regressed:\n{}", cmp.text);
     }
 
-    /// A snapshot row carrying only calibrated wall-clock data.
+    /// A snapshot whose one row carries calibrated wall-clock data for
+    /// the inlined-run layer only.
     fn wall_snapshot(median: u64, min: u64, samples: u64, floor_pct: f64) -> Json {
+        let stats = Json::obj(vec![
+            ("min", min.into()),
+            ("median", median.into()),
+            ("max", (median * 2).into()),
+            ("samples", samples.into()),
+            ("noise_floor_pct", floor_pct.into()),
+        ]);
         Json::obj(vec![
             ("schema", SNAPSHOT_SCHEMA.into()),
             ("size", "small".into()),
@@ -1102,16 +1129,8 @@ mod tests {
                 "benchmarks",
                 Json::Arr(vec![Json::obj(vec![
                     ("benchmark", "toy".into()),
-                    (
-                        "wall_clock_ns",
-                        Json::obj(vec![
-                            ("min", min.into()),
-                            ("median", median.into()),
-                            ("max", (median * 2).into()),
-                            ("samples", samples.into()),
-                            ("noise_floor_pct", floor_pct.into()),
-                        ]),
-                    ),
+                    ("wall_clock_ns", stats.clone()),
+                    ("wall_layers", Json::obj(vec![("inlined_run", stats)])),
                 ])]),
             ),
         ])
@@ -1124,10 +1143,17 @@ mod tests {
         let cmp = compare(&old, &new, None, false).unwrap();
         assert!(cmp.regressed, "{}", cmp.text);
         assert!(
-            cmp.text.contains("wall_clock_ns.median"),
-            "text must name the wall metric:\n{}",
+            cmp.text.contains("wall_layers.inlined_run.median"),
+            "text must name the layer:\n{}",
             cmp.text
         );
+        // The whole-sample sum moved just as much, but only reports.
+        assert!(!cmp.text.contains("wall_clock_ns"), "{}", cmp.text);
+        let row = &cmp.diff.get("benchmarks").and_then(Json::as_arr).unwrap()[0];
+        let advisory = row.get("advisory").and_then(Json::as_arr).unwrap();
+        assert!(advisory
+            .iter()
+            .any(|m| m.get("metric").and_then(Json::as_str) == Some("wall_clock_ns.median")));
     }
 
     #[test]
@@ -1167,6 +1193,12 @@ mod tests {
         let new = wall_snapshot(300_000, 300_000, 1, 0.0);
         let cmp = compare(&old, &new, None, false).unwrap();
         assert!(!cmp.regressed, "{}", cmp.text);
+        let row = &cmp.diff.get("benchmarks").and_then(Json::as_arr).unwrap()[0];
+        let advisory = row.get("advisory").and_then(Json::as_arr).unwrap();
+        assert!(advisory
+            .iter()
+            .any(|m| m.get("metric").and_then(Json::as_str)
+                == Some("wall_layers.inlined_run.median")));
 
         // Rows predating the floor field (legacy snapshots) likewise.
         let legacy = tiny_snapshot(1000);
@@ -1190,40 +1222,6 @@ mod tests {
         let new = wall_snapshot(200_000, 190_000, 5, 2.0);
         let cmp = compare(&old, &new, Some(1000.0), false).unwrap();
         assert!(cmp.regressed, "{}", cmp.text);
-    }
-
-    #[test]
-    fn slowed_interpreter_is_flagged_by_the_wall_gate() {
-        // The acceptance experiment in miniature: same tree, but the new
-        // snapshot runs on an interpreter with a per-instruction spin.
-        // Gated VM metrics are modeled and must stay identical; the wall
-        // gate alone must catch the slowdown.
-        let a = take_snapshot(BenchSize::Small, 3, "rev-a");
-        let slowed = SnapshotOptions {
-            vm: oi_vm::VmConfig {
-                test_spin_per_instr: 2_000,
-                ..oi_vm::VmConfig::default()
-            },
-            profile: false,
-        };
-        let b = take_snapshot_with(BenchSize::Small, 3, "rev-b", &slowed);
-        let cmp = compare(&a, &b, None, false).unwrap();
-        assert!(cmp.regressed, "spin went unnoticed:\n{}", cmp.text);
-        assert!(
-            cmp.text.contains("wall_clock_ns.median"),
-            "the wall gate must be what fired:\n{}",
-            cmp.text
-        );
-        // ...and nothing else: every deterministic gate stays clean.
-        for line in cmp.text.lines() {
-            if line.starts_with("REGRESSED") {
-                assert!(
-                    line.contains("wall_clock_ns.median"),
-                    "non-wall gate fired on identical code:\n{}",
-                    cmp.text
-                );
-            }
-        }
     }
 
     #[test]

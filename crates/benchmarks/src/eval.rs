@@ -2,8 +2,9 @@
 
 use crate::programs::Benchmark;
 use oi_core::ladder::{optimize_with_ladder, LadderConfig};
-use oi_core::pipeline::{baseline, InlineConfig};
+use oi_core::pipeline::{baseline, InlineConfig, Optimized};
 use oi_ir::size::SizeReport;
+use oi_ir::Program;
 use oi_support::Budget;
 use oi_vm::{HeapCensusReport, Metrics, VmConfig};
 
@@ -61,15 +62,58 @@ impl Evaluation {
     }
 }
 
-/// Compiles and measures one benchmark.
+/// A benchmark's two Figure 17 builds, ready to run.
+#[derive(Debug)]
+pub struct Build {
+    /// The lowered source, before any optimization.
+    pub program: Program,
+    /// The baseline (Concert-without-inlining) build.
+    pub baseline: Program,
+    /// The object-inlined build and its effectiveness report.
+    pub inlined: Optimized,
+}
+
+/// Compiles a benchmark's baseline and object-inlined builds: lowering,
+/// [`baseline`], then the degradation ladder with the oracle off. This is
+/// the compile work the Figure 17 runs depend on, and the compile layer
+/// that snapshots time.
+///
+/// # Panics
+///
+/// Panics if the source fails to lower.
+pub fn build(bench: &Benchmark, inline_config: &InlineConfig) -> Build {
+    let program = oi_ir::lower::compile(&bench.source)
+        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(&bench.source)));
+    let baseline = baseline(&program, &inline_config.opt);
+    // The degradation ladder (oracle off: `evaluate` checks outputs
+    // itself) keeps a pathological configuration from panicking the
+    // whole evaluation; a descent shows up as `report.tier`.
+    let ladder = LadderConfig {
+        inline: *inline_config,
+        oracle: false,
+        ..Default::default()
+    };
+    let inlined = optimize_with_ladder(&program, &ladder, &Budget::unlimited()).optimized;
+    Build {
+        program,
+        baseline,
+        inlined,
+    }
+}
+
+/// Compiles and measures one benchmark: [`build`], the manual variant,
+/// the Figure 16 analyses, and one run of each build.
 ///
 /// # Panics
 ///
 /// Panics if any variant fails to compile or run, or if the baseline and
 /// object-inlined builds print different output (a correctness bug).
 pub fn evaluate(bench: &Benchmark, vm: &VmConfig, inline_config: &InlineConfig) -> Evaluation {
-    let program = oi_ir::lower::compile(&bench.source)
-        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(&bench.source)));
+    let Build {
+        program,
+        baseline: base,
+        inlined: opt,
+    } = build(bench, inline_config);
     let manual_program = oi_ir::lower::compile(&bench.manual_source)
         .unwrap_or_else(|e| panic!("{} manual: {}", bench.name, e.render(&bench.manual_source)));
 
@@ -77,16 +121,6 @@ pub fn evaluate(bench: &Benchmark, vm: &VmConfig, inline_config: &InlineConfig) 
     let tagged = oi_analysis::analyze(&program, &oi_analysis::AnalysisConfig::default());
     let clone_groups = oi_analysis::report::clone_groups(&program, &tagged);
 
-    let base = baseline(&program, &inline_config.opt);
-    // The degradation ladder (oracle off: this harness checks outputs
-    // itself below) keeps a pathological configuration from panicking the
-    // whole evaluation; a descent shows up as `report.tier`.
-    let ladder = LadderConfig {
-        inline: *inline_config,
-        oracle: false,
-        ..Default::default()
-    };
-    let opt = optimize_with_ladder(&program, &ladder, &Budget::unlimited()).optimized;
     // The manual variant gets the same baseline cleanups (devirt, method
     // inlining) so the comparison isolates data layout.
     let manual = baseline(&manual_program, &inline_config.opt);

@@ -27,6 +27,6 @@ pub mod eval;
 pub mod ground_truth;
 pub mod programs;
 
-pub use eval::{evaluate, BenchSize, Evaluation};
+pub use eval::{build, evaluate, BenchSize, Build, Evaluation};
 pub use ground_truth::GroundTruth;
 pub use programs::{all_benchmarks, Benchmark};

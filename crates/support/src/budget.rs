@@ -96,6 +96,20 @@ impl Budget {
         }
     }
 
+    /// The budget a caller's optional limits describe: a fixpoint-round
+    /// cap and a wall-clock deadline in milliseconds from now. `None`
+    /// leaves that dimension unlimited.
+    pub fn from_limits(max_rounds: Option<u64>, deadline_ms: Option<u64>) -> Self {
+        let mut budget = Self::unlimited();
+        if let Some(rounds) = max_rounds {
+            budget = budget.with_rounds(rounds);
+        }
+        if let Some(ms) = deadline_ms {
+            budget = budget.with_deadline(Duration::from_millis(ms));
+        }
+        budget
+    }
+
     /// Sets a wall-clock deadline `limit` from now.
     #[must_use]
     pub fn with_deadline(mut self, limit: Duration) -> Self {
@@ -244,6 +258,32 @@ mod tests {
     #[test]
     fn zero_round_budget_fails_the_first_charge() {
         let b = Budget::unlimited().with_rounds(0);
+        assert!(!b.charge_round());
+        assert_eq!(b.exhausted_dimension(), Some(BudgetDimension::Rounds));
+    }
+
+    #[test]
+    fn from_limits_sets_exactly_the_given_dimensions() {
+        let b = Budget::from_limits(None, None);
+        assert!(b.deadline.is_none());
+        for _ in 0..1_000 {
+            assert!(b.charge_round());
+        }
+        assert!(!b.is_exhausted());
+
+        let b = Budget::from_limits(Some(2), None);
+        assert!(b.deadline.is_none());
+        assert!(b.charge_round() && b.charge_round());
+        assert!(!b.charge_round());
+        assert_eq!(b.exhausted_dimension(), Some(BudgetDimension::Rounds));
+
+        let b = Budget::from_limits(None, Some(0));
+        assert!(b.deadline.is_some());
+        assert!(!b.charge_round());
+        assert_eq!(b.exhausted_dimension(), Some(BudgetDimension::Deadline));
+
+        let b = Budget::from_limits(Some(0), Some(60_000));
+        assert!(b.deadline.is_some());
         assert!(!b.charge_round());
         assert_eq!(b.exhausted_dimension(), Some(BudgetDimension::Rounds));
     }

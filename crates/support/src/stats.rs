@@ -17,6 +17,7 @@
 //!   quartiles) applied before a sample set is summarized.
 //! - [`TimingStats::from_nanos`]: the one-stop summary — rejection, then
 //!   order statistics, then a relative-spread figure.
+//! - [`time_once`]: the one clock read behind every one-shot duration.
 //! - [`ab_split_floor_pct`]: the calibrated noise floor. Samples taken in
 //!   arrival order are split into interleaved A/B halves (A = even
 //!   positions, B = odd); both halves ran the *same binary*, so any
@@ -25,6 +26,16 @@
 //!   resolve — a real regression must clear it.
 
 use crate::json::Json;
+use std::time::Instant;
+
+/// Times `f` once, returning its value and the elapsed wall-clock
+/// nanoseconds. Every one-shot duration in the workspace reads the clock
+/// here rather than through its own `Instant`.
+pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, u128) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed().as_nanos())
+}
 
 /// Median of a **sorted** slice: the midpoint average for even lengths,
 /// the middle element for odd. Zero on empty input.
@@ -60,13 +71,11 @@ pub fn percentile(sorted: &[u128], pct: f64) -> u128 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// First and third quartiles of a **sorted** slice (nearest-rank, so the
-/// values are always actual samples). `(0, 0)` on empty input.
+/// First and third quartiles of a **sorted** slice: the nearest-rank
+/// 25th and 75th [`percentile`]s, so the values are always actual
+/// samples. `(0, 0)` on empty input.
 pub fn quartiles(sorted: &[u128]) -> (u128, u128) {
-    match sorted.len() {
-        0 => (0, 0),
-        n => (sorted[n / 4], sorted[(3 * n) / 4].min(sorted[n - 1])),
-    }
+    (percentile(sorted, 25.0), percentile(sorted, 75.0))
 }
 
 /// Drops samples outside the Tukey fences `[q1 - 1.5*IQR, q3 + 1.5*IQR]`
@@ -235,6 +244,31 @@ mod tests {
         assert_eq!(rejected, 1);
         assert!(!kept.contains(&5000));
         assert_eq!(kept.len(), 7);
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank_at_every_small_n() {
+        assert_eq!(quartiles(&[]), (0, 0));
+        assert_eq!(quartiles(&[7]), (7, 7));
+        // n = 4: ranks ceil(1) = 1 and ceil(3) = 3, so Q3 is not the max.
+        assert_eq!(quartiles(&[1, 2, 3, 4]), (1, 3));
+        assert_eq!(quartiles(&[1, 2, 3, 4, 5]), (2, 4));
+        assert_eq!(quartiles(&[1, 2, 3, 4, 5, 6, 7, 8]), (2, 6));
+    }
+
+    #[test]
+    fn iqr_fences_out_the_slowest_of_four() {
+        // Nearest-rank quartiles (100, 102): the upper fence is 105.
+        let (kept, rejected) = reject_outliers_iqr(vec![100, 101, 102, 5000]);
+        assert_eq!(rejected, 1);
+        assert_eq!(kept, vec![100, 101, 102]);
+    }
+
+    #[test]
+    fn time_once_returns_the_value_and_its_duration() {
+        let (value, nanos) = time_once(|| 40 + 2);
+        assert_eq!(value, 42);
+        assert!(nanos < 1_000_000_000);
     }
 
     #[test]

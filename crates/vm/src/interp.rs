@@ -40,11 +40,6 @@ pub struct VmConfig {
     /// never perturbs [`Metrics`] — a clean checked run reports the same
     /// counters as an unchecked one.
     pub checked: CheckLevel,
-    /// Test-only wall-clock slowdown: busy-spin this many iterations per
-    /// executed instruction. Exists so the benchmark observatory's gated
-    /// wall-clock can prove it flags a genuinely slower interpreter;
-    /// never perturbs modeled [`Metrics`]. Zero (off) by default.
-    pub test_spin_per_instr: u64,
 }
 
 impl Default for VmConfig {
@@ -58,7 +53,6 @@ impl Default for VmConfig {
             alloc_header_words: 2,
             profile: false,
             checked: CheckLevel::Off,
-            test_spin_per_instr: 0,
         }
     }
 }
@@ -1228,11 +1222,6 @@ impl<'p> Vm<'p> {
                     }
                     *quota -= 1;
                     self.metrics.instructions += 1;
-                    if self.config.test_spin_per_instr > 0 {
-                        for i in 0..self.config.test_spin_per_instr {
-                            std::hint::black_box(i);
-                        }
-                    }
                     let instr = &block.instrs[ip];
                     if let Some(p) = &mut self.profile {
                         let op = opcode_index(instr);
@@ -2356,29 +2345,6 @@ mod census_tests {
         // And the baseline path carries no profile.
         let r2 = run(&p, &VmConfig::default()).unwrap();
         assert!(r2.profile.is_none());
-    }
-
-    #[test]
-    fn test_spin_never_perturbs_metrics() {
-        let p = compile(
-            "class P { field x; method init(a) { self.x = a; } }
-             fn main() {
-               var i = 0;
-               while (i < 5) { var q = new P(i); print q.x; i = i + 1; }
-             }",
-        )
-        .unwrap();
-        let plain = run(&p, &VmConfig::default()).unwrap();
-        let slowed = run(
-            &p,
-            &VmConfig {
-                test_spin_per_instr: 50,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain.metrics, slowed.metrics);
-        assert_eq!(plain.output, slowed.output);
     }
 
     /// Drives a session to completion in fixed fuel slices, returning the

@@ -30,7 +30,6 @@ use oi_support::{Budget, Json};
 use oi_vm::{run, CheckLevel, RunResult, VmConfig};
 use std::process::ExitCode;
 use std::rc::Rc;
-use std::time::Duration;
 
 const USAGE: &str =
     "usage: oic <run|compare|report|explain|dump|bench|prof|fuzz|batch|chaos|serve|client> [flags] <file.oi> [Class.field]\n\
@@ -98,14 +97,7 @@ impl Cli {
     /// A fresh analysis budget from the `--max-rounds` / `--deadline-ms`
     /// flags (budgets are single-use: exhaustion is sticky).
     fn budget(&self) -> Budget {
-        let mut b = Budget::unlimited();
-        if let Some(rounds) = self.max_rounds {
-            b = b.with_rounds(rounds);
-        }
-        if let Some(ms) = self.deadline_ms {
-            b = b.with_deadline(Duration::from_millis(ms));
-        }
-        b
+        Budget::from_limits(self.max_rounds, self.deadline_ms)
     }
 }
 
