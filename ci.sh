@@ -57,6 +57,13 @@ target/release/oi-bench compare BENCH_baseline_small.json target/bench_smoke_sma
 target/release/oi-bench snapshot --size default --samples 2 --out target/bench_smoke_default.json
 target/release/oi-bench compare BENCH_baseline.json target/bench_smoke_default.json --wall-advisory
 
+echo "==> figures-smoke (the paper's tables from one suite evaluation)"
+# Every table, then the oi.figures.v1 document, at small size. Each run
+# evaluates the suite once and renders every table from that pass.
+target/release/figures --size small all > /dev/null
+target/release/figures --size small --json --out target/figures_small.json
+grep -q '"schema":"oi.figures.v1"' target/figures_small.json
+
 echo "==> prof-smoke (hierarchical profiler end to end)"
 # `oic prof` on the example program: the oi.prof.v1 document and the
 # collapsed-stack export must both come out well-formed, and bad flags

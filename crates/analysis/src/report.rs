@@ -105,17 +105,6 @@ fn resolve_targets(
         .unwrap_or_default()
 }
 
-/// Runs the analysis twice — with and without tag sensitivity — and returns
-/// `(without_inlining, with_inlining)` statistics, the Figure 16 pair.
-pub fn contour_comparison(program: &Program) -> (ContourStats, ContourStats) {
-    let without = crate::engine::analyze(program, &crate::engine::AnalysisConfig::without_tags());
-    let with = crate::engine::analyze(program, &crate::engine::AnalysisConfig::default());
-    (
-        ContourStats::from_result(&without),
-        ContourStats::from_result(&with),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +139,9 @@ mod tests {
              }",
         )
         .unwrap();
-        let (without, with) = contour_comparison(&p);
+        let stats = |config| ContourStats::from_result(&crate::engine::analyze(&p, &config));
+        let without = stats(crate::engine::AnalysisConfig::without_tags());
+        let with = stats(crate::engine::AnalysisConfig::default());
         assert!(with.method_contours >= without.method_contours);
         assert!(with.contours_per_method >= without.contours_per_method);
     }

@@ -10,9 +10,22 @@
 //! file instead of stdout.
 
 use oi_bench::cli::{emit, scan_args, usage_error};
-use oi_bench::{ablations, fig14, fig15, fig16, fig17, fig17_detail, figures_json, parse_size};
+use oi_bench::{parse_size, Figures};
 use oi_benchmarks::BenchSize;
 use std::process::ExitCode;
+
+/// Renders one table from the measured suite.
+type Render = fn(&Figures) -> String;
+
+/// The tables by name, in `all` order.
+const TABLES: [(&str, Render); 6] = [
+    ("fig14", Figures::fig14),
+    ("fig15", Figures::fig15),
+    ("fig16", Figures::fig16),
+    ("fig17", Figures::fig17),
+    ("detail", Figures::fig17_detail),
+    ("ablations", Figures::ablations),
+];
 
 const USAGE: &str = "usage: figures [fig14|fig15|fig16|fig17|detail|ablations|all] \
      [--size small|default|large] [--json] [--out FILE]\n\
@@ -62,28 +75,23 @@ fn main() -> ExitCode {
             &format!("`--json` emits all tables in one document; drop `{which}`"),
         ));
     }
-    if json {
-        return ExitCode::from(emit(&figures_json(size).to_string(), out.as_deref(), true));
+    if which != "all" && !TABLES.iter().any(|(name, _)| *name == which) {
+        return ExitCode::from(usage_error(
+            USAGE,
+            &format!("unknown figure `{which}` (fig14|fig15|fig16|fig17|detail|ablations|all)"),
+        ));
     }
 
-    let text = match which.as_str() {
-        "fig14" => fig14(size),
-        "fig15" => fig15(size),
-        "fig16" => fig16(size),
-        "fig17" => fig17(size),
-        "detail" => fig17_detail(size),
-        "ablations" => ablations(size),
-        "all" => [fig14, fig15, fig16, fig17, fig17_detail, ablations]
-            .iter()
-            .map(|fig| fig(size) + "\n")
-            .collect(),
-        other => {
-            return ExitCode::from(usage_error(
-                USAGE,
-                &format!("unknown figure `{other}` (fig14|fig15|fig16|fig17|detail|ablations|all)"),
-            ))
+    let figures = Figures::measure(size);
+    if json {
+        return ExitCode::from(emit(&figures.to_json().to_string(), out.as_deref(), true));
+    }
+    for (name, render) in TABLES {
+        if which == "all" {
+            println!("{}", render(&figures));
+        } else if name == which {
+            print!("{}", render(&figures));
         }
-    };
-    print!("{text}");
+    }
     ExitCode::SUCCESS
 }

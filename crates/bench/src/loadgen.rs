@@ -200,6 +200,12 @@ impl ZipfSampler {
             Err(i) => (i as u64).min(self.cumulative.len() as u64 - 1),
         }
     }
+
+    /// An endless stream of draws from a fresh `XorShift64::new(seed)`.
+    pub fn draws(self, seed: u64) -> impl Iterator<Item = u64> {
+        let mut rng = XorShift64::new(seed);
+        std::iter::repeat_with(move || self.sample(&mut rng))
+    }
 }
 
 /// Replays the configured trace against a fresh in-process server and
@@ -217,16 +223,13 @@ pub fn run_loadgen(config: &LoadgenConfig) -> LoadReport {
 /// the cache) before the replay.
 pub fn run_loadgen_on(server: &Server, config: &LoadgenConfig) -> LoadReport {
     let sources: Vec<String> = (0..config.sources).map(synthetic_source).collect();
-    let sampler = ZipfSampler::new(config.sources, config.zipf_s);
-    let mut rng = XorShift64::new(config.seed);
-
+    let ranks = ZipfSampler::new(config.sources, config.zipf_s).draws(config.seed);
     let mut sampled: BTreeSet<u64> = BTreeSet::new();
     let mut tally = Tally::default();
     let mut hit_samples: Vec<u128> = Vec::new();
     let mut miss_samples: Vec<u128> = Vec::new();
 
-    for request_id in 0..config.requests {
-        let rank = sampler.sample(&mut rng);
+    for (request_id, rank) in (0..config.requests).zip(ranks) {
         sampled.insert(rank);
         let line = Line::compile(request_id, &sources[rank as usize]).to_string();
         let (response, wall_ns) = tally.send(server, &line, config.retries);
@@ -372,11 +375,8 @@ mod tests {
 
     #[test]
     fn zipf_sampler_is_deterministic_and_skewed() {
-        let sampler = ZipfSampler::new(50, 1.0);
-        let draw = |seed: u64| -> Vec<u64> {
-            let mut rng = XorShift64::new(seed);
-            (0..1000).map(|_| sampler.sample(&mut rng)).collect()
-        };
+        let draw =
+            |seed: u64| -> Vec<u64> { ZipfSampler::new(50, 1.0).draws(seed).take(1000).collect() };
         assert_eq!(draw(1), draw(1), "same seed, same trace");
         assert_ne!(draw(1), draw(2), "different seed, different trace");
         let trace = draw(1);

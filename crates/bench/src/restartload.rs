@@ -36,7 +36,6 @@ use crate::replay::{scratch_dir, Line, Reply, Tally};
 use crate::serve::{ServeConfig, Server};
 use oi_core::cache::store::DiskStore;
 use oi_core::IoFault;
-use oi_support::rng::XorShift64;
 use oi_support::Json;
 use std::path::{Path, PathBuf};
 
@@ -234,10 +233,9 @@ fn replay(config: &RestartConfig, dir: &Path) -> Result<RestartReport, String> {
 
     // The whole trace is drawn up front; kills only decide which server
     // lifetime serves which span of it.
-    let sampler = ZipfSampler::new(config.sources, config.zipf_s);
-    let mut rng = XorShift64::new(config.seed);
-    let trace: Vec<u64> = (0..config.requests)
-        .map(|_| sampler.sample(&mut rng))
+    let trace: Vec<u64> = ZipfSampler::new(config.sources, config.zipf_s)
+        .draws(config.seed)
+        .take(config.requests as usize)
         .collect();
     let segment_count = config.kills + 1;
     let base = config.requests / segment_count;

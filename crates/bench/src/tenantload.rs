@@ -33,7 +33,6 @@
 use crate::cli::{scan_flags, usage_error, Output};
 use crate::sched::{JobSpec, ProgramRef, SchedConfig, Scheduler, TenantQuota, TenantSummary};
 use oi_ir::Program;
-use oi_support::rng::XorShift64;
 use oi_support::Json;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -211,8 +210,7 @@ impl TenantloadReport {
 pub fn run_tenantload(config: &TenantloadConfig) -> TenantloadReport {
     let templates: Vec<Arc<Program>> = (0..TEMPLATES).map(|i| lowered(template_iters(i))).collect();
     let hog_program = lowered(50_000);
-    let sampler = ZipfSampler::new(config.tenants.max(1), config.zipf_s);
-    let mut rng = XorShift64::new(config.seed);
+    let ranks = ZipfSampler::new(config.tenants.max(1), config.zipf_s).draws(config.seed);
 
     // Completion delivery is best-effort and everything the gate needs
     // is in the scheduler's own accounting; drop the receiver.
@@ -237,8 +235,7 @@ pub fn run_tenantload(config: &TenantloadConfig) -> TenantloadReport {
 
     let mut rejected = 0u64;
     let mut hog_jobs = 0u64;
-    for i in 0..config.requests {
-        let rank = sampler.sample(&mut rng);
+    for (i, rank) in (0..config.requests).zip(ranks) {
         let hog = rank < config.hogs;
         let spec = JobSpec {
             tenant: format!("t{rank:05}"),

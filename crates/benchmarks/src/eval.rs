@@ -1,6 +1,7 @@
 //! The evaluation harness: compile a benchmark three ways and measure.
 
 use crate::programs::Benchmark;
+use oi_analysis::{analyze, AnalysisConfig, ContourStats};
 use oi_core::ladder::{optimize_with_ladder, LadderConfig};
 use oi_core::pipeline::{baseline, InlineConfig, Optimized};
 use oi_ir::size::SizeReport;
@@ -41,7 +42,7 @@ pub struct Evaluation {
     /// Generated-code size of the inlined build (Figure 15).
     pub inlined_size: SizeReport,
     /// Method contours without / with the inlining sensitivity (Figure 16).
-    pub contours: (oi_analysis::ContourStats, oi_analysis::ContourStats),
+    pub contours: (ContourStats, ContourStats),
     /// Method clone groups the paper's §5.1 cloning would materialize,
     /// with the inlining sensitivity.
     pub clone_groups: usize,
@@ -117,8 +118,10 @@ pub fn evaluate(bench: &Benchmark, vm: &VmConfig, inline_config: &InlineConfig) 
     let manual_program = oi_ir::lower::compile(&bench.manual_source)
         .unwrap_or_else(|e| panic!("{} manual: {}", bench.name, e.render(&bench.manual_source)));
 
-    let contours = oi_analysis::report::contour_comparison(&program);
-    let tagged = oi_analysis::analyze(&program, &oi_analysis::AnalysisConfig::default());
+    // Figure 16: the analysis without, then with, the inlining (tag)
+    // sensitivity; the tagged result also groups the clones.
+    let untagged = analyze(&program, &AnalysisConfig::without_tags());
+    let tagged = analyze(&program, &AnalysisConfig::default());
     let clone_groups = oi_analysis::report::clone_groups(&program, &tagged);
 
     // The manual variant gets the same baseline cleanups (devirt, method
@@ -152,7 +155,10 @@ pub fn evaluate(bench: &Benchmark, vm: &VmConfig, inline_config: &InlineConfig) 
         report: opt.report,
         baseline_size: oi_ir::size::measure(&base),
         inlined_size: oi_ir::size::measure(&opt.program),
-        contours,
+        contours: (
+            ContourStats::from_result(&untagged),
+            ContourStats::from_result(&tagged),
+        ),
         clone_groups,
         output: base_run.output,
     }

@@ -124,19 +124,19 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 "checked" => checked = Some(CheckLevel::Full),
                 "trace" => trace_flag = Some(TraceMode::Text),
                 "max-heap-words" => {
-                    max_heap_words = Some(parse_limit(&mut scanner, "--max-heap-words")?);
+                    max_heap_words = Some(scanner.positive("--max-heap-words")?);
                 }
                 "max-instructions" => {
-                    max_instructions = Some(parse_limit(&mut scanner, "--max-instructions")?);
+                    max_instructions = Some(scanner.positive("--max-instructions")?);
                 }
                 "max-depth" => {
-                    max_depth = Some(parse_limit(&mut scanner, "--max-depth")? as usize);
+                    max_depth = Some(scanner.positive("--max-depth")? as usize);
                 }
                 "max-rounds" => {
-                    max_rounds = Some(parse_limit(&mut scanner, "--max-rounds")?);
+                    max_rounds = Some(scanner.positive("--max-rounds")?);
                 }
                 "deadline-ms" => {
-                    deadline_ms = Some(parse_limit(&mut scanner, "--deadline-ms")?);
+                    deadline_ms = Some(scanner.positive("--deadline-ms")?);
                 }
                 _ => return Err(format!("unknown flag `--{name}`")),
             },
@@ -226,16 +226,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         max_rounds,
         deadline_ms,
     })
-}
-
-/// Parses the value of a `--max-*` resource-limit flag as a positive
-/// integer.
-fn parse_limit(scanner: &mut ArgScanner, flag: &str) -> Result<u64, String> {
-    let v = scanner.value_for(flag).unwrap_or_default();
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("`{flag}` needs a positive integer, got `{v}`")),
-    }
 }
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -331,34 +321,20 @@ fn census_json(result: &RunResult) -> Json {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `oic bench ...` forwards to the benchmark observatory (the `oi-bench`
-    // binary's snapshot/compare machinery) without re-parsing its flags.
-    if args.first().map(String::as_str) == Some("bench") {
-        return ExitCode::from(oi_bench::cli::main(&args[1..]));
-    }
-    // `oic fuzz ...` likewise forwards to the adversarial fuzzing driver.
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return ExitCode::from(oi_bench::fuzz::cli_main(&args[1..]));
-    }
-    // `oic batch ...` forwards to the panic-isolated batch driver.
-    if args.first().map(String::as_str) == Some("batch") {
-        return ExitCode::from(oi_bench::batch::cli_main(&args[1..]));
-    }
-    // `oic chaos ...` forwards to the fault-injection matrix driver.
-    if args.first().map(String::as_str) == Some("chaos") {
-        return ExitCode::from(oi_bench::chaos::cli_main(&args[1..]));
-    }
-    // `oic prof ...` forwards to the performance observatory profiler.
-    if args.first().map(String::as_str) == Some("prof") {
-        return ExitCode::from(oi_bench::prof::cli_main(&args[1..]));
-    }
-    // `oic serve ...` forwards to the long-lived compile server.
-    if args.first().map(String::as_str) == Some("serve") {
-        return ExitCode::from(oi_bench::serve::cli_main(&args[1..]));
-    }
-    // `oic client ...` forwards to the retrying serve client.
-    if args.first().map(String::as_str) == Some("client") {
-        return ExitCode::from(oi_bench::client::cli_main(&args[1..]));
+    // The harness commands forward to their own drivers in oi-bench,
+    // which parse their own flags.
+    let forward: Option<fn(&[String]) -> u8> = match args.first().map(String::as_str) {
+        Some("bench") => Some(oi_bench::cli::main),
+        Some("fuzz") => Some(oi_bench::fuzz::cli_main),
+        Some("batch") => Some(oi_bench::batch::cli_main),
+        Some("chaos") => Some(oi_bench::chaos::cli_main),
+        Some("prof") => Some(oi_bench::prof::cli_main),
+        Some("serve") => Some(oi_bench::serve::cli_main),
+        Some("client") => Some(oi_bench::client::cli_main),
+        _ => None,
+    };
+    if let Some(cli_main) = forward {
+        return ExitCode::from(cli_main(&args[1..]));
     }
     let cli = match parse_cli(&args) {
         Ok(c) => c,
