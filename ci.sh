@@ -40,6 +40,7 @@ cargo test -q -p oi-analysis --features property-tests --test proptest_lattice
 cargo test -q -p oi-lang --features property-tests --test proptest_roundtrip
 cargo test -q -p oi-support --features property-tests --test proptest_support
 cargo test -q -p oi-vm --features property-tests --test proptest_cache
+cargo test -q -p oi-vm --features property-tests --test proptest_fuel
 
 echo "==> bench-smoke (snapshot + noise-aware regression gate)"
 # Fresh snapshots against the committed baselines. The modeled VM is

@@ -412,3 +412,273 @@ fn composed_interiors_reach_the_outermost_container() {
     let out = run(&program, &VmConfig::default()).unwrap();
     assert_eq!(out.output, "7\n9\n");
 }
+
+/// Runs `program` one-shot under the plain, profiled and fully checked
+/// configurations; each must trap with the same error after the same
+/// fuel, which is returned.
+fn trap(program: &Program) -> (VmError, u64) {
+    use oi_vm::{CheckLevel, FuelOutcome, VmSession};
+    let configs = [
+        VmConfig::default(),
+        VmConfig {
+            profile: true,
+            ..Default::default()
+        },
+        VmConfig {
+            checked: CheckLevel::Full,
+            ..Default::default()
+        },
+    ];
+    let mut seen: Option<(VmError, u64)> = None;
+    for config in configs {
+        let mut session = VmSession::new(program, &config).unwrap();
+        let FuelOutcome::Trapped { fuel_spent, error } = session.run_fuel(program, u64::MAX) else {
+            panic!("expected a trap under {config:?}");
+        };
+        assert_eq!(run(program, &config).unwrap_err(), error, "{config:?}");
+        match &seen {
+            Some(first) => assert_eq!(first, &(error, fuel_spent), "{config:?}"),
+            None => seen = Some((error, fuel_spent)),
+        }
+    }
+    seen.unwrap()
+}
+
+/// An interior formed over a nil container and consumed at once by a
+/// field access fails at the interior, before the field is looked at.
+#[test]
+fn fused_access_on_nil_container_traps_at_the_interior() {
+    for read in [true, false] {
+        let mut fx = Fixture::new();
+        let pt = fx.add_class("Pt", &["x"]);
+        let x = fx.interner.intern("x");
+        let layout = fx.layouts.push(InlineLayout {
+            child_class: pt,
+            child_fields: vec![x],
+            slots: vec![0],
+            array_kind: None,
+        });
+        let mname = fx.interner.intern("main");
+        let mut b = FunctionBuilder::new(mname, ClassId::new(0), 0);
+        let nil = b.push_const(ConstValue::Nil);
+        let one = b.push_const(ConstValue::Int(1));
+        let interior = b.new_temp();
+        b.push(Instr::MakeInterior {
+            dst: interior,
+            obj: nil,
+            layout,
+        });
+        push_access(&mut b, interior, x, one, read);
+        let r = b.push_const(ConstValue::Nil);
+        b.terminate(Terminator::Return(r));
+        let program = fx.finish(b.finish(), 1);
+        assert_eq!(
+            trap(&program),
+            (
+                VmError::NilDereference {
+                    context: "interior reference".to_owned()
+                },
+                3
+            ),
+            "read {read}"
+        );
+    }
+    // The array form: a nil inline array.
+    for read in [true, false] {
+        let mut fx = Fixture::new();
+        let pt = fx.add_class("Pt", &["x"]);
+        let x = fx.interner.intern("x");
+        let layout = fx.layouts.push(InlineLayout {
+            child_class: pt,
+            child_fields: vec![x],
+            slots: vec![],
+            array_kind: Some(ArrayLayoutKind::Interleaved),
+        });
+        let mname = fx.interner.intern("main");
+        let mut b = FunctionBuilder::new(mname, ClassId::new(0), 0);
+        let nil = b.push_const(ConstValue::Nil);
+        let idx = b.push_const(ConstValue::Int(0));
+        let one = b.push_const(ConstValue::Int(1));
+        let elem = b.new_temp();
+        b.push(Instr::MakeInteriorElem {
+            dst: elem,
+            arr: nil,
+            idx,
+            layout,
+        });
+        push_access(&mut b, elem, x, one, read);
+        let r = b.push_const(ConstValue::Nil);
+        b.terminate(Terminator::Return(r));
+        let program = fx.finish(b.finish(), 1);
+        assert_eq!(
+            trap(&program),
+            (
+                VmError::NilDereference {
+                    context: "interior array reference".to_owned()
+                },
+                4
+            ),
+            "read {read}"
+        );
+    }
+}
+
+/// Reads (`read`) or writes `src` to field `field` through `obj`, as the
+/// instruction right after the one that formed `obj`.
+fn push_access(
+    b: &mut FunctionBuilder,
+    obj: oi_ir::Temp,
+    field: oi_support::Symbol,
+    src: oi_ir::Temp,
+    read: bool,
+) {
+    if read {
+        let dst = b.new_temp();
+        b.push(Instr::GetField { dst, obj, field });
+        b.push(Instr::Print { src: dst });
+    } else {
+        b.push(Instr::SetField { obj, field, src });
+    }
+}
+
+/// A field the inline child does not have, named through a composed
+/// object-in-object layout (a `Pt` inline in a `Rect` inline in a `Box`).
+#[test]
+fn fused_access_to_missing_field_through_composed_layout() {
+    for read in [true, false] {
+        let mut fx = Fixture::new();
+        let boxc = fx.add_class("Box", &["b0", "b1", "b2", "b3"]);
+        let rect = fx.add_class("Rect", &["r0", "r1", "r2", "r3"]);
+        let pt = fx.add_class("Pt", &["x", "y"]);
+        let x = fx.interner.intern("x");
+        let y = fx.interner.intern("y");
+        let z = fx.interner.intern("z");
+        let rect_fields = ["r0", "r1", "r2", "r3"].map(|f| fx.interner.intern(f));
+        let rect_layout = fx.layouts.push(InlineLayout {
+            child_class: rect,
+            child_fields: rect_fields.to_vec(),
+            slots: vec![0, 1, 2, 3],
+            array_kind: None,
+        });
+        let pt_layout = fx.layouts.push(InlineLayout {
+            child_class: pt,
+            child_fields: vec![x, y],
+            slots: vec![0, 3],
+            array_kind: None,
+        });
+        let mname = fx.interner.intern("main");
+        let mut b = FunctionBuilder::new(mname, ClassId::new(0), 0);
+        let obj = b.new_temp();
+        b.push(Instr::New {
+            dst: obj,
+            class: boxc,
+            args: vec![],
+            site: oi_ir::SiteId::new(0),
+        });
+        let r = b.new_temp();
+        b.push(Instr::MakeInterior {
+            dst: r,
+            obj,
+            layout: rect_layout,
+        });
+        let p = b.new_temp();
+        b.push(Instr::MakeInterior {
+            dst: p,
+            obj: r,
+            layout: pt_layout,
+        });
+        if read {
+            let dst = b.new_temp();
+            b.push(Instr::GetField {
+                dst,
+                obj: p,
+                field: z,
+            });
+        } else {
+            b.push(Instr::SetField {
+                obj: p,
+                field: z,
+                src: obj,
+            });
+        }
+        let ret = b.push_const(ConstValue::Nil);
+        b.terminate(Terminator::Return(ret));
+        let program = fx.finish(b.finish(), 1);
+        assert_eq!(
+            trap(&program),
+            (
+                VmError::NoSuchField {
+                    class: "Pt".to_owned(),
+                    field: "z".to_owned()
+                },
+                4
+            ),
+            "read {read}"
+        );
+    }
+}
+
+/// The same missing field, named through an element of a parallel
+/// inline array.
+#[test]
+fn fused_access_to_missing_field_through_parallel_array() {
+    for read in [true, false] {
+        let mut fx = Fixture::new();
+        let pt = fx.add_class("Pt", &["x", "y"]);
+        let x = fx.interner.intern("x");
+        let y = fx.interner.intern("y");
+        let z = fx.interner.intern("z");
+        let layout = fx.layouts.push(InlineLayout {
+            child_class: pt,
+            child_fields: vec![x, y],
+            slots: vec![],
+            array_kind: Some(ArrayLayoutKind::Parallel),
+        });
+        let mname = fx.interner.intern("main");
+        let mut b = FunctionBuilder::new(mname, ClassId::new(0), 0);
+        let len = b.push_const(ConstValue::Int(3));
+        let arr = b.new_temp();
+        b.push(Instr::NewArrayInline {
+            dst: arr,
+            len,
+            layout,
+            site: oi_ir::SiteId::new(0),
+        });
+        let idx = b.push_const(ConstValue::Int(2));
+        let elem = b.new_temp();
+        b.push(Instr::MakeInteriorElem {
+            dst: elem,
+            arr,
+            idx,
+            layout,
+        });
+        if read {
+            let dst = b.new_temp();
+            b.push(Instr::GetField {
+                dst,
+                obj: elem,
+                field: z,
+            });
+        } else {
+            b.push(Instr::SetField {
+                obj: elem,
+                field: z,
+                src: idx,
+            });
+        }
+        let ret = b.push_const(ConstValue::Nil);
+        b.terminate(Terminator::Return(ret));
+        let program = fx.finish(b.finish(), 1);
+        assert_eq!(
+            trap(&program),
+            (
+                VmError::NoSuchField {
+                    class: "Pt".to_owned(),
+                    field: "z".to_owned()
+                },
+                5
+            ),
+            "read {read}"
+        );
+    }
+}
