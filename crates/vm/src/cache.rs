@@ -56,6 +56,9 @@ pub struct CacheSim {
     line_shift: u32,
     /// Number of sets.
     sets: u64,
+    /// `sets - 1` when the set count is a power of two (the default 512
+    /// is): a line's set is then `line & set_mask`, not `line % sets`.
+    set_mask: Option<u64>,
     /// Set `s` owns `tags[s * ways..][..fill[s]]`: its resident lines,
     /// most recently used last.
     tags: Vec<u64>,
@@ -73,6 +76,7 @@ impl CacheSim {
             config,
             line_shift: config.line_bytes.trailing_zeros(),
             sets: sets as u64,
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             tags: vec![0; sets * config.ways],
             fill: vec![0; sets],
             hits: 0,
@@ -81,9 +85,13 @@ impl CacheSim {
     }
 
     /// Simulates an access to `addr`; returns `true` on hit.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line % self.sets) as usize;
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        } as usize;
         let ways = self.config.ways;
         let n = self.fill[set] as usize;
         let resident = &mut self.tags[set * ways..set * ways + n];

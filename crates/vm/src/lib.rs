@@ -29,6 +29,7 @@
 
 pub mod cache;
 pub mod cost;
+mod decode;
 pub mod error;
 pub mod heap;
 pub mod interp;
