@@ -7,12 +7,20 @@
 //! the encoded `pipeline::baseline` program. The cleanup passes
 //! (`oi_ir::opt`) run inside both, so any change to what they emit shows
 //! here. On a mismatch the test prints the lines it computed.
+//!
+//! Both pipelines skip an analysis or a cleanup whose input is a program
+//! they have already settled, so their outputs must be fixpoints:
+//! `outputs_are_fixpoints` checks that over the same corpus.
 
 mod common;
 
+use oi_analysis::{analyze, AnalysisConfig};
 use oi_benchmarks::{all_benchmarks, BenchSize};
+use oi_core::devirt::devirtualize;
 use oi_core::pipeline::{baseline, optimize, InlineConfig};
+use oi_ir::opt::Cleanup;
 use oi_ir::serial::encode_program;
+use oi_ir::Program;
 use oi_support::hash::fingerprint;
 
 const GOLDEN: &str = include_str!("cleanup_golden.txt");
@@ -62,4 +70,40 @@ fn richards_optimizes_to_identical_bytes_every_time() {
             );
         }
     }
+}
+
+/// Why `program` is not a fixpoint of a fresh analysis under `analysis`,
+/// devirtualization and cleanup, if it is not.
+fn not_a_fixpoint(program: &Program, analysis: &AnalysisConfig) -> Option<String> {
+    let mut p = program.clone();
+    let result = analyze(&p, analysis);
+    let rewritten = devirtualize(&mut p, &result);
+    if rewritten != 0 {
+        return Some(format!("devirtualized {rewritten} more sends"));
+    }
+    let cleanup = oi_ir::opt::optimize(&mut p);
+    let settled = Cleanup {
+        changed: false,
+        fixpoint: true,
+    };
+    (cleanup != settled).then(|| format!("cleanup reported {cleanup:?}"))
+}
+
+#[test]
+fn outputs_are_fixpoints() {
+    let config = InlineConfig::default();
+    let corpus = [common::fig17(), common::synth(), common::loadgen()];
+    let mut failures = Vec::new();
+    for (name, source) in corpus.iter().flatten() {
+        let program = oi_ir::lower::compile(source).expect("source lowers");
+        let optimized = optimize(&program, &config).program;
+        if let Some(why) = not_a_fixpoint(&optimized, &AnalysisConfig::default()) {
+            failures.push(format!("{name} optimize: {why}"));
+        }
+        let base = baseline(&program, &config.opt);
+        if let Some(why) = not_a_fixpoint(&base, &AnalysisConfig::without_tags()) {
+            failures.push(format!("{name} baseline: {why}"));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -12,6 +12,11 @@
 //!
 //! Each has one fallible form, [`try_optimize`] and [`try_baseline`], that
 //! takes a resource [`Budget`]; the panicking forms run unbudgeted.
+//!
+//! Both skip a stage whose input has not changed since that stage last
+//! ran: a cleanup of a settled cleanup output, and `finalize`'s analysis
+//! when the last pass analyzed the same program (see `Settled`). The
+//! output is the same as running every stage (DESIGN.md §3b).
 
 use crate::decision::{array_decision_key, decide, field_decision_key, InlinePlan};
 use crate::report::EffectivenessReport;
@@ -180,6 +185,7 @@ pub fn try_optimize(
     let mut decisions: Vec<String> = Vec::new();
     let mut first_pass_total = None;
     let mut devirt_faulted = false;
+    let mut state = Settled::default();
     for pass in 0..MAX_PASSES {
         let _pass_span = trace::span_with("pipeline.pass", vec![kv("pass", pass)]);
         let result = {
@@ -209,16 +215,14 @@ pub fn try_optimize(
         trace::counter("pipeline.fields_rejected", plan.rejected.len() as i64);
         // Devirtualize with the same analysis (indices are preserved by
         // in-place replacement, so the plan's instruction facts stay valid).
-        staged("pipeline.devirt", &mut p, |p| {
-            crate::devirt::devirtualize(p, &result)
-        });
+        state.devirtualize(&mut p, &result);
         // Stop on an empty plan, or on the last pass when the plan only
         // revisits array sites an earlier pass already inlined.
         let only_pre_existing =
             plan.entries.is_empty() && plan.array_sites.values().all(|a| a.pre_existing);
         if plan.is_empty() || (only_pre_existing && pass + 1 == MAX_PASSES) {
             record_rejections(&p, &plan, &mut report, pass);
-            staged("pipeline.cleanup", &mut p, run_opts);
+            state.cleanup(&mut p);
             break;
         }
         for e in &plan.entries {
@@ -238,6 +242,7 @@ pub fn try_optimize(
             .filter(|a| !a.pre_existing)
             .count();
         record_outcomes(&p, &plan, &mut report, pass);
+        state.changed();
         staged("pipeline.restructure", &mut p, |p| {
             crate::restructure::apply(p, &mut plan)
         });
@@ -260,22 +265,23 @@ pub fn try_optimize(
             let _s = trace::span("pipeline.verify");
             verified(&p, "transform", &decisions)?;
         }
-        staged("pipeline.cleanup", &mut p, run_opts);
+        state.cleanup(&mut p);
         passes = pass + 1;
     }
     // A final devirtualization round: inlining exposes monomorphic sends on
-    // interior receivers.
-    {
+    // interior receivers. When the last analysis still describes `p` and
+    // `p` is a settled cleanup output, the round would change nothing.
+    if !state.settled() {
         let _s = trace::span("pipeline.finalize");
         let result = {
             let _s = trace::span("pipeline.analyze");
             try_analyze(&p, &config.analysis, budget).map_err(PipelineError::Analysis)?
         };
         note_degraded(&result, &mut report, passes);
-        staged("pipeline.devirt", &mut p, |p| {
-            crate::devirt::devirtualize(p, &result)
-        });
-        staged("pipeline.cleanup", &mut p, run_opts);
+        state.devirtualize(&mut p, &result);
+        state.cleanup(&mut p);
+    }
+    {
         let _v = trace::span("pipeline.verify");
         verified(&p, "finalize", &decisions)?;
     }
@@ -289,6 +295,61 @@ pub fn try_optimize(
         passes,
         decisions,
     })
+}
+
+/// What the pipeline knows about its program without looking at it: the
+/// two facts that let it skip work whose input has not changed. Anything
+/// that rewrites the program clears both.
+#[derive(Default)]
+struct Settled {
+    /// The last analysis was of exactly this program, and the devirt that
+    /// used it rewrote nothing: analyzing and devirtualizing again would
+    /// find the same result and rewrite nothing.
+    analyzed: bool,
+    /// The program is the unchanged output of a cleanup that reached its
+    /// fixpoint: cleaning it again would change nothing.
+    clean: bool,
+}
+
+impl Settled {
+    /// Something rewrote the program.
+    fn changed(&mut self) {
+        *self = Settled::default();
+    }
+
+    /// Devirtualizes `p` with `result`, an analysis of exactly `p`.
+    fn devirtualize(&mut self, p: &mut Program, result: &AnalysisResult) {
+        let rewritten = staged("pipeline.devirt", p, |p| {
+            crate::devirt::devirtualize(p, result)
+        });
+        if rewritten == 0 {
+            self.analyzed = true;
+        } else {
+            self.changed();
+        }
+    }
+
+    /// Cleans `p` up, unless it is already a settled cleanup output.
+    fn cleanup(&mut self, p: &mut Program) {
+        if self.clean {
+            debug_assert!(
+                !run_opts(&mut p.clone()).changed,
+                "a fixpoint cleanup output changed when cleaned again"
+            );
+            return;
+        }
+        let cleanup = staged("pipeline.cleanup", p, run_opts);
+        if cleanup.changed {
+            self.analyzed = false;
+        }
+        self.clean = cleanup.fixpoint;
+    }
+
+    /// Analyzing, devirtualizing and cleaning up again would all leave the
+    /// program unchanged.
+    fn settled(&self) -> bool {
+        self.analyzed && self.clean
+    }
 }
 
 /// Marks the report degraded (once) when an analysis pass exhausted its
@@ -346,6 +407,7 @@ pub fn baseline(program: &Program, _opt: &OptConfig) -> Program {
 /// verification or on an internal analysis bug.
 pub fn try_baseline(program: &Program, budget: &Budget) -> Result<Program, PipelineError> {
     let mut p = program.clone();
+    let mut state = Settled::default();
     for round in 0..2usize {
         let _s = trace::span_with("pipeline.baseline_round", vec![kv("round", round)]);
         let result = {
@@ -353,10 +415,8 @@ pub fn try_baseline(program: &Program, budget: &Budget) -> Result<Program, Pipel
             try_analyze(&p, &AnalysisConfig::without_tags(), budget)
                 .map_err(PipelineError::Analysis)?
         };
-        staged("pipeline.devirt", &mut p, |p| {
-            crate::devirt::devirtualize(p, &result)
-        });
-        staged("pipeline.cleanup", &mut p, run_opts);
+        state.devirtualize(&mut p, &result);
+        state.cleanup(&mut p);
     }
     verified(&p, "baseline", &[])?;
     Ok(p)
@@ -488,6 +548,118 @@ mod tests {
         assert_eq!(opt.report.fields_inlined, 2, "{:?}", opt.report.outcomes);
         let out = run(&opt.program, &VmConfig::default()).unwrap();
         assert_eq!(out.output, "7\n7\n");
+    }
+
+    /// Runs `optimize` under a fresh tracer; returns the result and how
+    /// many spans of each name closed.
+    fn traced_optimize(p: &Program) -> (Optimized, impl Fn(&str) -> u64) {
+        let tracer = std::rc::Rc::new(trace::Tracer::new(vec![]));
+        let opt = {
+            let _guard = trace::install(tracer.clone());
+            optimize(p, &InlineConfig::default())
+        };
+        let phases = tracer.phase_profile();
+        let count = move |name: &str| {
+            phases
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, stat)| stat.count)
+        };
+        (opt, count)
+    }
+
+    /// One class per nesting level, each holding the next: every pass
+    /// inlines one level, so no pass ends on an empty plan.
+    const FOUR_DEEP: &str = "
+        global KEEP;
+        class Point { field x; method init(a) { self.x = a; } }
+        class Rect { field ll; method init(a) { self.ll = new Point(a); } }
+        class Boxy { field r; method init(a) { self.r = new Rect(a); } }
+        class Crate { field b; method init(a) { self.b = new Boxy(a); } }
+        fn main() {
+          var c = new Crate(7);
+          KEEP = c;
+          print c.b.r.ll.x;
+          print KEEP.b.r.ll.x;
+        }";
+
+    #[test]
+    fn finalize_runs_when_every_pass_inlines() {
+        let p = compile(FOUR_DEEP).unwrap();
+        let (opt, count) = traced_optimize(&p);
+        assert_eq!(opt.passes, MAX_PASSES, "{:?}", opt.report.outcomes);
+        assert_eq!(opt.report.fields_inlined, 3, "{:?}", opt.report.outcomes);
+        assert_eq!(count("pipeline.finalize"), 1);
+        assert_eq!(count("pipeline.analyze"), MAX_PASSES as u64 + 1);
+        let out = run(&opt.program, &VmConfig::default()).unwrap();
+        assert_eq!(out.output, "7\n7\n");
+    }
+
+    #[test]
+    fn finalize_is_skipped_after_an_empty_plan_pass() {
+        // The last pass analyzes the program, plans nothing, devirtualizes
+        // nothing and leaves a settled cleanup output: `finalize` would
+        // analyze that same program again.
+        let p = compile(RECT_PROGRAM).unwrap();
+        let (opt, count) = traced_optimize(&p);
+        assert_eq!(opt.passes, 1);
+        assert_eq!(count("pipeline.finalize"), 0);
+        assert_eq!(
+            count("pipeline.analyze"),
+            2,
+            "one per pass, none in finalize"
+        );
+        let out = run(&opt.program, &VmConfig::default()).unwrap();
+        assert_eq!(out.output, run(&p, &VmConfig::default()).unwrap().output);
+    }
+
+    #[test]
+    fn a_budget_that_ends_before_finalize_does_not_degrade() {
+        // Size the round budget to what the analyses outside `finalize`
+        // charge: a `finalize` analysis would exhaust it at its first round.
+        let p = compile(RECT_PROGRAM).unwrap();
+        let sink = std::rc::Rc::new(trace::MemorySink::default());
+        let unlimited = {
+            let _guard = trace::install(std::rc::Rc::new(trace::Tracer::new(vec![sink.clone()])));
+            optimize(&p, &InlineConfig::default())
+        };
+        let mut in_finalize = false;
+        let mut rounds = 0;
+        for e in sink.snapshot() {
+            match (e.kind, e.name.as_str()) {
+                (trace::EventKind::SpanStart, "pipeline.finalize") => in_finalize = true,
+                (trace::EventKind::SpanEnd, "pipeline.finalize") => in_finalize = false,
+                (trace::EventKind::Instant, "analysis.round") if !in_finalize => rounds += 1,
+                _ => {}
+            }
+        }
+        let optimize_within = |rounds: u64| {
+            let budget = Budget::unlimited().with_rounds(rounds);
+            let opt =
+                try_optimize(&p, &InlineConfig::default(), &BTreeSet::new(), &budget).unwrap();
+            (opt, budget.is_exhausted())
+        };
+
+        let (opt, exhausted) = optimize_within(rounds);
+        assert!(
+            !exhausted && !opt.report.degraded,
+            "{:?}",
+            opt.report.provenance
+        );
+        assert_eq!(
+            oi_ir::serial::encode_program(&opt.program),
+            oi_ir::serial::encode_program(&unlimited.program)
+        );
+        assert_eq!(opt.report, unlimited.report);
+
+        // One round fewer runs out inside the last pass's analysis.
+        let (opt, exhausted) = optimize_within(rounds - 1);
+        assert!(exhausted && opt.report.degraded);
+        assert!(opt
+            .report
+            .provenance
+            .iter()
+            .any(|s| s.code == "budget-exhausted"));
     }
 
     #[test]

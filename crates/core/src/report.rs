@@ -197,9 +197,11 @@ impl std::fmt::Display for EffectivenessReport {
             self.tier,
             if self.degraded { " (degraded)" } else { "" }
         )?;
-        writeln!(f, "object-holding fields : {}", self.total_object_fields)?;
-        writeln!(f, "ideally inlinable     : {}", self.ideal)?;
-        writeln!(f, "declared inline (C++) : {}", self.cxx)?;
+        // Field counts only: Figure 14's columns (`GroundTruth`) also
+        // count array sites.
+        writeln!(f, "fields holding objects: {}", self.total_object_fields)?;
+        writeln!(f, "fields @inline_ideal  : {}", self.ideal)?;
+        writeln!(f, "fields @inline_cxx    : {}", self.cxx)?;
         writeln!(f, "automatically inlined : {}", self.fields_inlined)?;
         writeln!(f, "array sites inlined   : {}", self.array_sites_inlined)?;
         write!(f, "firewall retractions  : {}", self.retractions)
@@ -236,6 +238,9 @@ mod tests {
         };
         let s = r.to_string();
         assert!(s.contains("compilation tier      : full"));
+        assert!(s.contains("fields holding objects: 5"));
+        assert!(s.contains("fields @inline_ideal  : 4"));
+        assert!(s.contains("fields @inline_cxx    : 2"));
         assert!(s.contains("automatically inlined : 4"));
         assert!(s.contains("array sites inlined   : 1"));
         assert!(s.contains("firewall retractions  : 2"));

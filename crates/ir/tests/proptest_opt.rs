@@ -6,6 +6,8 @@
 //! soundness is foundational. Random programs come from the in-repo
 //! seeded PRNG, so every failure reproduces from its printed seed.
 
+use oi_ir::opt::Cleanup;
+use oi_ir::serial::encode_program;
 use oi_support::rng::XorShift64;
 
 #[derive(Clone, Debug)]
@@ -141,16 +143,26 @@ fn optimizer_preserves_behavior() {
 
 #[test]
 fn optimizer_is_idempotent_enough() {
-    // Running the pipeline twice must still verify and agree.
+    // Running the pipeline twice must still verify and agree. The first
+    // call reaches its fixpoint, so the second reports that it changed
+    // nothing: the pipelines rely on that report to skip a cleanup.
+    let settled = Cleanup {
+        changed: false,
+        fixpoint: true,
+    };
     for seed in 0..64u64 {
         let mut rng = XorShift64::new(seed);
         let ops = random_ops(&mut rng, 12);
         let source = render(&ops);
         let program = oi_ir::lower::compile(&source).unwrap();
         let mut once = program.clone();
-        oi_ir::opt::optimize(&mut once);
+        assert!(oi_ir::opt::optimize(&mut once).fixpoint, "seed {seed}");
         let mut twice = once.clone();
-        oi_ir::opt::optimize(&mut twice);
+        assert_eq!(oi_ir::opt::optimize(&mut twice), settled, "seed {seed}");
+        assert!(
+            encode_program(&twice) == encode_program(&once),
+            "seed {seed}"
+        );
         oi_ir::verify::verify(&twice).unwrap();
         let config = oi_vm::VmConfig::default();
         let a = oi_vm::run(&once, &config).unwrap();
