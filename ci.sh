@@ -101,6 +101,13 @@ target/release/oic fuzz --runs 64 --seed 97
 # every inline-object invariant during the inlined runs; any finding is
 # an oracle rejection and fails the session.
 target/release/oic fuzz --runs 64 --seed 1 --checked
+# `OIC_TRACE` reaches the forwarded harnesses: a traced session must
+# stream the compiler's pipeline spans on stderr.
+OIC_TRACE=json target/release/oic fuzz --runs 4 --seed 1 2> target/fuzz_trace.jsonl
+if ! grep -q '"name":"pipeline\.' target/fuzz_trace.jsonl; then
+    echo "fuzz-smoke: expected pipeline spans from OIC_TRACE=json oic fuzz" >&2
+    exit 1
+fi
 
 echo "==> chaos-smoke (fault-injection matrix vs the detection lattice)"
 # Injects every fault class from the systematic matrix into the sentinel

@@ -51,9 +51,10 @@ pub const DEFAULT_BOUNDS_NS: [u64; 12] = [
     4_096_000_000,
 ];
 
-/// Raw samples retained per histogram for exact quantiles. A long-lived
-/// server eventually overflows this; quantiles then degrade to bucket
-/// upper bounds rather than growing without bound.
+/// Raw samples retained per histogram for exact quantiles, 8 bytes each
+/// (512 KiB per full histogram). A long-lived server eventually overflows
+/// this; quantiles then degrade to bucket upper bounds rather than growing
+/// without bound.
 pub const RAW_SAMPLE_CAP: usize = 65_536;
 
 /// One fixed-bucket latency histogram with retained raw samples.
@@ -61,7 +62,8 @@ pub const RAW_SAMPLE_CAP: usize = 65_536;
 pub struct Histogram {
     bounds: Vec<u64>,
     counts: Vec<u64>,
-    samples: Vec<u128>,
+    /// Raw samples, saturated at `u64::MAX` ns (584 years).
+    samples: Vec<u64>,
     capped: bool,
     count: u64,
     sum_ns: u128,
@@ -100,7 +102,7 @@ impl Histogram {
         self.count += 1;
         self.sum_ns += ns;
         if self.samples.len() < RAW_SAMPLE_CAP {
-            self.samples.push(ns);
+            self.samples.push(u64::try_from(ns).unwrap_or(u64::MAX));
         } else {
             self.capped = true;
         }
@@ -119,7 +121,7 @@ impl Histogram {
             return 0;
         }
         if !self.capped {
-            let mut sorted = self.samples.clone();
+            let mut sorted = self.wide_samples();
             sorted.sort_unstable();
             return percentile(&sorted, pct);
         }
@@ -142,7 +144,12 @@ impl Histogram {
 
     /// The robust [`TimingStats`] summary of the retained raw samples.
     pub fn stats(&self) -> TimingStats {
-        TimingStats::from_nanos(self.samples.clone())
+        TimingStats::from_nanos(self.wide_samples())
+    }
+
+    /// The retained raw samples, widened for the order-statistics code.
+    fn wide_samples(&self) -> Vec<u128> {
+        self.samples.iter().map(|&ns| u128::from(ns)).collect()
     }
 
     /// Per-bucket `(upper bound, count)` pairs; the overflow bucket
@@ -451,6 +458,15 @@ mod tests {
         let mut odd_sorted = odd.clone();
         odd_sorted.sort_unstable();
         assert_eq!(ho.quantile_ns(50.0), stats::median(&odd_sorted));
+    }
+
+    #[test]
+    fn samples_beyond_u64_saturate() {
+        let mut h = Histogram::with_bounds(&[10]);
+        h.record(5);
+        h.record(u128::from(u64::MAX) * 2);
+        assert_eq!(h.quantile_ns(50.0), 5);
+        assert_eq!(h.quantile_ns(100.0), u128::from(u64::MAX));
     }
 
     #[test]

@@ -8,13 +8,17 @@
 //! target is found by hashing `(class, key)` into a table of the pairs
 //! that exist, with no search of a class's names.
 //!
+//! The pair tables are filled straight from the program: a class's field
+//! slots from its full layout, its send targets from its own and its
+//! ancestors' methods, most-derived first, as [`Program::lookup_method`]
+//! searches.
+//!
 //! A `MakeInterior`/`MakeInteriorElem` whose temp the next instruction's
 //! `GetField`/`SetField` reads as its object becomes one fused op, with
 //! the child-field index resolved here. The fused op stands in the first
 //! half's place and the plain access stays at the next index, so a fuel
 //! slice that ends between the two halves resumes there.
 
-use crate::tables::RunTables;
 use crate::value::Value;
 use oi_ir::{
     BinOp, BlockId, Builtin, ClassId, ConstValue, Instr, LayoutId, MethodId, Program, SiteId,
@@ -201,18 +205,18 @@ pub(crate) enum Op {
 // Ops are dispatched from one array; keep two to a 64-byte cache line.
 const _: () = assert!(std::mem::size_of::<Op>() <= 32);
 
-/// Where a method's code starts and how many temps its frame holds.
+/// Where a method's code starts, how many temps its frame holds and how
+/// many arguments it takes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MethodCode {
     pub(crate) entry: u32,
     pub(crate) temps: u32,
+    pub(crate) params: u32,
 }
 
 /// A program decoded for one run.
 #[derive(Debug)]
 pub(crate) struct Code {
-    /// The name-resolution tables the dense tables were built from.
-    pub(crate) tables: RunTables,
     /// Every method's ops, method after method.
     pub(crate) ops: Vec<Op>,
     /// Indexed by [`MethodId`].
@@ -225,17 +229,37 @@ pub(crate) struct Code {
     targets: PairTable,
     /// Per program layout, its child fields as keys, in child-field order.
     pub(crate) layout_fields: Vec<Vec<Key>>,
+    /// Indexed by [`ClassId`]: the method `init` resolves to, as `New`
+    /// and the sanitizer look it up.
+    pub(crate) init: Vec<Option<MethodId>>,
+    /// Indexed by [`ClassId`]: the words of an instance.
+    pub(crate) class_sizes: Vec<usize>,
 }
 
 impl Code {
     /// Decodes every method of `program`.
     pub(crate) fn new(program: &Program) -> Self {
-        let tables = RunTables::new(program);
+        Self::decode(program, Keys::default(), Keys::default())
+    }
+
+    /// Decodes `program`, handing new keys out after those `fields` and
+    /// `selectors` already hold.
+    fn decode(program: &Program, fields: Keys, selectors: Keys) -> Self {
+        let layouts: Vec<_> = program
+            .classes
+            .ids()
+            .map(|c| program.layout_of(c))
+            .collect();
+        let init = program.interner.get("init");
         let mut decoder = Decoder {
             program,
-            tables: &tables,
-            fields: Keys::default(),
-            selectors: Keys::default(),
+            init: program
+                .classes
+                .ids()
+                .map(|c| init.and_then(|s| program.lookup_method(c, s)))
+                .collect(),
+            fields,
+            selectors,
             args: Vec::new(),
         };
         let layout_fields = program
@@ -255,6 +279,7 @@ impl Code {
             methods.push(MethodCode {
                 entry,
                 temps: m.temp_count,
+                params: m.param_count,
             });
             // Each block is its instructions plus its terminator.
             let mut starts = Vec::with_capacity(m.blocks.len());
@@ -289,34 +314,46 @@ impl Code {
             }
         }
         let Decoder {
+            init,
             fields,
             selectors,
             args,
             ..
         } = decoder;
+        // Only names an op or a layout was given a key for get pairs.
+        // Within a class's row, the first pair listed for a key wins.
         let mut field_slots = Vec::new();
         let mut targets = Vec::new();
-        for c in program.classes.ids() {
-            let class = c.index() as u32;
-            for &(name, slot) in tables.field_row(c) {
-                if let Some(&key) = fields.map.get(&name) {
-                    field_slots.push((class, key, slot as u32));
-                }
+        let mut row = Vec::new();
+        for (c, layout) in program.classes.ids().zip(&layouts) {
+            // A name declared twice in one hierarchy (unverified IR)
+            // resolves to its last slot, so the row lists slots last first.
+            row.extend(layout.iter().enumerate().rev().filter_map(|(slot, &f)| {
+                let key = fields.map.get(&program.fields[f].name)?;
+                Some((*key, slot as u32))
+            }));
+            push_row(&mut field_slots, c, &mut row);
+            // Own methods first, then each ancestor's: the most-derived
+            // wins, as `Program::lookup_method` finds it.
+            let mut cur = Some(c);
+            while let Some(k) = cur {
+                row.extend(program.classes[k].methods.iter().filter_map(|(s, m)| {
+                    let key = selectors.map.get(s)?;
+                    Some((*key, m.index() as u32))
+                }));
+                cur = program.classes[k].parent;
             }
-            for &(name, method) in tables.method_row(c) {
-                if let Some(&key) = selectors.map.get(&name) {
-                    targets.push((class, key, method.index() as u32));
-                }
-            }
+            push_row(&mut targets, c, &mut row);
         }
         Code {
-            tables,
             ops,
             methods,
             args,
             field_slots: PairTable::new(&field_slots),
             targets: PairTable::new(&targets),
             layout_fields,
+            init,
+            class_sizes: layouts.iter().map(Vec::len).collect(),
         }
     }
 
@@ -404,6 +441,16 @@ impl PairTable {
     }
 }
 
+/// Appends class `class`'s `(key, value)` row to `pairs`, keeping the
+/// first pair listed for each key, and empties the row.
+fn push_row(pairs: &mut Vec<(u32, u32, u32)>, class: ClassId, row: &mut Vec<(u32, u32)>) {
+    // Stable: among equal keys the first listed stays first.
+    row.sort_by_key(|e| e.0);
+    row.dedup_by_key(|e| e.0);
+    let class = class.index() as u32;
+    pairs.extend(row.drain(..).map(|(key, value)| (class, key, value)));
+}
+
 /// Small keys handed out to names in first-use order.
 #[derive(Default)]
 struct Keys {
@@ -421,7 +468,8 @@ impl Keys {
 /// The decoding state: the keys handed out so far and the argument list.
 struct Decoder<'a> {
     program: &'a Program,
-    tables: &'a RunTables,
+    /// Indexed by [`ClassId`]: the method `init` resolves to.
+    init: Vec<Option<MethodId>>,
     fields: Keys,
     selectors: Keys,
     args: Vec<u32>,
@@ -494,7 +542,6 @@ impl Decoder<'_> {
                 // explicitly, with a different arity; they skip the
                 // implicit call.
                 let init = self
-                    .tables
                     .init
                     .get(class.index())
                     .copied()
@@ -657,47 +704,133 @@ impl Decoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oi_bench::synth::{generate, SynthParams};
+    use oi_benchmarks::{all_benchmarks, BenchSize};
+    use oi_core::pipeline::{baseline, optimize, InlineConfig};
     use oi_ir::lower::compile;
 
-    /// Every keyed name resolves through the decoded tables exactly as
-    /// through [`RunTables`], for every class, hits and misses alike.
-    fn check(source: &str) {
-        let program = compile(source).unwrap();
-        let code = Code::new(&program);
-        let mut decoder = Decoder {
-            program: &program,
-            tables: &code.tables,
-            fields: Keys::default(),
-            selectors: Keys::default(),
-            args: Vec::new(),
-        };
-        // Re-key in the same first-use order by decoding again.
-        for l in program.layouts.iter() {
-            for &f in &l.child_fields {
-                decoder.fields.key(f);
-            }
+    /// Every name resolves through the decoded form exactly as through the
+    /// program's own lookups, for every class, hits and misses alike: the
+    /// field slot as `Program::layout_of` places it (the last of a name
+    /// declared twice), the send target and `init` as
+    /// `Program::lookup_method` finds them.
+    fn check(name: &str, p: &Program) {
+        // Every interned name plus one the interner never handed out,
+        // keyed first so that symbol `symbols[k]` has key `k`.
+        let symbols: Vec<Symbol> = (0..p.interner.len() as u32)
+            .chain([u32::MAX])
+            .map(Symbol::from_raw)
+            .collect();
+        let (mut fields, mut selectors) = (Keys::default(), Keys::default());
+        for &s in &symbols {
+            fields.key(s);
+            selectors.key(s);
         }
-        for m in program.methods.iter() {
-            for block in m.blocks.iter() {
-                for (i, instr) in block.instrs.iter().enumerate() {
-                    decoder.instr(instr, block.instrs.get(i + 1));
+        let code = Code::decode(p, fields, selectors);
+        let init = p.interner.get("init");
+        for c in p.classes.ids() {
+            let slots: HashMap<Symbol, usize> = p
+                .layout_of(c)
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| (p.fields[f].name, i))
+                .collect();
+            for (key, &s) in symbols.iter().enumerate() {
+                assert_eq!(
+                    code.target(c, key as u32),
+                    p.lookup_method(c, s),
+                    "{name}: class {c:?} selector {s:?}"
+                );
+                assert_eq!(
+                    code.field_slot(c, key as u32),
+                    slots.get(&s).copied(),
+                    "{name}: class {c:?} field {s:?}"
+                );
+            }
+            assert_eq!(
+                code.init[c.index()],
+                init.and_then(|s| p.lookup_method(c, s)),
+                "{name}: class {c:?} init"
+            );
+        }
+        // `New` calls the class's `init` when the arities agree.
+        let expected: Vec<(ClassId, u32)> = p
+            .methods
+            .iter()
+            .flat_map(|m| m.blocks.iter().flat_map(|b| b.instrs.iter()))
+            .filter_map(|i| match *i {
+                Instr::New {
+                    class, ref args, ..
+                } => {
+                    let init = init
+                        .and_then(|s| p.lookup_method(class, s))
+                        .filter(|&m| p.methods[m].param_count as usize == args.len());
+                    Some((class, init.map_or(MISSING, |m| m.index() as u32)))
                 }
-            }
-        }
-        assert!(!decoder.fields.map.is_empty() && !decoder.selectors.map.is_empty());
-        for c in program.classes.ids() {
-            for (&name, &key) in &decoder.fields.map {
-                assert_eq!(code.field_slot(c, key), code.tables.field_slot(c, name));
-            }
-            for (&name, &key) in &decoder.selectors.map {
-                assert_eq!(code.target(c, key), code.tables.method(c, name));
-            }
+                _ => None,
+            })
+            .collect();
+        let decoded: Vec<(ClassId, u32)> = code
+            .ops
+            .iter()
+            .filter_map(|op| match *op {
+                Op::New { class, init, .. } => Some((class, init)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decoded, expected, "{name}: `New` targets");
+    }
+
+    /// The lowered program and both builds of `source`.
+    fn check_source(name: &str, source: &str) {
+        let config = InlineConfig::default();
+        let program = compile(source).expect("source lowers");
+        check(&format!("{name}/lowered"), &program);
+        check(
+            &format!("{name}/baseline"),
+            &baseline(&program, &config.opt),
+        );
+        check(
+            &format!("{name}/inlined"),
+            &optimize(&program, &config).program,
+        );
+    }
+
+    #[test]
+    fn lookups_match_program_on_fig17_builds() {
+        for bench in all_benchmarks(BenchSize::Default) {
+            check_source(bench.name, &bench.source);
         }
     }
 
     #[test]
-    fn keyed_lookups_match_run_tables_under_overrides() {
-        check(
+    fn lookups_match_program_on_synth_builds() {
+        for (class_pairs, call_depth) in [(2, 1), (5, 2), (12, 3)] {
+            let source = generate(SynthParams {
+                class_pairs,
+                call_depth,
+                ..Default::default()
+            });
+            check_source(&format!("synth-{class_pairs}x{call_depth}"), &source);
+        }
+    }
+
+    /// The Fig-17 and synth hierarchies never override a method; these
+    /// override at every level, `init` included.
+    #[test]
+    fn lookups_match_program_under_overrides() {
+        check_source(
+            "overrides",
+            "class A { field x; method init(v) { self.x = v; } method tag() { return 1; }
+               method base() { return self.tag(); } }
+             class B : A { field y; method tag() { return 2; } }
+             class C : B { field z; method init(v) { self.x = v; self.z = v; }
+               method tag() { return 3; } method own() { return self.z; } }
+             fn main() { var c = new C(4); var b = new B(5);
+               print c.base() + b.base() + c.own(); }",
+        );
+        check_source(
+            "overrides-own",
             "class A { field x; method init(v) { self.x = v; } method tag() { return 1; }
                method base() { return self.tag(); } }
              class B : A { field y; method tag() { return 2; } }
@@ -711,7 +844,7 @@ mod tests {
     /// Enough classes and names that the pair tables probe past
     /// collisions.
     #[test]
-    fn keyed_lookups_match_run_tables_with_many_classes() {
+    fn lookups_match_program_with_many_classes() {
         let mut source = String::new();
         let mut main = String::from("fn main() { var s = 0;");
         for k in 0..40 {
@@ -727,7 +860,7 @@ mod tests {
         }
         main.push_str(" print s; }");
         source.push_str(&main);
-        check(&source);
+        check_source("many-classes", &source);
     }
 
     /// An interior formed and consumed by the next instruction decodes to

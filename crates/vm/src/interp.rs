@@ -248,9 +248,8 @@ pub enum FuelOutcome {
 /// unmetered [`run`] — a single `u64::MAX` slice — performs identical
 /// per-instruction work.
 pub struct VmSession {
-    /// Owned interpreter state; `None` once finished (done or trapped).
-    state: Option<VmState>,
-    config: VmConfig,
+    /// The parked interpreter; `None` once finished (done or trapped).
+    vm: Option<Vm>,
     /// Address of the program this session was created over.
     program_tag: usize,
     /// Instructions executed across all slices so far.
@@ -268,8 +267,7 @@ impl VmSession {
         let mut vm = Vm::new(program, config);
         vm.enter(program.entry)?;
         Ok(VmSession {
-            state: Some(vm.into_state()),
-            config: *config,
+            vm: Some(vm),
             program_tag: program as *const Program as usize,
             executed: 0,
         })
@@ -288,7 +286,7 @@ impl VmSession {
                 },
             };
         }
-        let Some(state) = self.state.take() else {
+        let Some(mut vm) = self.vm.take() else {
             return FuelOutcome::Trapped {
                 fuel_spent: 0,
                 error: VmError::Internal {
@@ -296,11 +294,10 @@ impl VmSession {
                 },
             };
         };
-        let budget = state.instr_budget;
+        let budget = vm.instr_budget;
         let mut quota = fuel.min(budget);
         let granted = quota;
-        let mut vm = Vm::from_state(program, &self.config, state);
-        let end = vm.drive(&mut quota);
+        let end = vm.drive(program, &mut quota);
         // Fuel is the quota delta, not `metrics.instructions`: the drive
         // loop meters block terminators too (an empty-loop cycle must not
         // spin for free), while the instructions metric stays a pure
@@ -311,7 +308,7 @@ impl VmSession {
         match end {
             Ok(StepEnd::Done) => FuelOutcome::Done {
                 fuel_spent,
-                result: Box::new(vm.finish()),
+                result: Box::new(vm.finish(program)),
             },
             Ok(StepEnd::OutOfFuel) => {
                 if vm.instr_budget == 0 {
@@ -320,7 +317,7 @@ impl VmSession {
                         error: VmError::InstructionLimit,
                     }
                 } else {
-                    self.state = Some(vm.into_state());
+                    self.vm = Some(vm);
                     FuelOutcome::Yielded { fuel_spent }
                 }
             }
@@ -338,7 +335,7 @@ impl VmSession {
 
     /// Whether the session has finished (done or trapped).
     pub fn is_finished(&self) -> bool {
-        self.state.is_none()
+        self.vm.is_none()
     }
 }
 
@@ -568,29 +565,11 @@ enum StepEnd {
     OutOfFuel,
 }
 
-/// The owned half of the interpreter — everything except the borrowed
-/// program and config — parked between fuel slices. Field-for-field the
-/// owned fields of [`Vm`]; conversion is a move in each direction.
-struct VmState {
-    heap: Heap,
-    cache: CacheSim,
-    metrics: Metrics,
-    output: String,
-    globals: Vec<Value>,
-    code: Arc<Code>,
-    layouts: Vec<ResolvedLayout>,
-    frames: Vec<Frame>,
-    stack: Vec<Value>,
-    instr_budget: u64,
-    profile: Option<ProfileState>,
-    sanitizer: Option<Sanitizer>,
-    mstack: Vec<MethodId>,
-    cur_op: usize,
-}
-
-struct Vm<'p> {
-    program: &'p Program,
-    config: &'p VmConfig,
+/// The interpreter: everything a run owns. Every method that reads the
+/// program takes it as an argument, so a [`VmSession`] parks the `Vm`
+/// itself between fuel slices, holding no borrow.
+struct Vm {
+    config: VmConfig,
     heap: Heap,
     cache: CacheSim,
     metrics: Metrics,
@@ -618,11 +597,10 @@ struct Vm<'p> {
     cur_op: usize,
 }
 
-impl<'p> Vm<'p> {
-    fn new(program: &'p Program, config: &'p VmConfig) -> Self {
+impl Vm {
+    fn new(program: &Program, config: &VmConfig) -> Self {
         Self {
-            program,
-            config,
+            config: *config,
             heap: Heap::new(config.max_heap_words, config.alloc_header_words),
             cache: CacheSim::new(config.cache),
             metrics: Metrics::default(),
@@ -649,55 +627,8 @@ impl<'p> Vm<'p> {
         }
     }
 
-    // -- suspend / resume ---------------------------------------------------
-
-    /// Rehydrates an interpreter over parked state. Every field move is a
-    /// pointer-sized copy, so a resume costs nothing proportional to heap
-    /// or stack size.
-    fn from_state(program: &'p Program, config: &'p VmConfig, st: VmState) -> Self {
-        Vm {
-            program,
-            config,
-            heap: st.heap,
-            cache: st.cache,
-            metrics: st.metrics,
-            output: st.output,
-            globals: st.globals,
-            code: st.code,
-            layouts: st.layouts,
-            frames: st.frames,
-            stack: st.stack,
-            instr_budget: st.instr_budget,
-            profile: st.profile,
-            sanitizer: st.sanitizer,
-            mstack: st.mstack,
-            cur_op: st.cur_op,
-        }
-    }
-
-    /// Parks the interpreter's owned state, dropping the program borrow.
-    fn into_state(self) -> VmState {
-        VmState {
-            heap: self.heap,
-            cache: self.cache,
-            metrics: self.metrics,
-            output: self.output,
-            globals: self.globals,
-            code: self.code,
-            layouts: self.layouts,
-            frames: self.frames,
-            stack: self.stack,
-            instr_budget: self.instr_budget,
-            profile: self.profile,
-            sanitizer: self.sanitizer,
-            mstack: self.mstack,
-            cur_op: self.cur_op,
-        }
-    }
-
     /// Consumes a completed interpreter into its [`RunResult`].
-    fn finish(mut self) -> RunResult {
-        let program = self.program;
+    fn finish(mut self, program: &Program) -> RunResult {
         let profile = self
             .profile
             .take()
@@ -828,7 +759,12 @@ impl<'p> Vm<'p> {
     /// Forms the interior reference `&container.<layout>`: address
     /// arithmetic, charged as one `lea`.
     #[inline(always)]
-    fn make_interior(&mut self, container: Value, layout: u32) -> Result<Interior, VmError> {
+    fn make_interior(
+        &mut self,
+        program: &Program,
+        container: Value,
+        layout: u32,
+    ) -> Result<Interior, VmError> {
         self.metrics.interior_refs += 1;
         self.charge(self.config.cost.lea);
         let interior = match container {
@@ -846,7 +782,7 @@ impl<'p> Vm<'p> {
                 index,
                 layout: compose(
                     &mut self.layouts,
-                    self.program,
+                    program,
                     outer.index() as u32,
                     LayoutId::new(layout as usize),
                 ),
@@ -864,7 +800,7 @@ impl<'p> Vm<'p> {
             }
         };
         if self.sanitizer.is_some() {
-            self.sanitize_interior(interior, "MakeInterior");
+            self.sanitize_interior(program, interior, "MakeInterior");
         }
         Ok(interior)
     }
@@ -873,6 +809,7 @@ impl<'p> Vm<'p> {
     #[inline(always)]
     fn make_interior_elem(
         &mut self,
+        program: &Program,
         arr: Value,
         idx: Value,
         layout: u32,
@@ -901,7 +838,7 @@ impl<'p> Vm<'p> {
             layout,
         };
         if self.sanitizer.is_some() {
-            self.sanitize_interior(interior, "MakeInteriorElem");
+            self.sanitize_interior(program, interior, "MakeInteriorElem");
         }
         Ok(interior)
     }
@@ -909,11 +846,11 @@ impl<'p> Vm<'p> {
     // -- checked execution --------------------------------------------------
 
     /// Validates the establishment of an interior reference (checked mode).
-    fn sanitize_interior(&mut self, at: Interior, instruction: &'static str) {
+    fn sanitize_interior(&mut self, program: &Program, at: Interior, instruction: &'static str) {
         let method = self.mstack.last().copied();
         if let Some(san) = &mut self.sanitizer {
             san.on_interior(
-                self.program,
+                program,
                 &self.heap,
                 &self.layouts,
                 method,
@@ -930,6 +867,7 @@ impl<'p> Vm<'p> {
     /// unchecked interpreter could not survive either.
     fn checked_access(
         &mut self,
+        program: &Program,
         at: Interior,
         j: usize,
         slot: usize,
@@ -939,7 +877,7 @@ impl<'p> Vm<'p> {
         let method = self.mstack.last().copied();
         if let Some(san) = &mut self.sanitizer {
             san.on_access(
-                self.program,
+                program,
                 &self.heap,
                 &self.layouts,
                 method,
@@ -958,7 +896,7 @@ impl<'p> Vm<'p> {
     /// Cross-checks identity when `l === r` (or `==` on references) was
     /// false: two interior references into the same container designating
     /// the same region must compare identical (checked mode).
-    fn sanitize_identity(&mut self, l: Value, r: Value) {
+    fn sanitize_identity(&mut self, program: &Program, l: Value, r: Value) {
         if self.sanitizer.is_none() {
             return;
         }
@@ -979,7 +917,7 @@ impl<'p> Vm<'p> {
                 let method = self.mstack.last().copied();
                 if let Some(san) = &mut self.sanitizer {
                     san.on_identity(
-                        self.program,
+                        program,
                         &self.heap,
                         &self.layouts,
                         method,
@@ -993,24 +931,6 @@ impl<'p> Vm<'p> {
     }
 
     // -- dynamic typing helpers ---------------------------------------------
-
-    fn class_name(&self, c: ClassId) -> String {
-        self.program
-            .interner
-            .resolve(self.program.classes[c].name)
-            .to_owned()
-    }
-
-    /// The name of a field or selector symbol. IR that never passed the
-    /// verifier can carry a symbol the interner does not know; it names
-    /// itself by its raw slot instead of panicking.
-    fn sym_name(&self, s: Symbol) -> String {
-        if (s.raw() as usize) < self.program.interner.len() {
-            self.program.interner.resolve(s).to_owned()
-        } else {
-            format!("{s:?}")
-        }
-    }
 
     fn class_of(&self, v: Value) -> Option<ClassId> {
         match v {
@@ -1058,29 +978,21 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The error for a field an object of `class` does not have.
-    fn no_such_field(&self, class: ClassId, field: Symbol) -> VmError {
-        VmError::NoSuchField {
-            class: self.class_name(class),
-            field: self.sym_name(field),
-        }
-    }
-
     #[inline(always)]
-    fn get_field(&mut self, recv: Value, field: Key) -> Result<Value, VmError> {
+    fn get_field(&mut self, program: &Program, recv: Value, field: Key) -> Result<Value, VmError> {
         match recv {
             Value::Obj(o) => {
                 let obj = self.heap.get(o);
                 let ObjKind::Instance(c) = obj.kind else {
                     return Err(VmError::NoSuchField {
                         class: "array".to_owned(),
-                        field: self.sym_name(field.name),
+                        field: sym_name(program, field.name),
                     });
                 };
                 let slot = self
                     .code
                     .field_slot(c, field.key)
-                    .ok_or_else(|| self.no_such_field(c, field.name))?;
+                    .ok_or_else(|| no_such_field(program, c, field.name))?;
                 let addr = obj.slot_addr(slot);
                 let hit = self.mem_read(addr);
                 self.profile_access(c, field.name, false, false, hit);
@@ -1093,10 +1005,10 @@ impl<'p> Vm<'p> {
                     layout: layout.index() as u32,
                 };
                 let child = self.child_field(at.layout, field.name);
-                self.interior_get(at, child)
+                self.interior_get(program, at, child)
             }
             Value::Nil => Err(VmError::NilDereference {
-                context: format!("field access `{}`", self.sym_name(field.name)),
+                context: format!("field access `{}`", sym_name(program, field.name)),
             }),
             other => Err(VmError::TypeError {
                 expected: "object for field access".to_owned(),
@@ -1107,15 +1019,20 @@ impl<'p> Vm<'p> {
 
     /// Reads child field `field` through the interior reference `at`.
     #[inline(always)]
-    fn interior_get(&mut self, at: Interior, field: Child) -> Result<Value, VmError> {
+    fn interior_get(
+        &mut self,
+        program: &Program,
+        at: Interior,
+        field: Child,
+    ) -> Result<Value, VmError> {
         let child = self.layouts[at.layout as usize].child_class;
         if field.j == MISSING {
-            return Err(self.no_such_field(child, field.name));
+            return Err(no_such_field(program, child, field.name));
         }
         let j = field.j as usize;
         let slot = self.interior_slot(at.obj, at.layout, at.index, j);
         if self.sanitizer.is_some() {
-            self.checked_access(at, j, slot, true, "GetField")?;
+            self.checked_access(program, at, j, slot, true, "GetField")?;
         }
         let addr = self.heap.get(at.obj).slot_addr(slot);
         let hit = self.mem_read(addr);
@@ -1125,20 +1042,26 @@ impl<'p> Vm<'p> {
     }
 
     #[inline(always)]
-    fn set_field(&mut self, recv: Value, field: Key, value: Value) -> Result<(), VmError> {
+    fn set_field(
+        &mut self,
+        program: &Program,
+        recv: Value,
+        field: Key,
+        value: Value,
+    ) -> Result<(), VmError> {
         match recv {
             Value::Obj(o) => {
                 let obj = self.heap.get(o);
                 let ObjKind::Instance(c) = obj.kind else {
                     return Err(VmError::NoSuchField {
                         class: "array".to_owned(),
-                        field: self.sym_name(field.name),
+                        field: sym_name(program, field.name),
                     });
                 };
                 let slot = self
                     .code
                     .field_slot(c, field.key)
-                    .ok_or_else(|| self.no_such_field(c, field.name))?;
+                    .ok_or_else(|| no_such_field(program, c, field.name))?;
                 let addr = obj.slot_addr(slot);
                 let hit = self.mem_write(addr);
                 self.profile_access(c, field.name, false, true, hit);
@@ -1156,10 +1079,10 @@ impl<'p> Vm<'p> {
                     layout: layout.index() as u32,
                 };
                 let child = self.child_field(at.layout, field.name);
-                self.interior_set(at, child, value)
+                self.interior_set(program, at, child, value)
             }
             Value::Nil => Err(VmError::NilDereference {
-                context: format!("field store `{}`", self.sym_name(field.name)),
+                context: format!("field store `{}`", sym_name(program, field.name)),
             }),
             other => Err(VmError::TypeError {
                 expected: "object for field store".to_owned(),
@@ -1170,15 +1093,21 @@ impl<'p> Vm<'p> {
 
     /// Writes child field `field` through the interior reference `at`.
     #[inline(always)]
-    fn interior_set(&mut self, at: Interior, field: Child, value: Value) -> Result<(), VmError> {
+    fn interior_set(
+        &mut self,
+        program: &Program,
+        at: Interior,
+        field: Child,
+        value: Value,
+    ) -> Result<(), VmError> {
         let child = self.layouts[at.layout as usize].child_class;
         if field.j == MISSING {
-            return Err(self.no_such_field(child, field.name));
+            return Err(no_such_field(program, child, field.name));
         }
         let j = field.j as usize;
         let slot = self.interior_slot(at.obj, at.layout, at.index, j);
         if self.sanitizer.is_some() {
-            self.checked_access(at, j, slot, false, "SetField")?;
+            self.checked_access(program, at, j, slot, false, "SetField")?;
         }
         let addr = self.heap.get(at.obj).slot_addr(slot);
         let hit = self.mem_write(addr);
@@ -1191,7 +1120,7 @@ impl<'p> Vm<'p> {
     // -- allocation ----------------------------------------------------------
 
     fn alloc_instance(&mut self, class: ClassId, site: SiteId) -> Result<ObjId, VmError> {
-        let size = self.code.tables.class_sizes[class.index()];
+        let size = self.code.class_sizes[class.index()];
         let id = self.heap.alloc(ObjKind::Instance(class), size)?;
         // Use the heap's effective (clamped) overhead so `words_allocated`
         // in the metrics agrees with the bump allocator's own accounting.
@@ -1308,11 +1237,12 @@ impl<'p> Vm<'p> {
         if self.frames.len() >= self.config.max_depth {
             return Err(VmError::StackOverflow);
         }
-        debug_assert_eq!(
-            args.len(),
-            self.program.methods[method].param_count as usize
-        );
-        let MethodCode { entry, temps } = self.code.methods[method.index()];
+        let MethodCode {
+            entry,
+            temps,
+            params,
+        } = self.code.methods[method.index()];
+        debug_assert_eq!(args.len(), params as usize);
         let temps = temps as usize;
         // Verified IR guarantees `temp_count >= params + self`; unverified
         // IR must not be able to panic the host.
@@ -1344,7 +1274,7 @@ impl<'p> Vm<'p> {
             if let Value::Interior { obj, index, layout } = recv {
                 let lid = layout.index() as u32;
                 let child = self.layouts[lid as usize].child_class;
-                if self.code.tables.init(child) == Some(method) {
+                if self.code.init[child.index()] == Some(method) {
                     if let Some(san) = &mut self.sanitizer {
                         san.on_ctor_enter(&self.layouts, &self.heap, obj, index, lid);
                     }
@@ -1368,10 +1298,15 @@ impl<'p> Vm<'p> {
     }
 
     /// The method a send of `selector` to `recv` runs.
-    fn resolve_send(&self, recv: Value, selector: Key) -> Result<MethodId, VmError> {
+    fn resolve_send(
+        &self,
+        program: &Program,
+        recv: Value,
+        selector: Key,
+    ) -> Result<MethodId, VmError> {
         let class = self.class_of(recv).ok_or_else(|| match recv {
             Value::Nil => VmError::NilDereference {
-                context: format!("send of `{}`", self.sym_name(selector.name)),
+                context: format!("send of `{}`", sym_name(program, selector.name)),
             },
             other => VmError::TypeError {
                 expected: "object receiver".to_owned(),
@@ -1381,8 +1316,8 @@ impl<'p> Vm<'p> {
         self.code
             .target(class, selector.key)
             .ok_or_else(|| VmError::NoSuchMethod {
-                class: self.class_name(class),
-                selector: self.sym_name(selector.name),
+                class: class_name(program, class),
+                selector: sym_name(program, selector.name),
             })
     }
 
@@ -1408,7 +1343,7 @@ impl<'p> Vm<'p> {
     /// escaping both `max_instructions` and fuel slicing. A fused op is
     /// two dispatches and meters each half; when the quota runs out after
     /// the first, the frame parks on the plain second half.
-    fn drive(&mut self, quota: &mut u64) -> Result<StepEnd, VmError> {
+    fn drive(&mut self, program: &Program, quota: &mut u64) -> Result<StepEnd, VmError> {
         // The stack moves out of `self` for the slice so dispatch can
         // borrow the top frame's temps alongside `self`.
         let mut stack = std::mem::take(&mut self.stack);
@@ -1416,7 +1351,7 @@ impl<'p> Vm<'p> {
         // The loop's two counters are locals here so that, with the loop
         // inlined, they live in registers rather than memory.
         let (granted, mut left, mut terminators) = (*quota, *quota, 0);
-        let end = self.dispatch(&code, &mut stack, &mut left, &mut terminators);
+        let end = self.dispatch(program, &code, &mut stack, &mut left, &mut terminators);
         self.stack = stack;
         *quota = left;
         // Every dispatch is an instruction or a terminator.
@@ -1429,6 +1364,7 @@ impl<'p> Vm<'p> {
     #[inline(always)]
     fn dispatch(
         &mut self,
+        program: &Program,
         code: &Code,
         stack: &mut Vec<Value>,
         quota: &mut u64,
@@ -1472,7 +1408,7 @@ impl<'p> Vm<'p> {
                     Op::Binary { dst, op, lhs, rhs } => {
                         self.dispatched(OP_BINARY);
                         let (l, r) = (locals[lhs as usize], locals[rhs as usize]);
-                        locals[dst as usize] = self.eval_binary(op, l, r)?;
+                        locals[dst as usize] = self.eval_binary(program, op, l, r)?;
                     }
                     Op::New {
                         dst,
@@ -1515,22 +1451,23 @@ impl<'p> Vm<'p> {
                     }
                     Op::GetField { dst, obj, field } => {
                         self.dispatched(OP_GET_FIELD);
-                        locals[dst as usize] = self.get_field(locals[obj as usize], field)?;
+                        locals[dst as usize] =
+                            self.get_field(program, locals[obj as usize], field)?;
                     }
                     Op::SetField { obj, field, src } => {
                         self.dispatched(OP_SET_FIELD);
                         let (o, v) = (locals[obj as usize], locals[src as usize]);
-                        self.set_field(o, field, v)?;
+                        self.set_field(program, o, field, v)?;
                     }
                     Op::ArrayGet { dst, arr, idx } => {
                         self.dispatched(OP_ARRAY_GET);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        locals[dst as usize] = self.array_get(a, i)?;
+                        locals[dst as usize] = self.array_get(program, a, i)?;
                     }
                     Op::ArraySet { arr, idx, src } => {
                         self.dispatched(OP_ARRAY_SET);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        self.array_set(code, a, i, locals[src as usize])?;
+                        self.array_set(program, code, a, i, locals[src as usize])?;
                     }
                     Op::GetGlobal { dst, global } => {
                         self.dispatched(OP_GET_GLOBAL);
@@ -1551,7 +1488,7 @@ impl<'p> Vm<'p> {
                     } => {
                         self.dispatched(OP_SEND);
                         let r = locals[recv as usize];
-                        let target = self.resolve_send(r, selector)?;
+                        let target = self.resolve_send(program, r, selector)?;
                         let args = code.args(args);
                         self.metrics.dyn_dispatches += 1;
                         self.charge(cost.dyn_dispatch + cost.call_arg * args.len() as u64);
@@ -1591,7 +1528,7 @@ impl<'p> Vm<'p> {
                     }
                     Op::MakeInterior { dst, obj, layout } => {
                         self.dispatched(OP_MAKE_INTERIOR);
-                        let at = self.make_interior(locals[obj as usize], layout)?;
+                        let at = self.make_interior(program, locals[obj as usize], layout)?;
                         locals[dst as usize] = at.value();
                     }
                     Op::MakeInteriorElem {
@@ -1602,13 +1539,13 @@ impl<'p> Vm<'p> {
                     } => {
                         self.dispatched(OP_MAKE_INTERIOR_ELEM);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem(a, i, layout)?;
+                        let at = self.make_interior_elem(program, a, i, layout)?;
                         locals[dst as usize] = at.value();
                     }
                     Op::Print { src } => {
                         self.dispatched(OP_PRINT);
                         self.charge(cost.print);
-                        let text = self.format_value(locals[src as usize]);
+                        let text = self.format_value(program, locals[src as usize]);
                         self.output.push_str(&text);
                         self.output.push('\n');
                     }
@@ -1620,7 +1557,7 @@ impl<'p> Vm<'p> {
                         field,
                     } => {
                         self.dispatched(OP_MAKE_INTERIOR);
-                        let at = self.make_interior(locals[obj as usize], layout)?;
+                        let at = self.make_interior(program, locals[obj as usize], layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
@@ -1628,7 +1565,7 @@ impl<'p> Vm<'p> {
                         }
                         *quota -= 1;
                         self.dispatched(OP_GET_FIELD);
-                        locals[dst as usize] = self.interior_get(at, field)?;
+                        locals[dst as usize] = self.interior_get(program, at, field)?;
                         ip += 1;
                     }
                     Op::InteriorSet {
@@ -1639,7 +1576,7 @@ impl<'p> Vm<'p> {
                         src,
                     } => {
                         self.dispatched(OP_MAKE_INTERIOR);
-                        let at = self.make_interior(locals[obj as usize], layout)?;
+                        let at = self.make_interior(program, locals[obj as usize], layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
@@ -1647,7 +1584,7 @@ impl<'p> Vm<'p> {
                         }
                         *quota -= 1;
                         self.dispatched(OP_SET_FIELD);
-                        self.interior_set(at, field, locals[src as usize])?;
+                        self.interior_set(program, at, field, locals[src as usize])?;
                         ip += 1;
                     }
                     Op::ElemGet {
@@ -1660,7 +1597,7 @@ impl<'p> Vm<'p> {
                     } => {
                         self.dispatched(OP_MAKE_INTERIOR_ELEM);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem(a, i, layout)?;
+                        let at = self.make_interior_elem(program, a, i, layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
@@ -1668,7 +1605,7 @@ impl<'p> Vm<'p> {
                         }
                         *quota -= 1;
                         self.dispatched(OP_GET_FIELD);
-                        locals[dst as usize] = self.interior_get(at, field)?;
+                        locals[dst as usize] = self.interior_get(program, at, field)?;
                         ip += 1;
                     }
                     Op::ElemSet {
@@ -1681,7 +1618,7 @@ impl<'p> Vm<'p> {
                     } => {
                         self.dispatched(OP_MAKE_INTERIOR_ELEM);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem(a, i, layout)?;
+                        let at = self.make_interior_elem(program, a, i, layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
@@ -1689,7 +1626,7 @@ impl<'p> Vm<'p> {
                         }
                         *quota -= 1;
                         self.dispatched(OP_SET_FIELD);
-                        self.interior_set(at, field, locals[src as usize])?;
+                        self.interior_set(program, at, field, locals[src as usize])?;
                         ip += 1;
                     }
                     Op::Jump { target } => {
@@ -1747,7 +1684,7 @@ impl<'p> Vm<'p> {
     // -- arrays ---------------------------------------------------------------
 
     #[inline(always)]
-    fn array_get(&mut self, arr: Value, idx: Value) -> Result<Value, VmError> {
+    fn array_get(&mut self, program: &Program, arr: Value, idx: Value) -> Result<Value, VmError> {
         let i = self.expect_int(idx, "array index")?;
         let Value::Obj(o) = arr else {
             return Err(match arr {
@@ -1784,19 +1721,20 @@ impl<'p> Vm<'p> {
                     layout,
                 };
                 if self.sanitizer.is_some() {
-                    self.sanitize_interior(at, "ArrayGet");
+                    self.sanitize_interior(program, at, "ArrayGet");
                 }
                 Ok(at.value())
             }
             ObjKind::Instance(c) => Err(VmError::TypeError {
                 expected: "array".to_owned(),
-                found: format!("instance of {}", self.class_name(c)),
+                found: format!("instance of {}", class_name(program, c)),
             }),
         }
     }
 
     fn array_set(
         &mut self,
+        program: &Program,
         code: &Code,
         arr: Value,
         idx: Value,
@@ -1838,13 +1776,13 @@ impl<'p> Vm<'p> {
                     layout,
                 };
                 if self.sanitizer.is_some() {
-                    self.sanitize_interior(at, "ArraySet");
+                    self.sanitize_interior(program, at, "ArraySet");
                 }
                 for (j, &field) in code.layout_fields[layout as usize].iter().enumerate() {
-                    let v = self.get_field(value, field)?;
+                    let v = self.get_field(program, value, field)?;
                     let slot = self.interior_slot(o, layout, i as u32, j);
                     if self.sanitizer.is_some() {
-                        self.checked_access(at, j, slot, false, "ArraySet")?;
+                        self.checked_access(program, at, j, slot, false, "ArraySet")?;
                     }
                     let addr = self.heap.get(o).slot_addr(slot);
                     let hit = self.mem_write(addr);
@@ -1855,7 +1793,7 @@ impl<'p> Vm<'p> {
             }
             ObjKind::Instance(c) => Err(VmError::TypeError {
                 expected: "array".to_owned(),
-                found: format!("instance of {}", self.class_name(c)),
+                found: format!("instance of {}", class_name(program, c)),
             }),
         }
     }
@@ -1888,7 +1826,13 @@ impl<'p> Vm<'p> {
     }
 
     #[inline(always)]
-    fn eval_binary(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, VmError> {
+    fn eval_binary(
+        &mut self,
+        program: &Program,
+        op: BinOp,
+        l: Value,
+        r: Value,
+    ) -> Result<Value, VmError> {
         use BinOp::*;
         match op {
             Add | Sub | Mul | Div | Rem => self.eval_arith(op, l, r),
@@ -1902,7 +1846,7 @@ impl<'p> Vm<'p> {
                     _ => l.identical(r),
                 };
                 if !same && self.sanitizer.is_some() {
-                    self.sanitize_identity(l, r);
+                    self.sanitize_identity(program, l, r);
                 }
                 Ok(Value::Bool(if op == Eq { same } else { !same }))
             }
@@ -1910,7 +1854,7 @@ impl<'p> Vm<'p> {
                 self.charge(self.config.cost.arith);
                 let same = l.identical(r);
                 if !same && self.sanitizer.is_some() {
-                    self.sanitize_identity(l, r);
+                    self.sanitize_identity(program, l, r);
                 }
                 Ok(Value::Bool(same))
             }
@@ -2059,25 +2003,49 @@ impl<'p> Vm<'p> {
 
     /// Deterministic, identity-free value formatting so baseline and
     /// transformed programs print byte-identical output.
-    fn format_value(&self, v: Value) -> String {
+    fn format_value(&self, program: &Program, v: Value) -> String {
         match v {
             Value::Int(n) => n.to_string(),
             Value::Float(x) => format!("{x:?}"),
             Value::Bool(b) => b.to_string(),
             Value::Nil => "nil".to_owned(),
-            Value::Str(s) => self.program.interner.resolve(s).to_owned(),
+            Value::Str(s) => program.interner.resolve(s).to_owned(),
             Value::Obj(o) => match self.heap.get(o).kind {
-                ObjKind::Instance(c) => format!("<{}>", self.class_name(c)),
+                ObjKind::Instance(c) => format!("<{}>", class_name(program, c)),
                 ObjKind::Array => format!("<array[{}]>", self.heap.get(o).slots.len()),
                 ObjKind::ArrayInline { len, .. } => format!("<array[{len}]>"),
             },
             Value::Interior { layout, .. } => {
                 format!(
                     "<{}>",
-                    self.class_name(self.layouts[layout.index()].child_class)
+                    class_name(program, self.layouts[layout.index()].child_class)
                 )
             }
         }
+    }
+}
+
+/// The name of class `c`.
+pub(crate) fn class_name(program: &Program, c: ClassId) -> String {
+    program.interner.resolve(program.classes[c].name).to_owned()
+}
+
+/// The name of a field or selector symbol. IR that never passed the
+/// verifier can carry a symbol the interner does not know; it names
+/// itself by its raw slot instead of panicking.
+fn sym_name(program: &Program, s: Symbol) -> String {
+    if (s.raw() as usize) < program.interner.len() {
+        program.interner.resolve(s).to_owned()
+    } else {
+        format!("{s:?}")
+    }
+}
+
+/// The error for a field an object of `class` does not have.
+fn no_such_field(program: &Program, class: ClassId, field: Symbol) -> VmError {
+    VmError::NoSuchField {
+        class: class_name(program, class),
+        field: sym_name(program, field),
     }
 }
 

@@ -36,7 +36,7 @@ pub mod interp;
 pub mod metrics;
 pub mod profile;
 pub mod sanitizer;
-pub mod tables;
+mod tables;
 pub mod value;
 
 pub use cache::{CacheConfig, CacheSim};
@@ -48,5 +48,4 @@ pub use interp::{
 };
 pub use metrics::Metrics;
 pub use sanitizer::{CheckLevel, Finding, FindingKind, SanitizerReport};
-pub use tables::RunTables;
 pub use value::{ObjId, Value};

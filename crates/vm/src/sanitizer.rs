@@ -48,6 +48,7 @@
 //! metrics to an unchecked run; only wall-clock overhead differs.
 
 use crate::heap::{Heap, ObjKind};
+use crate::interp::class_name;
 use crate::tables::{Repr, ResolvedLayout};
 use crate::value::ObjId;
 use oi_ir::{ArrayLayoutKind, ClassId, MethodId, Program};
@@ -920,10 +921,6 @@ fn canonical(name: &str) -> &str {
         }
     }
     n
-}
-
-fn class_name(program: &Program, c: ClassId) -> String {
-    program.interner.resolve(program.classes[c].name).to_owned()
 }
 
 fn describe_kind(program: &Program, kind: ObjKind) -> String {

@@ -334,6 +334,12 @@ fn main() -> ExitCode {
         _ => None,
     };
     if let Some(cli_main) = forward {
+        // `OIC_TRACE` reaches every harness. `serve`, `prof` and `bench`
+        // install tracers of their own, which stack inside this one and
+        // receive the events while they are installed.
+        let mode = TraceMode::from_env();
+        let _guard =
+            (mode != TraceMode::Off).then(|| trace::install(Rc::new(Tracer::for_mode(mode))));
         return ExitCode::from(cli_main(&args[1..]));
     }
     let cli = match parse_cli(&args) {

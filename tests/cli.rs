@@ -775,6 +775,41 @@ fn trace_json_streams_events_to_stderr() {
     assert!(saw_contour, "expected contour.new events in: {err}");
 }
 
+/// `OIC_TRACE` reaches the forwarded harnesses: a traced fuzz session
+/// streams its pipeline spans, and its report on stdout is unchanged.
+#[test]
+fn trace_env_reaches_forwarded_fuzz() {
+    use oi_support::Json;
+    let fuzz = |trace: Option<&str>| {
+        let mut cmd = oic();
+        cmd.args(["fuzz", "--runs", "2", "--seed", "1"])
+            .env_remove("OIC_TRACE");
+        if let Some(mode) = trace {
+            cmd.env("OIC_TRACE", mode);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        out
+    };
+    let (plain, traced) = (fuzz(None), fuzz(Some("json")));
+    assert_eq!(plain.stdout, traced.stdout);
+    let err = String::from_utf8_lossy(&traced.stderr);
+    let pipeline_spans = err
+        .lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line}: {e}")))
+        .filter(|ev| {
+            ev.get("ev").and_then(Json::as_str) == Some("span")
+                && ev
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .is_some_and(|n| n.starts_with("pipeline."))
+        })
+        .count();
+    assert!(pipeline_spans > 0, "expected pipeline spans in: {err}");
+    assert!(!String::from_utf8_lossy(&plain.stderr).contains('{'));
+}
+
 /// `oic prof` golden tests: the `oi.prof.v1` document (hierarchical
 /// compile stages whose self times sum to the total, plus per-build VM
 /// profiles), the collapsed-stack export, and the exit-2 flag discipline.
