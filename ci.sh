@@ -171,6 +171,24 @@ fi
 sed -n 2p target/serve_smoke.jsonl | grep -q '"cache":"hit"'
 sed -n 3p target/serve_smoke.jsonl | grep -q '"schema":"oi.metrics.v1"'
 
+echo "==> cli-front-smoke (one command front and one source reader)"
+# Every command answers --help with its usage on stdout and exit 0, and
+# a served `path` request goes through the same source reader as `oic`:
+# a directory is an ok:false response naming it, not a process exit.
+for cmd in run compare report explain dump bench prof fuzz batch chaos serve client; do
+    if ! target/release/oic "$cmd" --help > target/cli_front_help.txt; then
+        echo "cli-front-smoke: oic $cmd --help should exit 0" >&2
+        exit 1
+    fi
+    grep -q 'usage' target/cli_front_help.txt
+done
+printf '%s\n' \
+    '{"id": 1, "op": "run", "path": "examples"}' \
+    '{"id": 2, "op": "shutdown"}' \
+    | target/release/oic serve > target/cli_front_serve.jsonl
+sed -n 1p target/cli_front_serve.jsonl | grep -q '"ok":false'
+sed -n 1p target/cli_front_serve.jsonl | grep -q 'is a directory'
+
 echo "==> loadgen-smoke (replayed compile load against the server)"
 # A seeded Zipf-skewed replay against an in-process server. The driver
 # exits non-zero unless the run is error-free, the hit rate clears the

@@ -21,7 +21,7 @@
 //! real tier, 1 when any finding survived (a panicked or non-compiling
 //! job), 2 on usage errors.
 
-use crate::cli::{scan_args, usage_error, Output};
+use crate::cli::{load_source, scan_args, usage_error, Output};
 use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
 use oi_core::ladder::{optimize_with_ladder, LadderConfig, LadderOutcome, Tier};
 use oi_support::panic::{contained, silence_hook};
@@ -386,13 +386,12 @@ pub fn run_batch(jobs: &[BatchJob], config: &BatchConfig) -> BatchReport {
 }
 
 /// Expands positional arguments into jobs: a directory contributes every
-/// `*.oi` file inside it (sorted, non-recursive), a file contributes
-/// itself.
+/// `*.oi` file inside it (sorted, non-recursive), any other argument
+/// itself, read by [`load_source`].
 pub fn collect_file_jobs(paths: &[String]) -> Result<Vec<BatchJob>, String> {
     let mut files: Vec<String> = Vec::new();
     for p in paths {
-        let meta = std::fs::metadata(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-        if meta.is_dir() {
+        if std::fs::metadata(p).is_ok_and(|meta| meta.is_dir()) {
             let mut found: Vec<String> = std::fs::read_dir(p)
                 .map_err(|e| format!("cannot read {p}: {e}"))?
                 .filter_map(|entry| {
@@ -412,8 +411,7 @@ pub fn collect_file_jobs(paths: &[String]) -> Result<Vec<BatchJob>, String> {
     files
         .into_iter()
         .map(|f| {
-            let source =
-                std::fs::read_to_string(&f).map_err(|e| format!("cannot read {f}: {e}"))?;
+            let source = load_source(&f)?;
             Ok(BatchJob { name: f, source })
         })
         .collect()

@@ -4,11 +4,13 @@
 //! (`loadgen`, `tenantload`, `restartload`, `brownoutload`) are
 //! dispatched to their modules.
 //!
-//! It also holds the front every `oic` command in this crate shares:
-//! `scan_args` / `scan_flags` walk the arguments and answer `--help` and
-//! usage errors with the command's usage, `usage_error` prints that usage
-//! with exit 2, and `Output` / `emit` handle `--json`, `--out` and the
-//! gate's exit code.
+//! It also holds the front every `oic` command shares: `scan_args` /
+//! `scan_flags` walk the arguments and answer `--help` and usage errors
+//! with the command's usage, `usage_error` prints that usage with exit 2,
+//! `Output` / `emit` handle `--json`, `--out` and the gate's exit code,
+//! `load_source` is the one reader of `.oi` files named by an argument or
+//! a request, and `run_fields` builds the `oic.run.v1` body that
+//! `oic run --json` and a served `run` both answer with.
 //!
 //! Exit codes follow the workspace convention: `0` success (and, for
 //! `compare`, no regression), `1` runtime failure or a regression, `2`
@@ -17,8 +19,10 @@
 use crate::snapshot::{compare, take_snapshot_with, SnapshotOptions, DEFAULT_SAMPLES};
 use crate::{parse_size, size_name};
 use oi_benchmarks::BenchSize;
+use oi_core::EffectivenessReport;
 use oi_support::cli::{Arg, ArgScanner};
 use oi_support::Json;
+use oi_vm::RunResult;
 
 const SNAPSHOT_USAGE: &str = "usage: oi-bench snapshot [--size small|default|large] [--samples N] \
      [--profile] [--out FILE]\n\
@@ -182,6 +186,67 @@ pub fn emit(doc: &str, out: Option<&str>, passed: bool) -> u8 {
         None => println!("{doc}"),
     }
     u8::from(!passed)
+}
+
+/// Reads a source file defensively, classifying the ways a path can be
+/// unusable before the compiler ever sees it: an empty path, a directory,
+/// an unreadable file, or bytes that are not UTF-8. Each gets a distinct
+/// diagnostic; the caller picks the exit code or response.
+pub fn load_source(path: &str) -> Result<String, String> {
+    if path.is_empty() {
+        return Err("empty file path (expected a .oi source file)".to_owned());
+    }
+    match std::fs::metadata(path) {
+        Ok(meta) if meta.is_dir() => {
+            return Err(format!(
+                "{path}: is a directory (expected a .oi source file; \
+                 directories are for `oic batch`)"
+            ));
+        }
+        Ok(_) => {}
+        Err(e) => return Err(format!("cannot read {path}: {e}")),
+    }
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    String::from_utf8(bytes).map_err(|e| {
+        format!(
+            "{path}: not valid UTF-8 (invalid byte at offset {}); \
+             is this a binary file?",
+            e.utf8_error().valid_up_to()
+        )
+    })
+}
+
+/// The `oic.run.v1` body of one run of the `pipeline` (`baseline` or
+/// `inline`) build: schema, pipeline, output, metrics, the allocation
+/// census, the heap census and, for an optimized build, its `report`.
+/// Callers add their own fields to it.
+pub fn run_fields(
+    pipeline: &str,
+    result: &RunResult,
+    report: Option<&EffectivenessReport>,
+) -> Vec<(&'static str, Json)> {
+    let census = result
+        .allocation_census
+        .iter()
+        .map(|(class, n)| {
+            Json::obj(vec![
+                ("class", class.clone().into()),
+                ("count", (*n).into()),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
+        ("schema", "oic.run.v1".into()),
+        ("pipeline", pipeline.into()),
+        ("output", result.output.clone().into()),
+        ("metrics", result.metrics.to_json()),
+        ("allocation_census", Json::Arr(census)),
+        ("heap_census", result.heap_census.to_json()),
+    ];
+    if let Some(report) = report {
+        fields.push(("report", report.to_json()));
+    }
+    fields
 }
 
 fn snapshot_cmd(args: &[String]) -> u8 {

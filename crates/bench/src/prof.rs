@@ -20,7 +20,7 @@
 //! (`a;b;c value`) that flamegraph tooling consumes directly: compile
 //! stages weighted by self microseconds, VM methods by self cycles.
 
-use crate::cli::{emit, scan_args, usage_error};
+use crate::cli::{emit, load_source, scan_args, usage_error};
 use oi_support::stats;
 use oi_support::trace::{self, Event, EventKind, MemorySink, Sink, Tracer};
 use oi_support::Json;
@@ -394,10 +394,10 @@ pub fn cli_main(args: &[String]) -> u8 {
         return usage_error(USAGE, "prof needs exactly one <file.oi>");
     }
     let path = &files[0];
-    let source = match std::fs::read_to_string(path) {
+    let source = match load_source(path) {
         Ok(source) => source,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
+        Err(msg) => {
+            eprintln!("{msg}");
             return 1;
         }
     };

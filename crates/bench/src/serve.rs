@@ -33,7 +33,7 @@
 //! every request. Traces correlate with the metrics via a per-request
 //! `request_id` field stamped on the `serve.*` spans.
 
-use crate::cli::scan_flags;
+use crate::cli::{load_source, run_fields, scan_flags};
 use crate::overload::{
     Admission, BreakerConfig, Brownout, BrownoutConfig, BrownoutLevel, CircuitBreaker, Transition,
 };
@@ -554,7 +554,11 @@ impl Server {
         match (verdict, result) {
             (Verdict::Done, Some(result)) => Answer::Ok {
                 cache: job.cache,
-                payload: run_payload(result, &job.artifact.outcome),
+                payload: Json::obj(run_fields(
+                    "inline",
+                    result,
+                    Some(&job.artifact.outcome.optimized.report),
+                )),
             },
             (Verdict::Done, None) => Answer::error("internal: completed run lost its result"),
             (Verdict::Quota(kind), _) => {
@@ -911,16 +915,14 @@ impl Request {
         })
     }
 
-    /// The program text: inline `source` wins, else `path` is read from
-    /// disk.
+    /// The program text: inline `source` wins (borrowed), else `path` is
+    /// read from disk by [`load_source`].
     fn text(&self) -> Result<Cow<'_, str>, String> {
         if let Some(source) = &self.source {
             return Ok(Cow::Borrowed(source));
         }
         match &self.path {
-            Some(path) => std::fs::read_to_string(path)
-                .map(Cow::Owned)
-                .map_err(|e| format!("cannot read {path}: {e}")),
+            Some(path) => load_source(path).map(Cow::Owned),
             None => Err("request needs `source` or `path`".to_string()),
         }
     }
@@ -985,33 +987,6 @@ fn id_label(id: &Json) -> String {
         Some(s) => s.to_string(),
         None => id.to_string(),
     }
-}
-
-/// The `oic.run.v1`-shaped payload of a served `run` request.
-fn run_payload(result: &oi_vm::RunResult, outcome: &oi_core::ladder::LadderOutcome) -> Json {
-    Json::obj(vec![
-        ("schema", "oic.run.v1".into()),
-        ("pipeline", "inline".into()),
-        ("output", result.output.clone().into()),
-        ("metrics", result.metrics.to_json()),
-        (
-            "allocation_census",
-            Json::Arr(
-                result
-                    .allocation_census
-                    .iter()
-                    .map(|(class, n)| {
-                        Json::obj(vec![
-                            ("class", class.clone().into()),
-                            ("count", (*n).into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("heap_census", result.heap_census.to_json()),
-        ("report", outcome.optimized.report.to_json()),
-    ])
 }
 
 /// One request line admitted to the bounded queue.
@@ -1889,8 +1864,31 @@ mod tests {
             bad_program.response.get("ok").and_then(Json::as_bool),
             Some(false)
         );
-        assert_eq!(server.metrics().counter("serve.errors"), 4);
-        assert_eq!(server.metrics().counter("serve.requests"), 4);
+        // Unusable `path`s get the shared reader's typed diagnostics.
+        let dir = std::env::temp_dir().join("oi-serve-tests-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let binary = std::env::temp_dir().join("oi-serve-tests-bin.oi");
+        std::fs::write(&binary, b"fn main\xff() {}").unwrap();
+        for (id, path, diagnostic) in [
+            (4u64, &dir, "is a directory"),
+            (5, &binary, "not valid UTF-8"),
+        ] {
+            let line = Json::obj(vec![
+                ("id", id.into()),
+                ("op", "run".into()),
+                ("path", path.to_str().unwrap().into()),
+            ]);
+            let handled = server.handle_line(&line.to_string());
+            let reply = Reply(&handled.response);
+            assert!(!reply.ok(), "{}", handled.response);
+            assert!(
+                reply.error().unwrap().contains(diagnostic),
+                "{}",
+                handled.response
+            );
+        }
+        assert_eq!(server.metrics().counter("serve.errors"), 6);
+        assert_eq!(server.metrics().counter("serve.requests"), 6);
         assert_eq!(server.metrics().gauge("serve.in_flight"), 0);
     }
 

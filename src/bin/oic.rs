@@ -9,10 +9,13 @@
 //! oic prof [--json|--collapse] <file.oi>              hierarchical performance profile
 //! ```
 //!
-//! All commands accept `--trace[=text|json]`; the `OIC_TRACE` environment
-//! variable (`text`, `json`, `off`) does the same without a flag. `--json`
-//! output is schema-stable (`oic.run.v1`, `oic.compare.v1`, `oic.report.v1`,
-//! `oic.explain.v1`) and includes per-phase wall-clock timings.
+//! Every command scans its flags through the front all `oic` commands
+//! share (`oi_bench::cli`) and answers `--help` with its own usage. `run`,
+//! `compare`, `report`, `explain` and `dump` accept `--trace[=text|json]`;
+//! the `OIC_TRACE` environment variable (`text`, `json`, `off`) does the
+//! same without a flag. `--json` output is schema-stable (`oic.run.v1`,
+//! `oic.compare.v1`, `oic.report.v1`, `oic.explain.v1`) and includes
+//! per-phase wall-clock timings.
 //!
 //! Every optimizing command compiles through the graceful-degradation
 //! ladder: panics, pipeline errors, and oracle rejections descend a tier
@@ -23,25 +26,19 @@
 //! isolation.
 
 use object_inlining::{baseline_default, compile, optimize_resilient};
+use oi_bench::cli::{load_source, run_fields, scan_args, usage_error};
 use oi_core::ladder::LadderOutcome;
-use oi_support::cli::{Arg, ArgScanner};
+use oi_support::cli::ArgScanner;
 use oi_support::trace::{self, TraceMode, Tracer};
 use oi_support::{Budget, Json};
-use oi_vm::{run, CheckLevel, RunResult, VmConfig};
+use oi_vm::{run, CheckLevel, VmConfig};
 use std::process::ExitCode;
 use std::rc::Rc;
 
 const USAGE: &str =
-    "usage: oic <run|compare|report|explain|dump|bench|prof|fuzz|batch|chaos|serve|client> [flags] <file.oi> [Class.field]\n\
+    "usage: oic <run|compare|report|explain|dump|bench|prof|fuzz|batch|chaos|serve|client> [flags] ...\n\
     \n\
-    run      execute the program (baseline pipeline; --inline for the\n\
-    \x20        object-inlining pipeline) and print metrics\n\
-    \x20        --profile  collect a per-method / per-site execution profile\n\
-    \x20        --checked[=basic|full]\n\
-    \x20                   checked execution: validate inline-heap invariants\n\
-    \x20                   (findings go to stderr; any finding exits 1)\n\
-    \x20        --max-heap-words N / --max-instructions N / --max-depth N\n\
-    \x20                   override the VM's resource limits\n\
+    run      execute the program and print metrics\n\
     compare  run both pipelines, check outputs match, show the delta\n\
     report   print per-field inlining decisions with reasons\n\
     explain  print the decision provenance chain for one Class.field\n\
@@ -70,197 +67,83 @@ const USAGE: &str =
     \x20         request lines on stdin, honors typed retry_after_ms\n\
     \x20         hints with jittered exponential backoff)\n\
     \n\
-    --json          machine-readable output (run, compare, report, explain)\n\
+    `oic <command> --help` prints the command's own flags.";
+
+/// The flags every single-file command takes; [`SHARED_USAGE`] describes
+/// them.
+const SHARED_FLAGS: [&str; 3] = ["--max-rounds", "--deadline-ms", "--trace"];
+const SHARED_USAGE: &str = "\
     --max-rounds N / --deadline-ms N\n\
-    \x20              analysis resource budget; exhaustion degrades the\n\
-    \x20              analysis (sound, coarser result) instead of failing\n\
+    \x20               analysis resource budget; exhaustion degrades the\n\
+    \x20               analysis (sound, coarser result) instead of failing\n\
     --trace[=MODE]  stream trace events to stderr (text or json);\n\
-    \x20              the OIC_TRACE environment variable does the same";
+    \x20               the OIC_TRACE environment variable does the same";
 
-struct Cli {
-    command: String,
-    path: String,
-    field: Option<String>,
-    inline: bool,
-    json: bool,
-    profile: bool,
-    checked: Option<CheckLevel>,
-    trace: Option<TraceMode>,
-    max_heap_words: Option<u64>,
-    max_instructions: Option<u64>,
-    max_depth: Option<usize>,
-    max_rounds: Option<u64>,
-    deadline_ms: Option<u64>,
+/// One single-file command: the flags it takes beyond [`SHARED_FLAGS`]
+/// and its usage text (which [`SHARED_USAGE`] completes).
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    usage: &'static str,
 }
 
-impl Cli {
-    /// A fresh analysis budget from the `--max-rounds` / `--deadline-ms`
-    /// flags (budgets are single-use: exhaustion is sticky).
-    fn budget(&self) -> Budget {
-        Budget::from_limits(self.max_rounds, self.deadline_ms)
-    }
-}
-
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let mut command: Option<String> = None;
-    let mut positionals: Vec<String> = Vec::new();
-    let mut inline = false;
-    let mut json = false;
-    let mut profile = false;
-    let mut checked: Option<CheckLevel> = None;
-    let mut trace_flag: Option<TraceMode> = None;
-    let mut max_heap_words: Option<u64> = None;
-    let mut max_instructions: Option<u64> = None;
-    let mut max_depth: Option<usize> = None;
-    let mut max_rounds: Option<u64> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut scanner = ArgScanner::new(args.to_vec());
-    while let Some(arg) = scanner.next() {
-        match arg? {
-            Arg::Flag { name, value: None } => match name.as_str() {
-                "inline" => inline = true,
-                "json" => json = true,
-                "profile" => profile = true,
-                "checked" => checked = Some(CheckLevel::Full),
-                "trace" => trace_flag = Some(TraceMode::Text),
-                "max-heap-words" => {
-                    max_heap_words = Some(scanner.positive("--max-heap-words")?);
-                }
-                "max-instructions" => {
-                    max_instructions = Some(scanner.positive("--max-instructions")?);
-                }
-                "max-depth" => {
-                    max_depth = Some(scanner.positive("--max-depth")? as usize);
-                }
-                "max-rounds" => {
-                    max_rounds = Some(scanner.positive("--max-rounds")?);
-                }
-                "deadline-ms" => {
-                    deadline_ms = Some(scanner.positive("--deadline-ms")?);
-                }
-                _ => return Err(format!("unknown flag `--{name}`")),
-            },
-            Arg::Flag {
-                name,
-                value: Some(level),
-            } if name == "checked" => {
-                checked = Some(CheckLevel::parse(&level).ok_or_else(|| {
-                    format!("unknown check level `{level}` (expected basic or full)")
-                })?);
-            }
-            Arg::Flag {
-                name,
-                value: Some(mode),
-            } if name == "trace" => {
-                trace_flag = Some(TraceMode::parse(&mode).ok_or_else(|| {
-                    format!("unknown trace mode `{mode}` (expected text, json, or off)")
-                })?);
-            }
-            Arg::Flag {
-                name,
-                value: Some(value),
-            } => return Err(format!("unknown flag `--{name}={value}`")),
-            Arg::Positional(a) => {
-                if command.is_none() {
-                    command = Some(a);
-                } else {
-                    positionals.push(a);
-                }
-            }
-        }
-    }
-    let command = command.ok_or("missing command")?;
-    if !matches!(
-        command.as_str(),
-        "run" | "compare" | "report" | "explain" | "dump"
-    ) {
-        return Err(format!("unknown command `{command}`"));
-    }
-    if (max_heap_words.is_some() || max_instructions.is_some() || max_depth.is_some())
-        && command != "run"
-    {
-        return Err("VM limit flags (`--max-heap-words`, `--max-instructions`, `--max-depth`) only apply to `run`".to_owned());
-    }
-    if inline && !matches!(command.as_str(), "run" | "dump") {
-        return Err(format!(
-            "`--inline` does not apply to `{command}` (it always runs the inlining pipeline)"
-        ));
-    }
-    if json && command == "dump" {
-        return Err("`--json` does not apply to `dump`".to_owned());
-    }
-    if profile && command != "run" {
-        return Err("`--profile` only applies to `run`".to_owned());
-    }
-    if checked.is_some() && command != "run" {
-        return Err(
-            "`--checked` only applies to `run` (the oracle's probes are always checked)".to_owned(),
-        );
-    }
-    let (path, field) = match command.as_str() {
-        "explain" => {
-            if positionals.len() != 2 {
-                return Err("`explain` needs <file.oi> and <Class.field>".to_owned());
-            }
-            (positionals[0].clone(), Some(positionals[1].clone()))
-        }
-        _ => {
-            if positionals.len() != 1 {
-                return Err(format!("`{command}` needs exactly one <file.oi>"));
-            }
-            (positionals[0].clone(), None)
-        }
-    };
-    Ok(Cli {
-        command,
-        path,
-        field,
-        inline,
-        json,
-        profile,
-        checked,
-        trace: trace_flag,
-        max_heap_words,
-        max_instructions,
-        max_depth,
-        max_rounds,
-        deadline_ms,
-    })
-}
-
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("oic: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
-}
-
-/// Reads a source file defensively, classifying the ways an argument can
-/// be unusable before the compiler ever sees it: an empty path, a
-/// directory, an unreadable file, or bytes that are not UTF-8. Each gets
-/// a distinct diagnostic (the caller exits 2 — these are argument
-/// problems, not compile or runtime failures).
-fn load_source(path: &str) -> Result<String, String> {
-    if path.is_empty() {
-        return Err("empty file path (expected a .oi source file)".to_owned());
-    }
-    match std::fs::metadata(path) {
-        Ok(meta) if meta.is_dir() => {
-            return Err(format!(
-                "{path}: is a directory (expected a .oi source file; \
-                 directories are for `oic batch`)"
-            ));
-        }
-        Ok(_) => {}
-        Err(e) => return Err(format!("cannot read {path}: {e}")),
-    }
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    String::from_utf8(bytes).map_err(|e| {
-        format!(
-            "{path}: not valid UTF-8 (invalid byte at offset {}); \
-             is this a binary file?",
-            e.utf8_error().valid_up_to()
-        )
-    })
-}
+const COMMANDS: [Command; 5] = [
+    Command {
+        name: "run",
+        flags: &[
+            "--inline",
+            "--profile",
+            "--json",
+            "--checked",
+            "--max-heap-words",
+            "--max-instructions",
+            "--max-depth",
+        ],
+        usage: "usage: oic run [--inline] [--profile] [--json] [--checked[=basic|full]] \
+            [--max-heap-words N] [--max-instructions N] [--max-depth N] <file.oi>\n\
+            \n\
+            Executes the program (baseline pipeline; --inline for the\n\
+            object-inlining pipeline): its output on stdout, metrics on stderr.\n\
+            --json          one oic.run.v1 document on stdout\n\
+            --profile       collect a per-method / per-site execution profile\n\
+            --checked[=basic|full]\n\
+            \x20               checked execution: validate inline-heap invariants\n\
+            \x20               (findings go to stderr; any finding exits 1)\n\
+            --max-heap-words N / --max-instructions N / --max-depth N\n\
+            \x20               override the VM's resource limits\n",
+    },
+    Command {
+        name: "compare",
+        flags: &["--json"],
+        usage: "usage: oic compare [--json] <file.oi>\n\
+            \n\
+            Runs both pipelines, checks their outputs match and shows the\n\
+            delta (--json: one oic.compare.v1 document).\n",
+    },
+    Command {
+        name: "report",
+        flags: &["--json"],
+        usage: "usage: oic report [--json] <file.oi>\n\
+            \n\
+            Prints per-field inlining decisions with reasons (--json: one\n\
+            oic.report.v1 document).\n",
+    },
+    Command {
+        name: "explain",
+        flags: &["--json"],
+        usage: "usage: oic explain [--json] <file.oi> <Class.field>\n\
+            \n\
+            Prints the decision provenance chain for one field (--json: one\n\
+            oic.explain.v1 document).\n",
+    },
+    Command {
+        name: "dump",
+        flags: &["--inline"],
+        usage: "usage: oic dump [--inline] <file.oi>\n\
+            \n\
+            Prints the IR (after --inline: the transformed program).\n",
+    },
+];
 
 /// Tells the user (on stderr, so pipelines stay clean) when a compile did
 /// not land on the top tier at full precision.
@@ -304,21 +187,6 @@ fn counters_json(tracer: &Tracer) -> Json {
     )
 }
 
-fn census_json(result: &RunResult) -> Json {
-    Json::Arr(
-        result
-            .allocation_census
-            .iter()
-            .map(|(class, n)| {
-                Json::obj(vec![
-                    ("class", class.clone().into()),
-                    ("count", (*n).into()),
-                ])
-            })
-            .collect(),
-    )
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // The harness commands forward to their own drivers in oi-bench,
@@ -342,17 +210,93 @@ fn main() -> ExitCode {
             (mode != TraceMode::Off).then(|| trace::install(Rc::new(Tracer::for_mode(mode))));
         return ExitCode::from(cli_main(&args[1..]));
     }
-    let cli = match parse_cli(&args) {
-        Ok(c) => c,
-        Err(msg) => return usage_error(&msg),
+    // A single-file command may come after its flags, so it is the first
+    // argument that names one; what precedes it must be flags.
+    let Some((at, command)) = args
+        .iter()
+        .enumerate()
+        .find_map(|(at, arg)| Some((at, COMMANDS.iter().find(|c| c.name == arg)?)))
+    else {
+        let scanned = scan_args(
+            &args,
+            USAGE,
+            |flag, _| Err(format!("unknown flag `{flag}`")),
+            |p| Err(format!("unknown command `{p}`")),
+        );
+        let code = scanned.map_or_else(|code| code, |()| usage_error(USAGE, "missing command"));
+        return ExitCode::from(code);
     };
-    let mode = cli.trace.unwrap_or_else(TraceMode::from_env);
+    let usage = format!("{}{SHARED_USAGE}", command.usage);
+    let mut inline = false;
+    let mut json = false;
+    let mut trace_mode: Option<TraceMode> = None;
+    let mut vm_config = VmConfig::default();
+    let mut max_rounds: Option<u64> = None;
+    let mut deadline_ms: Option<u64> = None;
+    let mut operands: Vec<String> = Vec::new();
+    let mut on_flag = |flag: &str, s: &mut ArgScanner| -> Result<(), String> {
+        let name = flag.split_once('=').map_or(flag, |(name, _)| name);
+        if !command.flags.contains(&name) && !SHARED_FLAGS.contains(&name) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+        match flag {
+            "--inline" => inline = true,
+            "--json" => json = true,
+            "--profile" => vm_config.profile = true,
+            "--checked" => vm_config.checked = CheckLevel::Full,
+            "--trace" => trace_mode = Some(TraceMode::Text),
+            "--max-heap-words" => vm_config.max_heap_words = s.positive(flag)?,
+            "--max-instructions" => vm_config.max_instructions = s.positive(flag)?,
+            "--max-depth" => vm_config.max_depth = s.positive(flag)? as usize,
+            "--max-rounds" => max_rounds = Some(s.positive(flag)?),
+            "--deadline-ms" => deadline_ms = Some(s.positive(flag)?),
+            _ => match flag.split_once('=') {
+                Some(("--checked", level)) => {
+                    vm_config.checked = CheckLevel::parse(level).ok_or_else(|| {
+                        format!("unknown check level `{level}` (expected basic or full)")
+                    })?;
+                }
+                Some(("--trace", mode)) => {
+                    trace_mode = Some(TraceMode::parse(mode).ok_or_else(|| {
+                        format!("unknown trace mode `{mode}` (expected text, json, or off)")
+                    })?);
+                }
+                _ => return Err(format!("unknown flag `{flag}`")),
+            },
+        }
+        Ok(())
+    };
+    let scanned = scan_args(&args[..at], &usage, &mut on_flag, |p| {
+        Err(format!("unknown command `{p}`"))
+    })
+    .and_then(|()| {
+        scan_args(&args[at + 1..], &usage, &mut on_flag, |p| {
+            operands.push(p);
+            Ok(())
+        })
+    });
+    if let Err(code) = scanned {
+        return ExitCode::from(code);
+    }
+    let (path, field) = match (command.name, operands.as_slice()) {
+        ("explain", [path, field]) => (path, Some(field.as_str())),
+        ("explain", _) => {
+            let msg = "`explain` needs <file.oi> and <Class.field>";
+            return ExitCode::from(usage_error(&usage, msg));
+        }
+        (_, [path]) => (path, None),
+        (name, _) => {
+            let msg = format!("`{name}` needs exactly one <file.oi>");
+            return ExitCode::from(usage_error(&usage, &msg));
+        }
+    };
+    let mode = trace_mode.unwrap_or_else(TraceMode::from_env);
     // Install a tracer even when the mode is Off: span aggregation feeds
     // the per-phase timing tables that `--json` output carries.
     let tracer = Rc::new(Tracer::for_mode(mode));
     let _guard = trace::install(tracer.clone());
 
-    let source = match load_source(&cli.path) {
+    let source = match load_source(path) {
         Ok(s) => s,
         Err(msg) => {
             // Unusable inputs are *usage* errors (exit 2), with a typed
@@ -366,29 +310,26 @@ fn main() -> ExitCode {
         match compile(&source) {
             Ok(p) => p,
             Err(e) => {
-                eprintln!("oic: {}: {}", cli.path, e.render(&source));
+                eprintln!("oic: {path}: {}", e.render(&source));
                 return ExitCode::FAILURE;
             }
         }
     };
+    // Every optimizing command compiles once, through the ladder, under a
+    // fresh analysis budget (budgets are single-use: exhaustion is sticky).
+    let optimize = || {
+        let o = optimize_resilient(&program, &Budget::from_limits(max_rounds, deadline_ms));
+        note_tier(&o);
+        o
+    };
 
-    match cli.command.as_str() {
+    match command.name {
         "run" => {
-            let (built, report) = if cli.inline {
-                let o = optimize_resilient(&program, &cli.budget());
-                note_tier(&o);
-                (o.optimized.program, Some(o.optimized.report))
+            let (built, report) = if inline {
+                let o = optimize().optimized;
+                (o.program, Some(o.report))
             } else {
                 (baseline_default(&program), None)
-            };
-            let defaults = VmConfig::default();
-            let vm_config = VmConfig {
-                profile: cli.profile,
-                checked: cli.checked.unwrap_or(defaults.checked),
-                max_heap_words: cli.max_heap_words.unwrap_or(defaults.max_heap_words),
-                max_instructions: cli.max_instructions.unwrap_or(defaults.max_instructions),
-                max_depth: cli.max_depth.unwrap_or(defaults.max_depth),
-                ..defaults
             };
             let result = {
                 let _s = trace::span("vm.run");
@@ -396,22 +337,10 @@ fn main() -> ExitCode {
             };
             match result {
                 Ok(r) => {
-                    if cli.json {
-                        let mut fields = vec![
-                            ("schema", "oic.run.v1".into()),
-                            ("file", cli.path.clone().into()),
-                            (
-                                "pipeline",
-                                if cli.inline { "inline" } else { "baseline" }.into(),
-                            ),
-                            ("output", r.output.clone().into()),
-                            ("metrics", r.metrics.to_json()),
-                            ("allocation_census", census_json(&r)),
-                            ("heap_census", r.heap_census.to_json()),
-                        ];
-                        if let Some(rep) = &report {
-                            fields.push(("report", rep.to_json()));
-                        }
+                    if json {
+                        let pipeline = if inline { "inline" } else { "baseline" };
+                        let mut fields = run_fields(pipeline, &r, report.as_ref());
+                        fields.insert(1, ("file", path.clone().into()));
                         if let Some(p) = &r.profile {
                             fields.push(("profile", p.to_json()));
                         }
@@ -443,7 +372,7 @@ fn main() -> ExitCode {
                             );
                             return ExitCode::FAILURE;
                         }
-                        if !cli.json {
+                        if !json {
                             eprintln!(
                                 "--- checked execution ({}) clean: {} check(s) ---",
                                 san.level.name(),
@@ -461,11 +390,7 @@ fn main() -> ExitCode {
         }
         "compare" => {
             let base = baseline_default(&program);
-            let opt = {
-                let o = optimize_resilient(&program, &cli.budget());
-                note_tier(&o);
-                o.optimized
-            };
+            let opt = optimize().optimized;
             let base_res = {
                 let _s = trace::span("vm.run.baseline");
                 run(&base, &VmConfig::default())
@@ -492,10 +417,10 @@ fn main() -> ExitCode {
                 eprintln!("oic: OUTPUT MISMATCH — this is a compiler bug");
                 return ExitCode::FAILURE;
             }
-            if cli.json {
+            if json {
                 let j = Json::obj(vec![
                     ("schema", "oic.compare.v1".into()),
-                    ("file", cli.path.clone().into()),
+                    ("file", path.clone().into()),
                     ("output", base_run.output.clone().into()),
                     ("baseline", base_run.metrics.to_json()),
                     ("inlined", opt_run.metrics.to_json()),
@@ -537,15 +462,11 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "report" => {
-            let opt = {
-                let o = optimize_resilient(&program, &cli.budget());
-                note_tier(&o);
-                o.optimized
-            };
-            if cli.json {
+            let opt = optimize().optimized;
+            if json {
                 let j = Json::obj(vec![
                     ("schema", "oic.report.v1".into()),
-                    ("file", cli.path.clone().into()),
+                    ("file", path.clone().into()),
                     ("report", opt.report.to_json()),
                     ("phases", phases_json(&tracer)),
                 ]);
@@ -578,15 +499,8 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "explain" => {
-            let field = cli
-                .field
-                .clone()
-                .expect("parser guarantees a field for explain");
-            let opt = {
-                let o = optimize_resilient(&program, &cli.budget());
-                note_tier(&o);
-                o.optimized
-            };
+            let field = field.expect("explain scans a field operand");
+            let opt = optimize().optimized;
             let chain: Vec<_> = opt
                 .report
                 .provenance
@@ -610,11 +524,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let inlined = outcome.map(|o| o.inlined).unwrap_or(false);
-            if cli.json {
+            if json {
                 let j = Json::obj(vec![
                     ("schema", "oic.explain.v1".into()),
-                    ("file", cli.path.clone().into()),
-                    ("field", field.clone().into()),
+                    ("file", path.clone().into()),
+                    ("field", field.into()),
                     ("inlined", inlined.into()),
                     (
                         "chain",
@@ -655,16 +569,14 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "dump" => {
-            let built = if cli.inline {
-                let o = optimize_resilient(&program, &cli.budget());
-                note_tier(&o);
-                o.optimized.program
+            let built = if inline {
+                optimize().optimized.program
             } else {
                 baseline_default(&program)
             };
             print!("{}", oi_ir::printer::print_program(&built));
             ExitCode::SUCCESS
         }
-        _ => unreachable!("parser rejects unknown commands"),
+        _ => unreachable!("COMMANDS names five commands"),
     }
 }

@@ -1189,4 +1189,34 @@ fn prof_rejects_bad_usage_with_exit_2() {
     // Runtime failures (unreadable file) are exit 1, not usage errors.
     let out = oic().args(["prof", "/no/such/file.oi"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+
+    // So are a directory and a file that is not UTF-8, each with its
+    // typed diagnostic.
+    let dir = std::env::temp_dir().join("oi-cli-tests-prof-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let binary = std::env::temp_dir().join("oi-cli-tests-prof-bin.oi");
+    std::fs::write(&binary, b"fn main\xff() {}").unwrap();
+    for (input, diagnostic) in [(&dir, "is a directory"), (&binary, "not valid UTF-8")] {
+        let out = oic()
+            .args(["prof", input.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{diagnostic}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(diagnostic), "{err}");
+    }
+}
+
+/// Every command answers `--help` with its own usage on stdout and exit 0.
+#[test]
+fn every_command_answers_help() {
+    for cmd in [
+        "run", "compare", "report", "explain", "dump", "bench", "prof", "fuzz", "batch", "chaos",
+        "serve", "client",
+    ] {
+        let out = oic().args([cmd, "--help"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "oic {cmd} --help");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("usage"), "oic {cmd} --help: {stdout}");
+    }
 }
