@@ -142,11 +142,18 @@ echo "==> batch-smoke (panic-isolated fleet compilation under pressure)"
 # job must land on a tier with zero panics and zero divergences (exit
 # 0). Then a one-round analysis budget: jobs must *degrade* (sound
 # global widening) rather than fail, so the run still exits 0 and the
-# summary must show degraded jobs.
+# summary must show degraded jobs. Last, two workers over the same
+# inputs must land every job on the same tiers as one worker.
 target/release/oic batch examples --fuzz-corpus 64 --seed 1 --keep-going --json --out target/batch_smoke.json
 target/release/oic batch examples --fuzz-corpus 64 --seed 1 --max-rounds 1 --keep-going --json --out target/batch_tight.json
 if grep -q '"degraded":0,' target/batch_tight.json; then
     echo "batch-smoke: expected degraded jobs under --max-rounds 1" >&2
+    exit 1
+fi
+target/release/oic batch examples --fuzz-corpus 64 --seed 1 --jobs 2 --keep-going --json --out target/batch_parallel.json
+tier_counts() { grep -o '"tier_counts":{[^}]*}' "$1"; }
+if [ "$(tier_counts target/batch_parallel.json)" != "$(tier_counts target/batch_smoke.json)" ]; then
+    echo "batch-smoke: --jobs 2 tier_counts differ from --jobs 1" >&2
     exit 1
 fi
 

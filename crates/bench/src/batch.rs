@@ -1,18 +1,22 @@
 //! Panic-isolated batch compilation: `oic batch`.
 //!
 //! Compiles a fleet of programs — `.oi` files, whole directories, and/or a
-//! generated fuzz corpus — through the graceful-degradation ladder
-//! ([`oi_core::ladder::optimize_with_ladder`]), one resource
-//! [`Budget`] per job. No job can take the batch down:
+//! generated fuzz corpus — as a client of the compile service: each job is
+//! one `compile` request ([`Line`]) to a batch-owned [`Server`], so it
+//! takes `oic serve`'s path through the graceful-degradation ladder
+//! ([`oi_core::ladder::optimize_with_ladder`]) under one resource
+//! [`oi_support::Budget`] per request, behind the server's artifact cache
+//! (duplicate sources compile once). No job can take the batch down:
 //!
-//! - every job runs inside [`contained`], so a panic anywhere in the
-//!   pipeline is a *result* (the job is retried once starting at the
-//!   `inlining-off` tier; a second panic lands it on the synthetic
-//!   `"panicked"` tier) rather than a crashed driver;
+//! - the ladder contains a panic in any tier and descends past it, and
+//!   the server answers a panic anywhere else in its compile path with a
+//!   typed `panic` refusal, which lands the job on the synthetic
+//!   `"panicked"` tier rather than crashing the driver;
 //! - `--deadline-ms` arms a cooperative per-job deadline: the analysis
 //!   polls it, freezes its contour set, and completes with a sound,
 //!   coarser result flagged `degraded` instead of overrunning;
-//! - `--max-rounds` bounds fixpoint rounds the same way;
+//! - `--max-rounds` bounds fixpoint rounds the same way (both travel in
+//!   the request's `config` object);
 //! - the oracle guards every inlining tier, so a miscompilation descends
 //!   the ladder instead of reaching the user.
 //!
@@ -22,11 +26,11 @@
 //! job), 2 on usage errors.
 
 use crate::cli::{load_source, scan_args, usage_error, Output};
-use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
-use oi_core::ladder::{optimize_with_ladder, LadderConfig, LadderOutcome, Tier};
-use oi_support::panic::{contained, silence_hook};
+use crate::replay::{Line, Reply};
+use crate::serve::{ServeConfig, Server};
+use oi_support::panic::silence_hook;
 use oi_support::stats::time_once;
-use oi_support::{Budget, Json};
+use oi_support::Json;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -37,8 +41,8 @@ pub struct BatchConfig {
     pub deadline_ms: Option<u64>,
     /// Per-job fixpoint-round budget (`None` = the analysis' own cap).
     pub max_rounds: Option<u64>,
-    /// Worker threads. Each worker compiles its own jobs from the shared
-    /// source strings (programs are not shared across threads).
+    /// Workers, the calling thread included. All of them send their jobs
+    /// to one shared server.
     pub jobs: usize,
     /// Keep compiling after a finding instead of draining the queue.
     pub keep_going: bool,
@@ -65,7 +69,7 @@ pub struct BatchJob {
 }
 
 /// The outcome of one job.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct JobResult {
     /// The job's display name.
     pub name: String,
@@ -86,11 +90,14 @@ pub struct JobResult {
     /// (checked execution caught inline-state corruption the output
     /// comparison alone would have missed). Additive `oi.batch.v1` field.
     pub sanitizer_rejections: usize,
-    /// `true` when the job needed the panic-retry at `inlining-off`.
+    /// Always `false`; kept so `oi.batch.v1` stays stable. Batch does not
+    /// retry a panicked job from `inlining-off`: the ladder contains a
+    /// panic in any tier, so a retry could only re-lower the same bytes,
+    /// which panics again.
     pub retried_after_panic: bool,
-    /// `true` when the job's artifact came from the batch-wide
-    /// content-addressed cache (a duplicate corpus file compiled earlier
-    /// in this invocation). Additive `oi.batch.v1` field.
+    /// `true` when the server answered the job from its artifact cache
+    /// (a duplicate corpus file compiled earlier in this invocation).
+    /// Additive `oi.batch.v1` field.
     pub cache_hit: bool,
     /// Wall-clock time spent on the job (measured through
     /// [`oi_support::stats::time_once`], like every wall sample in this
@@ -198,191 +205,125 @@ impl BatchReport {
     }
 }
 
-/// LRU byte budget for the per-invocation artifact cache. Generous:
-/// batch corpora are small programs, so this effectively means "every
-/// distinct source compiles once".
-const BATCH_CACHE_BYTES: usize = 64 << 20;
-
-/// A job verdict derived from a ladder outcome (cached or fresh).
-fn result_from_outcome(out: &LadderOutcome, cache_hit: bool) -> JobResult {
-    let divergences = out
-        .descents
-        .iter()
-        .filter(|d| d.reason.starts_with("oracle rejection"))
-        .count();
-    let sanitizer_rejections = out
-        .descents
-        .iter()
-        .filter(|d| d.reason.contains("sanitizer reported"))
-        .count();
-    JobResult {
-        name: String::new(),
-        tier: out.tier_name().to_owned(),
-        degraded: out.optimized.report.degraded,
-        descents: out.descents.len(),
-        divergences,
-        retractions: out.optimized.report.retractions,
-        sanitizer_rejections,
-        retried_after_panic: false,
-        cache_hit,
-        wall_ms: 0,
-        fields_inlined: out.optimized.report.fields_inlined,
-        error: String::new(),
+/// Reads one job's verdict from the server's response to its `compile`
+/// request. Success reads the `oic.report.v1` payload: its tier, its
+/// report's counters, and one `tier-descent` provenance step per ladder
+/// descent, whose detail is `"<from> -> <to>: <reason>"`. A typed
+/// `panic` refusal is the `"panicked"` verdict; any other refusal is a
+/// `"compile-error"` carrying the server's message.
+fn result_from_response(response: &Json) -> JobResult {
+    let reply = Reply(response);
+    if !reply.ok() {
+        let tier = if reply.error_kind() == "panic" {
+            "panicked"
+        } else {
+            "compile-error"
+        };
+        return JobResult {
+            tier: tier.to_owned(),
+            error: reply.error().unwrap_or_default().to_owned(),
+            ..JobResult::default()
+        };
     }
-}
-
-/// A failure verdict (`"compile-error"` / `"panicked"`).
-fn failed_result(tier: &str, retried: bool, error: String) -> JobResult {
-    JobResult {
-        name: String::new(),
-        tier: tier.to_owned(),
-        degraded: false,
-        descents: 0,
-        divergences: 0,
-        retractions: 0,
-        sanitizer_rejections: 0,
-        retried_after_panic: retried,
-        cache_hit: false,
-        wall_ms: 0,
-        fields_inlined: 0,
-        error,
-    }
-}
-
-/// Compiles and ladders one source, starting at `start`, through the
-/// batch-wide artifact cache: a byte-identical source under an identical
-/// configuration (start tier and budget knobs included) reuses the
-/// earlier job's artifact. `Err` carries a compile diagnostic; panics are
-/// the *caller's* to contain.
-fn attempt(
-    source: &str,
-    start: Tier,
-    config: &BatchConfig,
-    cache: &ArtifactCache,
-) -> Result<JobResult, String> {
-    let ladder = LadderConfig {
-        start,
-        ..Default::default()
+    let payload = response.get("payload");
+    let report = payload.and_then(|p| p.get("report"));
+    let count = |key: &str| {
+        report
+            .and_then(|r| r.get(key))
+            .and_then(Json::as_i64)
+            .map_or(0, |n| n as usize)
     };
-    let key = CacheKey::whole_program(
-        source,
-        config_fingerprint(&ladder, config.max_rounds, config.deadline_ms),
-    );
-    if let Some(artifact) = cache.get(&key) {
-        return Ok(result_from_outcome(&artifact.outcome, true));
+    let reasons: Vec<&str> = report
+        .and_then(|r| r.get("provenance"))
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter(|step| step.get("code").and_then(Json::as_str) == Some("tier-descent"))
+        .map(|step| {
+            let detail = step.get("detail").and_then(Json::as_str).unwrap_or("");
+            detail.split_once(": ").map_or("", |(_, reason)| reason)
+        })
+        .collect();
+    JobResult {
+        tier: payload
+            .and_then(|p| p.get("tier"))
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_owned(),
+        degraded: report
+            .and_then(|r| r.get("degraded"))
+            .and_then(Json::as_bool)
+            .unwrap_or(false),
+        descents: reasons.len(),
+        divergences: reasons
+            .iter()
+            .filter(|r| r.starts_with("oracle rejection"))
+            .count(),
+        retractions: count("retractions"),
+        sanitizer_rejections: reasons
+            .iter()
+            .filter(|r| r.contains("sanitizer reported"))
+            .count(),
+        cache_hit: reply.cache() == Some("hit"),
+        fields_inlined: count("fields_inlined"),
+        ..JobResult::default()
     }
-    let program = oi_ir::lower::compile(source).map_err(|e| e.render(source))?;
-    let out = optimize_with_ladder(
-        &program,
-        &ladder,
-        &Budget::from_limits(config.max_rounds, config.deadline_ms),
-    );
-    let result = result_from_outcome(&out, false);
-    cache.insert(key, Artifact::new(out));
-    Ok(result)
 }
 
-/// Runs one job with panic containment and the one-shot retry at
-/// `inlining-off`.
-fn run_job(job: &BatchJob, config: &BatchConfig, cache: &ArtifactCache) -> JobResult {
-    // One timing path for every wall sample in the workspace: the whole
-    // attempt (retry included) is measured through `stats::time_once`.
-    let (mut result, wall) = time_once(|| {
-        match contained(|| attempt(&job.source, Tier::GuardedFull, config, cache)) {
-            Ok(Ok(r)) => r,
-            Ok(Err(diag)) => failed_result("compile-error", false, diag),
-            Err(panic_msg) => {
-                // The ladder contains per-tier panics itself, so reaching this
-                // arm means the driver machinery panicked. Retry once from the
-                // bottom rung before giving up on the job.
-                match contained(|| attempt(&job.source, Tier::InliningOff, config, cache)) {
-                    Ok(Ok(mut r)) => {
-                        r.retried_after_panic = true;
-                        r
-                    }
-                    Ok(Err(diag)) => failed_result("compile-error", true, diag),
-                    Err(second) => failed_result(
-                        "panicked",
-                        true,
-                        format!("first: {panic_msg}; retry: {second}"),
-                    ),
-                }
-            }
-        }
-    });
+/// Runs one job as request `id` to `server`, timed end to end.
+fn run_job(server: &Server, id: usize, job: &BatchJob, config: &BatchConfig) -> JobResult {
+    let line = Line::compile(id as u64, &job.source)
+        .budget(config.max_rounds, config.deadline_ms)
+        .to_string();
+    // One timing path for every wall sample in the workspace.
+    let (handled, wall) = time_once(|| server.handle_line(&line));
+    let mut result = result_from_response(&handled.response);
     result.name = job.name.clone();
     result.wall_ms = (wall / 1_000_000) as u64;
     result
 }
 
-/// Runs the batch. Workers pull jobs from a shared index; results keep
-/// submission order. A finding stops the queue unless `keep_going`.
+/// Runs the batch through one [`Server`], so duplicate sources compile
+/// once. The calling thread is worker 0 (it keeps any thread-local
+/// tracer); `config.jobs - 1` more workers pull jobs from a shared index.
+/// Results keep submission order. A finding stops the queue unless
+/// `keep_going`.
 pub fn run_batch(jobs: &[BatchJob], config: &BatchConfig) -> BatchReport {
     // Contained panics would otherwise print a backtrace per job.
     let _hook = silence_hook();
-    // One artifact cache per invocation, shared across workers: duplicate
-    // corpus files compile once, later copies are cache hits.
-    let cache = ArtifactCache::new(BATCH_CACHE_BYTES);
+    let server = Server::new(ServeConfig::default());
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let workers = config.jobs.max(1).min(jobs.len().max(1));
-    let mut slots: Vec<Option<JobResult>> = vec![None; jobs.len()];
 
-    let claim = |_worker: usize| -> Option<usize> {
-        if !config.keep_going && stop.load(Ordering::SeqCst) {
-            return None;
-        }
-        let i = next.fetch_add(1, Ordering::SeqCst);
-        (i < jobs.len()).then_some(i)
-    };
-    let work = |i: usize| -> JobResult {
-        let r = run_job(&jobs[i], config, &cache);
-        if !r.ok() {
-            stop.store(true, Ordering::SeqCst);
-        }
-        r
-    };
-
-    if workers <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if !config.keep_going && stop.load(Ordering::SeqCst) {
-                break;
+    let worker = || {
+        let mut got = Vec::new();
+        while config.keep_going || !stop.load(Ordering::SeqCst) {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            let Some(job) = jobs.get(i) else { break };
+            let r = run_job(&server, i, job, config);
+            if !r.ok() {
+                stop.store(true, Ordering::SeqCst);
             }
-            *slot = Some(work(i));
+            got.push((i, r));
         }
-    } else {
-        let results: Vec<(usize, JobResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let claim = &claim;
-                    let work = &work;
-                    scope.spawn(move || {
-                        let mut got = Vec::new();
-                        while let Some(i) = claim(w) {
-                            got.push((i, work(i)));
-                        }
-                        got
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker threads contain their panics"))
-                .collect()
-        });
-        for (i, r) in results {
-            slots[i] = Some(r);
+        got
+    };
+    let mut results: Vec<(usize, JobResult)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let mut got = worker();
+        for h in helpers {
+            got.extend(h.join().expect("the server contains job panics"));
         }
+        got
+    });
+    // Jobs are claimed in index order and every claimed job runs, so the
+    // results cover a prefix of the queue; the rest were skipped.
+    results.sort_by_key(|&(i, _)| i);
+    BatchReport {
+        skipped: jobs.len() - results.len(),
+        results: results.into_iter().map(|(_, r)| r).collect(),
     }
-
-    let mut report = BatchReport::default();
-    for slot in slots {
-        match slot {
-            Some(r) => report.results.push(r),
-            None => report.skipped += 1,
-        }
-    }
-    report
 }
 
 /// Expands positional arguments into jobs: a directory contributes every
@@ -512,13 +453,8 @@ fn render_text(report: &BatchReport) -> String {
     }
     for r in &report.results {
         let flags = format!(
-            "{}{}{}",
+            "{}{}",
             if r.degraded { " degraded" } else { "" },
-            if r.retried_after_panic {
-                " retried"
-            } else {
-                ""
-            },
             if r.descents > 0 {
                 format!(" descents={}", r.descents)
             } else {
@@ -722,6 +658,87 @@ mod tests {
             "8 identical jobs over 4 workers must produce cache hits"
         );
         assert!(report.results.iter().all(|r| r.tier == "guarded-full"));
+    }
+
+    #[test]
+    fn descents_read_from_the_response_match_the_ladder() {
+        use crate::serve::compile_payload;
+        use oi_core::fault::Fault;
+        use oi_core::firewall::FirewallConfig;
+        use oi_core::ladder::{optimize_with_ladder, LadderConfig};
+        // The program and fault of the ladder's own one-descent test: with
+        // repair off, the injected layout bug makes the oracle reject the
+        // guarded-full build and the ladder lands on reduced-precision.
+        let src = "
+            global KEEP;
+            class P { field x; field y; method init(a, b) { self.x = a; self.y = b; } }
+            class Filler { field q; method init(a) { self.q = a; } }
+            class MakeP { method make() { return new P(1, 2); } }
+            class MakeF1 { method make() { return new Filler(3); } }
+            class MakeF2 { method make() { return new Filler(4); } }
+            class MakeF3 { method make() { return new Filler(5); } }
+            class H { field pt; field z; method init(p, c) { self.pt = p; self.z = c; } }
+            fn mk(f) { return f.make(); }
+            fn main() {
+              mk(new MakeF1());
+              mk(new MakeF2());
+              mk(new MakeF3());
+              var h = new H(mk(new MakeP()), 7);
+              KEEP = h;
+              print KEEP.pt.x;
+              print KEEP.pt.y;
+              print KEEP.z;
+            }";
+        let program = oi_ir::lower::compile(src).unwrap();
+        let mut ladder = LadderConfig {
+            firewall: FirewallConfig {
+                max_retractions: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        ladder.inline.fault = Some(Fault::CompactFirstLayoutSlots);
+        ladder.inline.analysis.max_contours_per_method = 4;
+        let out = optimize_with_ladder(&program, &ladder, &oi_support::Budget::unlimited());
+        assert_eq!(out.descents.len(), 1, "{:?}", out.descents);
+        // The envelope `oic serve` wraps a compile miss in.
+        let response = Json::obj(vec![
+            ("ok", true.into()),
+            ("cache", "miss".into()),
+            ("payload", compile_payload(&out)),
+        ]);
+        let r = result_from_response(&Json::parse(&response.to_string()).unwrap());
+        let reasons = || out.descents.iter().map(|d| d.reason.as_str());
+        assert_eq!(r.tier, "reduced-precision");
+        assert_eq!(r.descents, out.descents.len());
+        assert_eq!(
+            r.divergences,
+            reasons()
+                .filter(|r| r.starts_with("oracle rejection"))
+                .count()
+        );
+        assert!(r.divergences > 0, "the oracle rejected the fault");
+        assert_eq!(
+            r.sanitizer_rejections,
+            reasons()
+                .filter(|r| r.contains("sanitizer reported"))
+                .count()
+        );
+        assert_eq!(r.fields_inlined, out.optimized.report.fields_inlined);
+        assert!(!r.cache_hit);
+    }
+
+    #[test]
+    fn panic_refusal_is_the_panicked_verdict() {
+        let response = Json::obj(vec![
+            ("ok", false.into()),
+            ("error_kind", "panic".into()),
+            ("error", "contained panic: boom".into()),
+        ]);
+        let r = result_from_response(&response);
+        assert_eq!(r.tier, "panicked");
+        assert_eq!(r.error, "contained panic: boom");
+        assert!(!r.ok());
     }
 
     #[test]

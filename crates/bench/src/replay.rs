@@ -1,8 +1,10 @@
 //! The replay core the service harnesses share (`loadgen`,
-//! `restartload`, `brownoutload`, and the service rows of `chaos`).
+//! `restartload`, `brownoutload`, the service rows of `chaos`, and
+//! `oic batch`).
 //!
 //! - [`Line`] builds `oi.serve.v1` request lines (compile, run, health,
-//!   shutdown; optional tenant and `chaos` fault object).
+//!   shutdown; optional tenant, budget `config` and `chaos` fault
+//!   object).
 //! - [`Reply`] reads a response: `ok`, cache tier, error kind, the
 //!   retry contract ([`RETRYABLE_KINDS`], `retry_after_ms`), sheds.
 //! - [`Tally`] replays requests synchronously through
@@ -69,6 +71,16 @@ impl Line {
     /// `allow_chaos_faults`).
     pub fn chaos(self, fault: &str, value: u64) -> Line {
         self.with("chaos", Json::obj(vec![(fault, value.into())]))
+    }
+
+    /// Attaches a `config` object carrying the analysis budget overrides
+    /// that are set; an unset one keeps the server's default.
+    pub fn budget(self, max_rounds: Option<u64>, deadline_ms: Option<u64>) -> Line {
+        let knobs = [("max_rounds", max_rounds), ("deadline_ms", deadline_ms)]
+            .into_iter()
+            .filter_map(|(key, value)| Some((key, value?.into())))
+            .collect();
+        self.with("config", Json::obj(knobs))
     }
 
     fn with(mut self, key: &str, value: Json) -> Line {

@@ -43,7 +43,7 @@ use crate::sched::{
 };
 use oi_core::cache::store::DiskStore;
 use oi_core::cache::{config_fingerprint, Artifact, ArtifactCache, CacheKey};
-use oi_core::ladder::{optimize_with_ladder, LadderConfig};
+use oi_core::ladder::{optimize_with_ladder, LadderConfig, LadderOutcome};
 use oi_support::metrics::Registry;
 use oi_support::panic::contained;
 use oi_support::stats::time_once;
@@ -428,7 +428,7 @@ impl Server {
                     kv("op", request.op.as_str()),
                 ],
             );
-            match self.start(&request) {
+            match self.start_contained(&request) {
                 Start::Answer(answer) => answer,
                 Start::Run(job) => self.execute(&request, &job),
             }
@@ -443,6 +443,15 @@ impl Server {
         self.metrics.add("serve.requests", 1);
         self.metrics.gauge_add("serve.in_flight", 1);
         Instant::now()
+    }
+
+    /// [`Server::start`] with a panic anywhere in it answered as a typed
+    /// `panic` error: the one containment that [`Server::handle_line`]
+    /// and the pump's workers share.
+    fn start_contained(&self, request: &Request) -> Start {
+        contained(|| self.start(request)).unwrap_or_else(|msg| {
+            Start::Answer(Answer::typed("panic", format!("contained panic: {msg}")))
+        })
     }
 
     /// Answers `request` now, or returns the `run` to execute: its
@@ -463,11 +472,7 @@ impl Server {
                 }
                 Answer::Ok {
                     cache,
-                    payload: Json::obj(vec![
-                        ("schema", "oic.report.v1".into()),
-                        ("tier", artifact.outcome.tier_name().into()),
-                        ("report", artifact.outcome.optimized.report.to_json()),
-                    ]),
+                    payload: compile_payload(&artifact.outcome),
                 }
             }
             "stats" => {
@@ -704,10 +709,8 @@ impl Server {
             self.breaker.success(fp);
         }
         let built = built?;
-        let key = CacheKey::whole_program(
-            &source,
-            config_fingerprint(&ladder, max_rounds, deadline_ms),
-        );
+        // The level's own start tier is the last key probed.
+        let key = *keys.last().expect("a compiling level probes its own key");
         let shared = self.cache.insert(key, built);
         self.persist_behind(key, Arc::clone(&shared));
         if level != BrownoutLevel::GUARDED_FULL {
@@ -857,6 +860,16 @@ impl Drop for Server {
         // already drained by `run_serve` do nothing here.
         self.flush_disk();
     }
+}
+
+/// The `oic.report.v1` payload of a `compile` response: the landing
+/// tier and the landing tier's report, ladder provenance included.
+pub(crate) fn compile_payload(outcome: &LadderOutcome) -> Json {
+    Json::obj(vec![
+        ("schema", "oic.report.v1".into()),
+        ("tier", outcome.tier_name().into()),
+        ("report", outcome.optimized.report.to_json()),
+    ])
 }
 
 /// The `pipeline.analyze` phase total (µs) aggregated by the installed
@@ -1210,9 +1223,7 @@ impl<'a> ServeLoop<'a> {
                 answered: Arc::clone(&answered),
             });
         }
-        let start = contained(|| server.start(&request)).unwrap_or_else(|msg| {
-            Start::Answer(Answer::typed("panic", format!("contained panic: {msg}")))
-        });
+        let start = server.start_contained(&request);
         // Leave the watchdog's killable window (stage-clear and kill are
         // atomic under the slot lock), then claim the answer. Losing the
         // claim means the watchdog answered while the compile was wedged:
@@ -1904,16 +1915,8 @@ mod tests {
     fn per_request_budget_config_changes_the_cache_key() {
         let server = Server::new(ServeConfig::default());
         server.handle_line(&Line::compile(1, SOURCE).to_string());
-        let budgeted = format!(
-            "{}",
-            Json::obj(vec![
-                ("id", 2u64.into()),
-                ("op", "compile".into()),
-                ("source", SOURCE.into()),
-                ("config", Json::obj(vec![("max_rounds", 64u64.into())])),
-            ])
-        );
-        let handled = server.handle_line(&budgeted);
+        let budgeted = Line::compile(2, SOURCE).budget(Some(64), None);
+        let handled = server.handle_line(&budgeted.to_string());
         assert_eq!(
             Reply(&handled.response).cache(),
             Some("miss"),

@@ -776,14 +776,15 @@ fn trace_json_streams_events_to_stderr() {
 }
 
 /// `OIC_TRACE` reaches the forwarded harnesses: a traced fuzz session
-/// streams its pipeline spans, and its report on stdout is unchanged.
+/// streams its pipeline spans, and its report on stdout is unchanged. A
+/// one-worker batch compiles on the calling thread, so its spans reach
+/// stderr too (its stdout carries wall times, so it is not compared).
 #[test]
 fn trace_env_reaches_forwarded_fuzz() {
     use oi_support::Json;
-    let fuzz = |trace: Option<&str>| {
+    let run = |args: &[&str], trace: Option<&str>| {
         let mut cmd = oic();
-        cmd.args(["fuzz", "--runs", "2", "--seed", "1"])
-            .env_remove("OIC_TRACE");
+        cmd.args(args).env_remove("OIC_TRACE");
         if let Some(mode) = trace {
             cmd.env("OIC_TRACE", mode);
         }
@@ -791,23 +792,29 @@ fn trace_env_reaches_forwarded_fuzz() {
         assert!(out.status.success(), "{out:?}");
         out
     };
-    let (plain, traced) = (fuzz(None), fuzz(Some("json")));
+    let pipeline_spans = |stderr: &[u8]| {
+        let err = String::from_utf8_lossy(stderr);
+        let spans = err
+            .lines()
+            .filter(|l| l.starts_with('{'))
+            .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line}: {e}")))
+            .filter(|ev| {
+                ev.get("ev").and_then(Json::as_str) == Some("span")
+                    && ev
+                        .get("name")
+                        .and_then(Json::as_str)
+                        .is_some_and(|n| n.starts_with("pipeline."))
+            })
+            .count();
+        assert!(spans > 0, "expected pipeline spans in: {err}");
+    };
+    let fuzz = ["fuzz", "--runs", "2", "--seed", "1"];
+    let (plain, traced) = (run(&fuzz, None), run(&fuzz, Some("json")));
     assert_eq!(plain.stdout, traced.stdout);
-    let err = String::from_utf8_lossy(&traced.stderr);
-    let pipeline_spans = err
-        .lines()
-        .filter(|l| l.starts_with('{'))
-        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line}: {e}")))
-        .filter(|ev| {
-            ev.get("ev").and_then(Json::as_str) == Some("span")
-                && ev
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .is_some_and(|n| n.starts_with("pipeline."))
-        })
-        .count();
-    assert!(pipeline_spans > 0, "expected pipeline spans in: {err}");
+    pipeline_spans(&traced.stderr);
     assert!(!String::from_utf8_lossy(&plain.stderr).contains('{'));
+    let batch = run(&["batch", "examples/rectangle_inline.oi"], Some("json"));
+    pipeline_spans(&batch.stderr);
 }
 
 /// `oic prof` golden tests: the `oi.prof.v1` document (hierarchical
