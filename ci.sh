@@ -79,6 +79,26 @@ if target/release/oic prof --bogus-flag examples/rectangle_inline.oi 2>/dev/null
     exit 1
 fi
 
+echo "==> observer-parity-smoke (plain, checked and profiled runs count alike)"
+# A plain run takes the VM's hook-free loop; a --checked=full or a
+# --profile run takes the observed one. Per build, all three must report
+# the identical metrics object.
+for build in "" --inline; do
+    parity=""
+    for mode in "" --checked=full --profile; do
+        # shellcheck disable=SC2086 # empty $build/$mode add no argument
+        m=$(target/release/oic run $build $mode --json examples/rectangle_inline.oi 2>/dev/null \
+            | grep -o '"metrics":{[^}]*}')
+        test -n "$m"
+        if [ -z "$parity" ]; then
+            parity=$m
+        elif [ "$m" != "$parity" ]; then
+            echo "observer-parity-smoke: oic run $build $mode metrics differ from the plain run" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> wall-stability (statistically gated wall-clock, same tree)"
 # Two back-to-back snapshots of the identical build must compare clean
 # with the full wall-clock gate armed on every layer (compile, baseline

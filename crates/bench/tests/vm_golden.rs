@@ -9,13 +9,18 @@
 //! histogram (`name:count:cycles`, hottest first). Any change to how the
 //! interpreter dispatches, meters or charges shows here. On a mismatch the
 //! test prints the lines it computed.
+//!
+//! A plain run takes the interpreter's hook-free loop; a profiled run and
+//! a sanitizer-only (`CheckLevel::Full`) run take the observed one. Both
+//! observed runs must print the plain run's output and report its
+//! counters exactly.
 
 mod common;
 
 use oi_core::pipeline::{baseline, optimize, InlineConfig};
 use oi_ir::Program;
 use oi_support::hash::fingerprint;
-use oi_vm::{FuelOutcome, Metrics, VmConfig, VmSession};
+use oi_vm::{CheckLevel, FuelOutcome, Metrics, VmConfig, VmSession};
 
 const GOLDEN: &str = include_str!("vm_golden.txt");
 
@@ -40,6 +45,16 @@ fn build_fields(program: &Program) -> String {
         profiled.metrics, result.metrics,
         "profiling changed metrics"
     );
+    let checked = oi_vm::run(
+        program,
+        &VmConfig {
+            checked: CheckLevel::Full,
+            ..config
+        },
+    )
+    .expect("checked run");
+    assert_eq!(checked.output, result.output, "checking changed output");
+    assert_eq!(checked.metrics, result.metrics, "checking changed metrics");
     // Destructured so a new counter cannot be left out of the pin.
     let Metrics {
         cycles,

@@ -95,6 +95,12 @@ impl CacheSim {
         let ways = self.config.ways;
         let n = self.fill[set] as usize;
         let resident = &mut self.tags[set * ways..set * ways + n];
+        // A hit on the most recently used line leaves the order as it is:
+        // the LRU result without a search or a move.
+        if resident.last() == Some(&line) {
+            self.hits += 1;
+            return true;
+        }
         if let Some(pos) = resident.iter().position(|&t| t == line) {
             // Refresh LRU position.
             resident.copy_within(pos + 1.., pos);
@@ -216,27 +222,68 @@ mod tests {
         for (g, &config) in geometries.iter().enumerate() {
             for seed in 0..8u64 {
                 let mut rng = XorShift64::new(seed * 131 + g as u64);
-                let mut flat = CacheSim::new(config);
-                let mut reference = ReferenceLru::new(config);
                 // Footprints from a few lines to far beyond capacity, so
                 // streams mix hits, refreshes and evictions.
                 let span = (config.size_bytes as u64) << rng.below(4);
-                for i in 0..2_000 {
-                    let addr = if rng.below(4) == 0 {
-                        rng.next_u64()
-                    } else {
-                        rng.next_u64() % span
-                    };
-                    assert_eq!(
-                        flat.access(addr),
-                        reference.access(addr),
-                        "{config:?} seed {seed} access {i} addr {addr}"
-                    );
-                }
-                assert_eq!(flat.hits(), reference.hits, "{config:?} seed {seed}");
-                assert_eq!(flat.misses(), reference.misses, "{config:?} seed {seed}");
+                let random: Vec<u64> = (0..2_000)
+                    .map(|_| {
+                        if rng.below(4) == 0 {
+                            rng.next_u64()
+                        } else {
+                            rng.next_u64() % span
+                        }
+                    })
+                    .collect();
+                assert_matches_reference(config, &random, &format!("seed {seed} random"));
+                let fields = field_access_stream(&mut rng, config, 2_000);
+                assert_matches_reference(config, &fields, &format!("seed {seed} fields"));
             }
         }
+    }
+
+    /// An access stream shaped like field traffic: runs of 1-4 accesses to
+    /// one line (the fields of one object), with 0-2 accesses to other
+    /// lines between runs. The objects come from a pool of twice as many
+    /// lines as the cache holds, so a run often lands on the line its set
+    /// used last (the MRU hit path), and often on one an in-between access
+    /// evicted.
+    fn field_access_stream(rng: &mut XorShift64, config: CacheConfig, len: usize) -> Vec<u64> {
+        let line = config.line_bytes as u64;
+        let lines = config.size_bytes / config.line_bytes;
+        let pool: Vec<u64> = (0..2 * lines)
+            .map(|_| rng.below(4 * lines) as u64 * line)
+            .collect();
+        let mut addrs = Vec::new();
+        let mut object = *rng.pick(&pool);
+        while addrs.len() < len {
+            for _ in 0..1 + rng.below(4) {
+                addrs.push(object + rng.below(line as usize) as u64);
+            }
+            for _ in 0..rng.below(3) {
+                addrs.push(*rng.pick(&pool) + rng.below(line as usize) as u64);
+            }
+            // Mostly the next object, sometimes the same one again.
+            if rng.below(4) != 0 {
+                object = *rng.pick(&pool);
+            }
+        }
+        addrs
+    }
+
+    /// Feeds `addrs` to the flat simulator and to [`ReferenceLru`] and
+    /// asserts that every access and both totals agree.
+    fn assert_matches_reference(config: CacheConfig, addrs: &[u64], what: &str) {
+        let mut flat = CacheSim::new(config);
+        let mut reference = ReferenceLru::new(config);
+        for (i, &addr) in addrs.iter().enumerate() {
+            assert_eq!(
+                flat.access(addr),
+                reference.access(addr),
+                "{config:?} {what} access {i} addr {addr}"
+            );
+        }
+        assert_eq!(flat.hits(), reference.hits, "{config:?} {what}");
+        assert_eq!(flat.misses(), reference.misses, "{config:?} {what}");
     }
 
     fn tiny() -> CacheSim {

@@ -653,10 +653,21 @@ impl Vm {
     }
 
     // -- cost helpers -------------------------------------------------------
+    //
+    // Every helper the dispatch loop reaches that reads `profile`,
+    // `sanitizer` or `mstack` takes `OBSERVED`. With `OBSERVED = false` its
+    // hooks compile away; that instantiation is correct only while both
+    // `profile` and `sanitizer` are `None`, which `Vm::drive` checks once
+    // per slice. `OBSERVED = true` is correct always.
 
+    /// Charges `cycles` and, when profiling, attributes them to the active
+    /// method and opcode.
     #[inline(always)]
-    fn charge(&mut self, cycles: u64) {
+    fn charge<const OBSERVED: bool>(&mut self, cycles: u64) {
         self.metrics.cycles += cycles;
+        if !OBSERVED {
+            return;
+        }
         if let Some(p) = &mut self.profile {
             if let Some(&m) = self.mstack.last() {
                 p.method_cycles[m.index()] += cycles;
@@ -668,7 +679,10 @@ impl Vm {
     /// Counts the dispatch of one instruction in histogram slot `op`
     /// (profiling only; [`Vm::drive`] derives `instructions`).
     #[inline(always)]
-    fn dispatched(&mut self, op: usize) {
+    fn dispatched<const OBSERVED: bool>(&mut self, op: usize) {
+        if !OBSERVED {
+            return;
+        }
         if let Some(p) = &mut self.profile {
             p.opcode_counts[op] += 1;
             self.cur_op = op;
@@ -677,12 +691,9 @@ impl Vm {
 
     /// Counts and charges the dispatch of one block terminator.
     #[inline(always)]
-    fn branched(&mut self) {
-        if let Some(p) = &mut self.profile {
-            p.opcode_counts[OP_BRANCH] += 1;
-            self.cur_op = OP_BRANCH;
-        }
-        self.charge(self.config.cost.branch);
+    fn branched<const OBSERVED: bool>(&mut self) {
+        self.dispatched::<OBSERVED>(OP_BRANCH);
+        self.charge::<OBSERVED>(self.config.cost.branch);
     }
 
     /// Attributes one cache miss to the active method (profiling only).
@@ -697,31 +708,33 @@ impl Vm {
     /// A heap read at `addr`: base cost + cache penalty. Returns whether
     /// the access hit the cache.
     #[inline(always)]
-    fn mem_read(&mut self, addr: u64) -> bool {
+    fn mem_read<const OBSERVED: bool>(&mut self, addr: u64) -> bool {
         self.metrics.heap_reads += 1;
-        self.charge(self.config.cost.heap_read);
-        self.cache_probe(addr)
+        self.charge::<OBSERVED>(self.config.cost.heap_read);
+        self.cache_probe::<OBSERVED>(addr)
     }
 
     /// A heap write at `addr`: base cost + cache penalty (allocate-on-write).
     /// Returns whether the access hit the cache.
     #[inline(always)]
-    fn mem_write(&mut self, addr: u64) -> bool {
+    fn mem_write<const OBSERVED: bool>(&mut self, addr: u64) -> bool {
         self.metrics.heap_writes += 1;
-        self.charge(self.config.cost.heap_write);
-        self.cache_probe(addr)
+        self.charge::<OBSERVED>(self.config.cost.heap_write);
+        self.cache_probe::<OBSERVED>(addr)
     }
 
     /// The cache half of a heap access: counts the hit or charges the miss.
     #[inline(always)]
-    fn cache_probe(&mut self, addr: u64) -> bool {
+    fn cache_probe<const OBSERVED: bool>(&mut self, addr: u64) -> bool {
         if self.cache.access(addr) {
             self.metrics.cache_hits += 1;
             true
         } else {
             self.metrics.cache_misses += 1;
-            self.profile_miss();
-            self.charge(self.config.cost.cache_miss);
+            if OBSERVED {
+                self.profile_miss();
+            }
+            self.charge::<OBSERVED>(self.config.cost.cache_miss);
             false
         }
     }
@@ -759,14 +772,14 @@ impl Vm {
     /// Forms the interior reference `&container.<layout>`: address
     /// arithmetic, charged as one `lea`.
     #[inline(always)]
-    fn make_interior(
+    fn make_interior<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         container: Value,
         layout: u32,
     ) -> Result<Interior, VmError> {
         self.metrics.interior_refs += 1;
-        self.charge(self.config.cost.lea);
+        self.charge::<OBSERVED>(self.config.cost.lea);
         let interior = match container {
             Value::Obj(obj) => Interior {
                 obj,
@@ -799,7 +812,7 @@ impl Vm {
                 })
             }
         };
-        if self.sanitizer.is_some() {
+        if OBSERVED && self.sanitizer.is_some() {
             self.sanitize_interior(program, interior, "MakeInterior");
         }
         Ok(interior)
@@ -807,7 +820,7 @@ impl Vm {
 
     /// Forms the interior reference `&arr[idx].<layout>`, bounds-checked.
     #[inline(always)]
-    fn make_interior_elem(
+    fn make_interior_elem<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         arr: Value,
@@ -815,7 +828,7 @@ impl Vm {
         layout: u32,
     ) -> Result<Interior, VmError> {
         self.metrics.interior_refs += 1;
-        self.charge(self.config.cost.lea);
+        self.charge::<OBSERVED>(self.config.cost.lea);
         let i = self.expect_int(idx, "inline element index")?;
         let Value::Obj(obj) = arr else {
             return Err(match arr {
@@ -837,7 +850,7 @@ impl Vm {
             index: i as u32,
             layout,
         };
-        if self.sanitizer.is_some() {
+        if OBSERVED && self.sanitizer.is_some() {
             self.sanitize_interior(program, interior, "MakeInteriorElem");
         }
         Ok(interior)
@@ -979,7 +992,12 @@ impl Vm {
     }
 
     #[inline(always)]
-    fn get_field(&mut self, program: &Program, recv: Value, field: Key) -> Result<Value, VmError> {
+    fn get_field<const OBSERVED: bool>(
+        &mut self,
+        program: &Program,
+        recv: Value,
+        field: Key,
+    ) -> Result<Value, VmError> {
         match recv {
             Value::Obj(o) => {
                 let obj = self.heap.get(o);
@@ -994,8 +1012,8 @@ impl Vm {
                     .field_slot(c, field.key)
                     .ok_or_else(|| no_such_field(program, c, field.name))?;
                 let addr = obj.slot_addr(slot);
-                let hit = self.mem_read(addr);
-                self.profile_access(c, field.name, false, false, hit);
+                let hit = self.mem_read::<OBSERVED>(addr);
+                self.profile_access::<OBSERVED>(c, field.name, false, false, hit);
                 Ok(self.heap.get(o).slots[slot])
             }
             Value::Interior { obj, index, layout } => {
@@ -1005,7 +1023,7 @@ impl Vm {
                     layout: layout.index() as u32,
                 };
                 let child = self.child_field(at.layout, field.name);
-                self.interior_get(program, at, child)
+                self.interior_get::<OBSERVED>(program, at, child)
             }
             Value::Nil => Err(VmError::NilDereference {
                 context: format!("field access `{}`", sym_name(program, field.name)),
@@ -1019,7 +1037,7 @@ impl Vm {
 
     /// Reads child field `field` through the interior reference `at`.
     #[inline(always)]
-    fn interior_get(
+    fn interior_get<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         at: Interior,
@@ -1031,18 +1049,18 @@ impl Vm {
         }
         let j = field.j as usize;
         let slot = self.interior_slot(at.obj, at.layout, at.index, j);
-        if self.sanitizer.is_some() {
+        if OBSERVED && self.sanitizer.is_some() {
             self.checked_access(program, at, j, slot, true, "GetField")?;
         }
         let addr = self.heap.get(at.obj).slot_addr(slot);
-        let hit = self.mem_read(addr);
+        let hit = self.mem_read::<OBSERVED>(addr);
         self.note_inline_access(hit);
-        self.profile_access(child, field.name, true, false, hit);
+        self.profile_access::<OBSERVED>(child, field.name, true, false, hit);
         Ok(self.heap.get(at.obj).slots[slot])
     }
 
     #[inline(always)]
-    fn set_field(
+    fn set_field<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         recv: Value,
@@ -1063,12 +1081,14 @@ impl Vm {
                     .field_slot(c, field.key)
                     .ok_or_else(|| no_such_field(program, c, field.name))?;
                 let addr = obj.slot_addr(slot);
-                let hit = self.mem_write(addr);
-                self.profile_access(c, field.name, false, true, hit);
+                let hit = self.mem_write::<OBSERVED>(addr);
+                self.profile_access::<OBSERVED>(c, field.name, false, true, hit);
                 let obj = self.heap.get_mut(o);
                 obj.slots[slot] = value;
-                if let Some(san) = &mut self.sanitizer {
-                    san.on_direct_write(o, slot, obj.slots.len());
+                if OBSERVED {
+                    if let Some(san) = &mut self.sanitizer {
+                        san.on_direct_write(o, slot, obj.slots.len());
+                    }
                 }
                 Ok(())
             }
@@ -1079,7 +1099,7 @@ impl Vm {
                     layout: layout.index() as u32,
                 };
                 let child = self.child_field(at.layout, field.name);
-                self.interior_set(program, at, child, value)
+                self.interior_set::<OBSERVED>(program, at, child, value)
             }
             Value::Nil => Err(VmError::NilDereference {
                 context: format!("field store `{}`", sym_name(program, field.name)),
@@ -1093,7 +1113,7 @@ impl Vm {
 
     /// Writes child field `field` through the interior reference `at`.
     #[inline(always)]
-    fn interior_set(
+    fn interior_set<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         at: Interior,
@@ -1106,20 +1126,24 @@ impl Vm {
         }
         let j = field.j as usize;
         let slot = self.interior_slot(at.obj, at.layout, at.index, j);
-        if self.sanitizer.is_some() {
+        if OBSERVED && self.sanitizer.is_some() {
             self.checked_access(program, at, j, slot, false, "SetField")?;
         }
         let addr = self.heap.get(at.obj).slot_addr(slot);
-        let hit = self.mem_write(addr);
+        let hit = self.mem_write::<OBSERVED>(addr);
         self.note_inline_access(hit);
-        self.profile_access(child, field.name, true, true, hit);
+        self.profile_access::<OBSERVED>(child, field.name, true, true, hit);
         self.heap.get_mut(at.obj).slots[slot] = value;
         Ok(())
     }
 
     // -- allocation ----------------------------------------------------------
 
-    fn alloc_instance(&mut self, class: ClassId, site: SiteId) -> Result<ObjId, VmError> {
+    fn alloc_instance<const OBSERVED: bool>(
+        &mut self,
+        class: ClassId,
+        site: SiteId,
+    ) -> Result<ObjId, VmError> {
         let size = self.code.class_sizes[class.index()];
         let id = self.heap.alloc(ObjKind::Instance(class), size)?;
         // Use the heap's effective (clamped) overhead so `words_allocated`
@@ -1127,8 +1151,10 @@ impl Vm {
         let overhead = self.heap.header_words();
         self.metrics.allocations += 1;
         self.metrics.words_allocated += size as u64 + overhead;
-        self.profile_alloc(site, size as u64 + overhead);
-        self.charge(
+        if OBSERVED {
+            self.profile_alloc(site, size as u64 + overhead);
+        }
+        self.charge::<OBSERVED>(
             self.config.cost.alloc_base + self.config.cost.alloc_word * (size as u64 + overhead),
         );
         // Zeroing warms the cache for the fresh object.
@@ -1146,7 +1172,7 @@ impl Vm {
     /// access site with its modeled cost — the base read/write charge
     /// plus the cache penalty it actually paid (profiling only).
     #[inline(always)]
-    fn profile_access(
+    fn profile_access<const OBSERVED: bool>(
         &mut self,
         class: ClassId,
         field: Symbol,
@@ -1154,7 +1180,7 @@ impl Vm {
         is_write: bool,
         hit: bool,
     ) {
-        if self.profile.is_some() {
+        if OBSERVED && self.profile.is_some() {
             self.record_access(class, field, interior, is_write, hit);
         }
     }
@@ -1192,13 +1218,20 @@ impl Vm {
         }
     }
 
-    fn alloc_array(&mut self, kind: ObjKind, slots: usize, site: SiteId) -> Result<ObjId, VmError> {
+    fn alloc_array<const OBSERVED: bool>(
+        &mut self,
+        kind: ObjKind,
+        slots: usize,
+        site: SiteId,
+    ) -> Result<ObjId, VmError> {
         let id = self.heap.alloc(kind, slots)?;
         let overhead = self.heap.header_words();
         self.metrics.allocations += 1;
         self.metrics.words_allocated += slots as u64 + overhead;
-        self.profile_alloc(site, slots as u64 + overhead);
-        self.charge(
+        if OBSERVED {
+            self.profile_alloc(site, slots as u64 + overhead);
+        }
+        self.charge::<OBSERVED>(
             self.config.cost.alloc_base + self.config.cost.alloc_word * (slots as u64 + overhead),
         );
         Ok(id)
@@ -1225,7 +1258,7 @@ impl Vm {
     /// single frame-push site — as a typed [`VmError::StackOverflow`], and
     /// the explicit stack means a hostile guest can never exhaust the host
     /// thread's stack.
-    fn push_frame(
+    fn push_frame<const OBSERVED: bool>(
         &mut self,
         stack: &mut Vec<Value>,
         method: MethodId,
@@ -1260,17 +1293,19 @@ impl Vm {
         for (k, &a) in args.iter().enumerate() {
             stack[base + 1 + k] = stack[caller + a as usize];
         }
-        if let Some(p) = &mut self.profile {
-            p.method_calls[method.index()] += 1;
-        }
-        if self.profile.is_some() || self.sanitizer.is_some() {
-            self.mstack.push(method);
+        if OBSERVED {
+            if let Some(p) = &mut self.profile {
+                p.method_calls[method.index()] += 1;
+            }
+            if self.profile.is_some() || self.sanitizer.is_some() {
+                self.mstack.push(method);
+            }
         }
         // A child constructor starting on an interior receiver marks its
         // region constructed: from this point the child object exists in
         // baseline semantics (`new` allocates before `init` runs), so its
         // unset fields read as legal nil, not poison.
-        if self.sanitizer.is_some() {
+        if OBSERVED && self.sanitizer.is_some() {
             if let Value::Interior { obj, index, layout } = recv {
                 let lid = layout.index() as u32;
                 let child = self.layouts[lid as usize].child_class;
@@ -1292,7 +1327,7 @@ impl Vm {
     /// Pushes the entry frame of `program`.
     fn enter(&mut self, method: MethodId) -> Result<(), VmError> {
         let mut stack = std::mem::take(&mut self.stack);
-        let pushed = self.push_frame(&mut stack, method, Value::Nil, 0, &[], None);
+        let pushed = self.push_frame::<true>(&mut stack, method, Value::Nil, 0, &[], None);
         self.stack = stack;
         pushed
     }
@@ -1351,7 +1386,12 @@ impl Vm {
         // The loop's two counters are locals here so that, with the loop
         // inlined, they live in registers rather than memory.
         let (granted, mut left, mut terminators) = (*quota, *quota, 0);
-        let end = self.dispatch(program, &code, &mut stack, &mut left, &mut terminators);
+        // One loop body, compiled twice: a plain run pays for no hooks.
+        let end = if self.profile.is_none() && self.sanitizer.is_none() {
+            self.dispatch::<false>(program, &code, &mut stack, &mut left, &mut terminators)
+        } else {
+            self.dispatch::<true>(program, &code, &mut stack, &mut left, &mut terminators)
+        };
         self.stack = stack;
         *quota = left;
         // Every dispatch is an instruction or a terminator.
@@ -1362,7 +1402,7 @@ impl Vm {
     /// The dispatch loop of [`Vm::drive`]: spends `quota`, and counts the
     /// terminators it dispatches in `terminators`.
     #[inline(always)]
-    fn dispatch(
+    fn dispatch<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         code: &Code,
@@ -1386,29 +1426,30 @@ impl Vm {
                 ip += 1;
                 match *op {
                     Op::Const { dst, value } => {
-                        self.dispatched(OP_CONST);
+                        self.dispatched::<OBSERVED>(OP_CONST);
                         // Moves are free by default (see `CostModel::mov`),
                         // and a zero charge changes no counter.
                         if cost.mov != 0 {
-                            self.charge(cost.mov);
+                            self.charge::<OBSERVED>(cost.mov);
                         }
                         locals[dst as usize] = value;
                     }
                     Op::Move { dst, src } => {
-                        self.dispatched(OP_MOVE);
+                        self.dispatched::<OBSERVED>(OP_MOVE);
                         if cost.mov != 0 {
-                            self.charge(cost.mov);
+                            self.charge::<OBSERVED>(cost.mov);
                         }
                         locals[dst as usize] = locals[src as usize];
                     }
                     Op::Unary { dst, op, src } => {
-                        self.dispatched(OP_UNARY);
-                        locals[dst as usize] = self.eval_unary(op, locals[src as usize])?;
+                        self.dispatched::<OBSERVED>(OP_UNARY);
+                        locals[dst as usize] =
+                            self.eval_unary::<OBSERVED>(op, locals[src as usize])?;
                     }
                     Op::Binary { dst, op, lhs, rhs } => {
-                        self.dispatched(OP_BINARY);
+                        self.dispatched::<OBSERVED>(OP_BINARY);
                         let (l, r) = (locals[lhs as usize], locals[rhs as usize]);
-                        locals[dst as usize] = self.eval_binary(program, op, l, r)?;
+                        locals[dst as usize] = self.eval_binary::<OBSERVED>(program, op, l, r)?;
                     }
                     Op::New {
                         dst,
@@ -1417,23 +1458,32 @@ impl Vm {
                         args,
                         init,
                     } => {
-                        self.dispatched(OP_NEW);
-                        let id = self.alloc_instance(class, site)?;
+                        self.dispatched::<OBSERVED>(OP_NEW);
+                        let id = self.alloc_instance::<OBSERVED>(class, site)?;
                         locals[dst as usize] = Value::Obj(id);
                         if init != MISSING {
                             let args = code.args(args);
                             self.metrics.static_calls += 1;
-                            self.charge(cost.static_call + cost.call_arg * args.len() as u64);
+                            self.charge::<OBSERVED>(
+                                cost.static_call + cost.call_arg * args.len() as u64,
+                            );
                             self.park(ip);
                             let init = MethodId::new(init as usize);
-                            self.push_frame(stack, init, Value::Obj(id), base, args, None)?;
+                            self.push_frame::<OBSERVED>(
+                                stack,
+                                init,
+                                Value::Obj(id),
+                                base,
+                                args,
+                                None,
+                            )?;
                             continue 'frames;
                         }
                     }
                     Op::NewArray { dst, len, site } => {
-                        self.dispatched(OP_NEW_ARRAY);
+                        self.dispatched::<OBSERVED>(OP_NEW_ARRAY);
                         let n = self.length(locals[len as usize])?;
-                        let id = self.alloc_array(ObjKind::Array, n, site)?;
+                        let id = self.alloc_array::<OBSERVED>(ObjKind::Array, n, site)?;
                         locals[dst as usize] = Value::Obj(id);
                     }
                     Op::NewArrayInline {
@@ -1442,42 +1492,42 @@ impl Vm {
                         layout,
                         site,
                     } => {
-                        self.dispatched(OP_NEW_ARRAY_INLINE);
+                        self.dispatched::<OBSERVED>(OP_NEW_ARRAY_INLINE);
                         let n = self.length(locals[len as usize])?;
                         let width = self.layouts[layout as usize].child_fields.len();
                         let kind = ObjKind::ArrayInline { layout, len: n };
-                        let id = self.alloc_array(kind, n * width, site)?;
+                        let id = self.alloc_array::<OBSERVED>(kind, n * width, site)?;
                         locals[dst as usize] = Value::Obj(id);
                     }
                     Op::GetField { dst, obj, field } => {
-                        self.dispatched(OP_GET_FIELD);
+                        self.dispatched::<OBSERVED>(OP_GET_FIELD);
                         locals[dst as usize] =
-                            self.get_field(program, locals[obj as usize], field)?;
+                            self.get_field::<OBSERVED>(program, locals[obj as usize], field)?;
                     }
                     Op::SetField { obj, field, src } => {
-                        self.dispatched(OP_SET_FIELD);
+                        self.dispatched::<OBSERVED>(OP_SET_FIELD);
                         let (o, v) = (locals[obj as usize], locals[src as usize]);
-                        self.set_field(program, o, field, v)?;
+                        self.set_field::<OBSERVED>(program, o, field, v)?;
                     }
                     Op::ArrayGet { dst, arr, idx } => {
-                        self.dispatched(OP_ARRAY_GET);
+                        self.dispatched::<OBSERVED>(OP_ARRAY_GET);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        locals[dst as usize] = self.array_get(program, a, i)?;
+                        locals[dst as usize] = self.array_get::<OBSERVED>(program, a, i)?;
                     }
                     Op::ArraySet { arr, idx, src } => {
-                        self.dispatched(OP_ARRAY_SET);
+                        self.dispatched::<OBSERVED>(OP_ARRAY_SET);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        self.array_set(program, code, a, i, locals[src as usize])?;
+                        self.array_set::<OBSERVED>(program, code, a, i, locals[src as usize])?;
                     }
                     Op::GetGlobal { dst, global } => {
-                        self.dispatched(OP_GET_GLOBAL);
+                        self.dispatched::<OBSERVED>(OP_GET_GLOBAL);
                         // Globals live in a dedicated segment; model the load.
-                        self.mem_read((1 << 40) + global as u64 * crate::heap::WORD);
+                        self.mem_read::<OBSERVED>((1 << 40) + global as u64 * crate::heap::WORD);
                         locals[dst as usize] = self.globals[global as usize];
                     }
                     Op::SetGlobal { global, src } => {
-                        self.dispatched(OP_SET_GLOBAL);
-                        self.mem_write((1 << 40) + global as u64 * crate::heap::WORD);
+                        self.dispatched::<OBSERVED>(OP_SET_GLOBAL);
+                        self.mem_write::<OBSERVED>((1 << 40) + global as u64 * crate::heap::WORD);
                         self.globals[global as usize] = locals[src as usize];
                     }
                     Op::Send {
@@ -1486,14 +1536,16 @@ impl Vm {
                         selector,
                         args,
                     } => {
-                        self.dispatched(OP_SEND);
+                        self.dispatched::<OBSERVED>(OP_SEND);
                         let r = locals[recv as usize];
                         let target = self.resolve_send(program, r, selector)?;
                         let args = code.args(args);
                         self.metrics.dyn_dispatches += 1;
-                        self.charge(cost.dyn_dispatch + cost.call_arg * args.len() as u64);
+                        self.charge::<OBSERVED>(
+                            cost.dyn_dispatch + cost.call_arg * args.len() as u64,
+                        );
                         self.park(ip);
-                        self.push_frame(stack, target, r, base, args, Some(dst))?;
+                        self.push_frame::<OBSERVED>(stack, target, r, base, args, Some(dst))?;
                         continue 'frames;
                     }
                     Op::CallStatic {
@@ -1502,17 +1554,19 @@ impl Vm {
                         method,
                         args,
                     } => {
-                        self.dispatched(OP_CALL_STATIC);
+                        self.dispatched::<OBSERVED>(OP_CALL_STATIC);
                         let r = locals[recv as usize];
                         let args = code.args(args);
                         self.metrics.static_calls += 1;
-                        self.charge(cost.static_call + cost.call_arg * args.len() as u64);
+                        self.charge::<OBSERVED>(
+                            cost.static_call + cost.call_arg * args.len() as u64,
+                        );
                         self.park(ip);
-                        self.push_frame(stack, method, r, base, args, Some(dst))?;
+                        self.push_frame::<OBSERVED>(stack, method, r, base, args, Some(dst))?;
                         continue 'frames;
                     }
                     Op::CallBuiltin { dst, builtin, args } => {
-                        self.dispatched(OP_CALL_BUILTIN);
+                        self.dispatched::<OBSERVED>(OP_CALL_BUILTIN);
                         // Every builtin is unary; lowering guarantees the
                         // arity, but hand-mutated IR must degrade to an
                         // error, not an index panic.
@@ -1524,11 +1578,13 @@ impl Vm {
                                 ),
                             });
                         };
-                        locals[dst as usize] = self.eval_builtin(builtin, locals[arg as usize])?;
+                        locals[dst as usize] =
+                            self.eval_builtin::<OBSERVED>(builtin, locals[arg as usize])?;
                     }
                     Op::MakeInterior { dst, obj, layout } => {
-                        self.dispatched(OP_MAKE_INTERIOR);
-                        let at = self.make_interior(program, locals[obj as usize], layout)?;
+                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR);
+                        let at =
+                            self.make_interior::<OBSERVED>(program, locals[obj as usize], layout)?;
                         locals[dst as usize] = at.value();
                     }
                     Op::MakeInteriorElem {
@@ -1537,14 +1593,14 @@ impl Vm {
                         idx,
                         layout,
                     } => {
-                        self.dispatched(OP_MAKE_INTERIOR_ELEM);
+                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR_ELEM);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem(program, a, i, layout)?;
+                        let at = self.make_interior_elem::<OBSERVED>(program, a, i, layout)?;
                         locals[dst as usize] = at.value();
                     }
                     Op::Print { src } => {
-                        self.dispatched(OP_PRINT);
-                        self.charge(cost.print);
+                        self.dispatched::<OBSERVED>(OP_PRINT);
+                        self.charge::<OBSERVED>(cost.print);
                         let text = self.format_value(program, locals[src as usize]);
                         self.output.push_str(&text);
                         self.output.push('\n');
@@ -1556,16 +1612,17 @@ impl Vm {
                         dst,
                         field,
                     } => {
-                        self.dispatched(OP_MAKE_INTERIOR);
-                        let at = self.make_interior(program, locals[obj as usize], layout)?;
+                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR);
+                        let at =
+                            self.make_interior::<OBSERVED>(program, locals[obj as usize], layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
                             return Ok(StepEnd::OutOfFuel);
                         }
                         *quota -= 1;
-                        self.dispatched(OP_GET_FIELD);
-                        locals[dst as usize] = self.interior_get(program, at, field)?;
+                        self.dispatched::<OBSERVED>(OP_GET_FIELD);
+                        locals[dst as usize] = self.interior_get::<OBSERVED>(program, at, field)?;
                         ip += 1;
                     }
                     Op::InteriorSet {
@@ -1575,16 +1632,17 @@ impl Vm {
                         field,
                         src,
                     } => {
-                        self.dispatched(OP_MAKE_INTERIOR);
-                        let at = self.make_interior(program, locals[obj as usize], layout)?;
+                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR);
+                        let at =
+                            self.make_interior::<OBSERVED>(program, locals[obj as usize], layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
                             return Ok(StepEnd::OutOfFuel);
                         }
                         *quota -= 1;
-                        self.dispatched(OP_SET_FIELD);
-                        self.interior_set(program, at, field, locals[src as usize])?;
+                        self.dispatched::<OBSERVED>(OP_SET_FIELD);
+                        self.interior_set::<OBSERVED>(program, at, field, locals[src as usize])?;
                         ip += 1;
                     }
                     Op::ElemGet {
@@ -1595,17 +1653,17 @@ impl Vm {
                         dst,
                         field,
                     } => {
-                        self.dispatched(OP_MAKE_INTERIOR_ELEM);
+                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR_ELEM);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem(program, a, i, layout)?;
+                        let at = self.make_interior_elem::<OBSERVED>(program, a, i, layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
                             return Ok(StepEnd::OutOfFuel);
                         }
                         *quota -= 1;
-                        self.dispatched(OP_GET_FIELD);
-                        locals[dst as usize] = self.interior_get(program, at, field)?;
+                        self.dispatched::<OBSERVED>(OP_GET_FIELD);
+                        locals[dst as usize] = self.interior_get::<OBSERVED>(program, at, field)?;
                         ip += 1;
                     }
                     Op::ElemSet {
@@ -1616,22 +1674,22 @@ impl Vm {
                         field,
                         src,
                     } => {
-                        self.dispatched(OP_MAKE_INTERIOR_ELEM);
+                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR_ELEM);
                         let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem(program, a, i, layout)?;
+                        let at = self.make_interior_elem::<OBSERVED>(program, a, i, layout)?;
                         locals[tmp as usize] = at.value();
                         if *quota == 0 {
                             self.park(ip);
                             return Ok(StepEnd::OutOfFuel);
                         }
                         *quota -= 1;
-                        self.dispatched(OP_SET_FIELD);
-                        self.interior_set(program, at, field, locals[src as usize])?;
+                        self.dispatched::<OBSERVED>(OP_SET_FIELD);
+                        self.interior_set::<OBSERVED>(program, at, field, locals[src as usize])?;
                         ip += 1;
                     }
                     Op::Jump { target } => {
                         *terminators += 1;
-                        self.branched();
+                        self.branched::<OBSERVED>();
                         ip = target as usize;
                     }
                     Op::Branch {
@@ -1640,19 +1698,19 @@ impl Vm {
                         else_ip,
                     } => {
                         *terminators += 1;
-                        self.branched();
+                        self.branched::<OBSERVED>();
                         let c = self.expect_bool(locals[cond as usize], "branch condition")?;
                         ip = if c { then_ip } else { else_ip } as usize;
                     }
                     Op::Return { src } => {
                         *terminators += 1;
-                        self.branched();
+                        self.branched::<OBSERVED>();
                         let v = locals[src as usize];
                         let Some(done) = self.frames.pop() else {
                             return Ok(StepEnd::Done);
                         };
                         stack.truncate(done.base);
-                        if self.profile.is_some() || self.sanitizer.is_some() {
+                        if OBSERVED && (self.profile.is_some() || self.sanitizer.is_some()) {
                             self.mstack.pop();
                         }
                         match self.frames.last() {
@@ -1667,7 +1725,7 @@ impl Vm {
                     }
                     Op::Unterminated => {
                         *terminators += 1;
-                        self.branched();
+                        self.branched::<OBSERVED>();
                         // The verifier rejects unterminated reachable
                         // blocks; reaching one means the program was never
                         // verified.
@@ -1684,7 +1742,12 @@ impl Vm {
     // -- arrays ---------------------------------------------------------------
 
     #[inline(always)]
-    fn array_get(&mut self, program: &Program, arr: Value, idx: Value) -> Result<Value, VmError> {
+    fn array_get<const OBSERVED: bool>(
+        &mut self,
+        program: &Program,
+        arr: Value,
+        idx: Value,
+    ) -> Result<Value, VmError> {
         let i = self.expect_int(idx, "array index")?;
         let Value::Obj(o) = arr else {
             return Err(match arr {
@@ -1704,7 +1767,7 @@ impl Vm {
                     return Err(VmError::IndexOutOfBounds { index: i, len });
                 }
                 let addr = self.heap.get(o).slot_addr(i as usize);
-                self.mem_read(addr);
+                self.mem_read::<OBSERVED>(addr);
                 Ok(self.heap.get(o).slots[i as usize])
             }
             ObjKind::ArrayInline { layout, len } => {
@@ -1714,13 +1777,13 @@ impl Vm {
                 // Whole-element read of an inline array degrades gracefully
                 // to an interior reference (address arithmetic).
                 self.metrics.interior_refs += 1;
-                self.charge(self.config.cost.lea);
+                self.charge::<OBSERVED>(self.config.cost.lea);
                 let at = Interior {
                     obj: o,
                     index: i as u32,
                     layout,
                 };
-                if self.sanitizer.is_some() {
+                if OBSERVED && self.sanitizer.is_some() {
                     self.sanitize_interior(program, at, "ArrayGet");
                 }
                 Ok(at.value())
@@ -1732,7 +1795,7 @@ impl Vm {
         }
     }
 
-    fn array_set(
+    fn array_set<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         code: &Code,
@@ -1759,7 +1822,7 @@ impl Vm {
                     return Err(VmError::IndexOutOfBounds { index: i, len });
                 }
                 let addr = self.heap.get(o).slot_addr(i as usize);
-                self.mem_write(addr);
+                self.mem_write::<OBSERVED>(addr);
                 self.heap.get_mut(o).slots[i as usize] = value;
                 Ok(())
             }
@@ -1775,17 +1838,17 @@ impl Vm {
                     index: i as u32,
                     layout,
                 };
-                if self.sanitizer.is_some() {
+                if OBSERVED && self.sanitizer.is_some() {
                     self.sanitize_interior(program, at, "ArraySet");
                 }
                 for (j, &field) in code.layout_fields[layout as usize].iter().enumerate() {
-                    let v = self.get_field(program, value, field)?;
+                    let v = self.get_field::<OBSERVED>(program, value, field)?;
                     let slot = self.interior_slot(o, layout, i as u32, j);
-                    if self.sanitizer.is_some() {
+                    if OBSERVED && self.sanitizer.is_some() {
                         self.checked_access(program, at, j, slot, false, "ArraySet")?;
                     }
                     let addr = self.heap.get(o).slot_addr(slot);
-                    let hit = self.mem_write(addr);
+                    let hit = self.mem_write::<OBSERVED>(addr);
                     self.note_inline_access(hit);
                     self.heap.get_mut(o).slots[slot] = v;
                 }
@@ -1801,15 +1864,15 @@ impl Vm {
     // -- operators --------------------------------------------------------------
 
     #[inline(always)]
-    fn eval_unary(&mut self, op: UnOp, v: Value) -> Result<Value, VmError> {
+    fn eval_unary<const OBSERVED: bool>(&mut self, op: UnOp, v: Value) -> Result<Value, VmError> {
         match op {
             UnOp::Neg => match v {
                 Value::Int(n) => {
-                    self.charge(self.config.cost.arith);
+                    self.charge::<OBSERVED>(self.config.cost.arith);
                     Ok(Value::Int(-n))
                 }
                 Value::Float(x) => {
-                    self.charge(self.config.cost.float_arith);
+                    self.charge::<OBSERVED>(self.config.cost.float_arith);
                     Ok(Value::Float(-x))
                 }
                 other => Err(VmError::TypeError {
@@ -1818,7 +1881,7 @@ impl Vm {
                 }),
             },
             UnOp::Not => {
-                self.charge(self.config.cost.arith);
+                self.charge::<OBSERVED>(self.config.cost.arith);
                 let b = self.expect_bool(v, "logical not")?;
                 Ok(Value::Bool(!b))
             }
@@ -1826,7 +1889,7 @@ impl Vm {
     }
 
     #[inline(always)]
-    fn eval_binary(
+    fn eval_binary<const OBSERVED: bool>(
         &mut self,
         program: &Program,
         op: BinOp,
@@ -1835,25 +1898,25 @@ impl Vm {
     ) -> Result<Value, VmError> {
         use BinOp::*;
         match op {
-            Add | Sub | Mul | Div | Rem => self.eval_arith(op, l, r),
-            Lt | Le | Gt | Ge => self.eval_compare(op, l, r),
+            Add | Sub | Mul | Div | Rem => self.eval_arith::<OBSERVED>(op, l, r),
+            Lt | Le | Gt | Ge => self.eval_compare::<OBSERVED>(op, l, r),
             Eq | Ne => {
-                self.charge(self.config.cost.arith);
+                self.charge::<OBSERVED>(self.config.cost.arith);
                 let same = match (l, r) {
                     (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
                         a as f64 == b
                     }
                     _ => l.identical(r),
                 };
-                if !same && self.sanitizer.is_some() {
+                if OBSERVED && !same && self.sanitizer.is_some() {
                     self.sanitize_identity(program, l, r);
                 }
                 Ok(Value::Bool(if op == Eq { same } else { !same }))
             }
             RefEq => {
-                self.charge(self.config.cost.arith);
+                self.charge::<OBSERVED>(self.config.cost.arith);
                 let same = l.identical(r);
-                if !same && self.sanitizer.is_some() {
+                if OBSERVED && !same && self.sanitizer.is_some() {
                     self.sanitize_identity(program, l, r);
                 }
                 Ok(Value::Bool(same))
@@ -1862,11 +1925,16 @@ impl Vm {
     }
 
     #[inline(always)]
-    fn eval_arith(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, VmError> {
+    fn eval_arith<const OBSERVED: bool>(
+        &mut self,
+        op: BinOp,
+        l: Value,
+        r: Value,
+    ) -> Result<Value, VmError> {
         use BinOp::*;
         match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
-                self.charge(self.config.cost.arith);
+                self.charge::<OBSERVED>(self.config.cost.arith);
                 Ok(Value::Int(match op {
                     Add => a.wrapping_add(b),
                     Sub => a.wrapping_sub(b),
@@ -1893,7 +1961,7 @@ impl Vm {
             (Value::Float(_), _) | (_, Value::Float(_)) => {
                 let a = self.as_float(l)?;
                 let b = self.as_float(r)?;
-                self.charge(self.config.cost.float_arith);
+                self.charge::<OBSERVED>(self.config.cost.float_arith);
                 Ok(Value::Float(match op {
                     Add => a + b,
                     Sub => a - b,
@@ -1915,17 +1983,22 @@ impl Vm {
     }
 
     #[inline(always)]
-    fn eval_compare(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, VmError> {
+    fn eval_compare<const OBSERVED: bool>(
+        &mut self,
+        op: BinOp,
+        l: Value,
+        r: Value,
+    ) -> Result<Value, VmError> {
         use BinOp::*;
         let ord = match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
-                self.charge(self.config.cost.arith);
+                self.charge::<OBSERVED>(self.config.cost.arith);
                 a.partial_cmp(&b)
             }
             _ => {
                 let a = self.as_float(l)?;
                 let b = self.as_float(r)?;
-                self.charge(self.config.cost.float_arith);
+                self.charge::<OBSERVED>(self.config.cost.float_arith);
                 a.partial_cmp(&b)
             }
         };
@@ -1957,10 +2030,14 @@ impl Vm {
         }
     }
 
-    fn eval_builtin(&mut self, builtin: Builtin, arg: Value) -> Result<Value, VmError> {
+    fn eval_builtin<const OBSERVED: bool>(
+        &mut self,
+        builtin: Builtin,
+        arg: Value,
+    ) -> Result<Value, VmError> {
         match builtin {
             Builtin::Sqrt => {
-                self.charge(self.config.cost.sqrt);
+                self.charge::<OBSERVED>(self.config.cost.sqrt);
                 Ok(Value::Float(self.as_float(arg)?.sqrt()))
             }
             Builtin::Len => {
@@ -1980,15 +2057,15 @@ impl Vm {
                     })?;
                 // Length lives in the header word.
                 let addr = self.heap.get(o).addr;
-                self.mem_read(addr);
+                self.mem_read::<OBSERVED>(addr);
                 Ok(Value::Int(len as i64))
             }
             Builtin::ToFloat => {
-                self.charge(self.config.cost.arith);
+                self.charge::<OBSERVED>(self.config.cost.arith);
                 Ok(Value::Float(self.as_float(arg)?))
             }
             Builtin::ToInt => {
-                self.charge(self.config.cost.arith);
+                self.charge::<OBSERVED>(self.config.cost.arith);
                 match arg {
                     Value::Int(n) => Ok(Value::Int(n)),
                     Value::Float(x) => Ok(Value::Int(x as i64)),
