@@ -79,7 +79,7 @@ if target/release/oic prof --bogus-flag examples/rectangle_inline.oi 2>/dev/null
     exit 1
 fi
 
-echo "==> observer-parity-smoke (plain, checked and profiled runs count alike)"
+echo "==> observer-parity-smoke (plain, checked, profiled and sliced runs count alike)"
 # A plain run takes the VM's hook-free loop; a --checked=full or a
 # --profile run takes the observed one. Per build, all three must report
 # the identical metrics object.
@@ -98,6 +98,16 @@ for build in "" --inline; do
         fi
     done
 done
+# A run through `oic serve --fuel-slice 1` resumes its session after every
+# dispatch; it must report the one-shot inlined run's metrics (the last
+# `parity` the loop above set).
+m=$(printf '%s\n' '{"id":1,"op":"run","path":"examples/rectangle_inline.oi"}' \
+        '{"id":2,"op":"shutdown"}' \
+    | target/release/oic serve --fuel-slice 1 2>/dev/null | grep -o '"metrics":{[^}]*}')
+if [ "$m" != "$parity" ]; then
+    echo "observer-parity-smoke: a --fuel-slice 1 serve run's metrics differ from oic run --inline" >&2
+    exit 1
+fi
 
 echo "==> wall-stability (statistically gated wall-clock, same tree)"
 # Two back-to-back snapshots of the identical build must compare clean

@@ -1,9 +1,7 @@
 //! Fuel slicing is invisible on real builds: running either build of a
 //! small Fig-17 program in slices of 1, 2, 3, 7 or 1000 dispatches gives
 //! the one-shot run's output, `Metrics`, profile, sanitizer report and
-//! fuel total. Slices of 1–3 end inside fused interior accesses (a
-//! `MakeInterior` and the field access that consumes it), so a resume
-//! between the two halves is exercised on every inlined build.
+//! fuel total.
 
 use oi_benchmarks::{all_benchmarks, BenchSize};
 use oi_core::pipeline::{baseline, optimize, InlineConfig};

@@ -1,33 +1,27 @@
 //! The pre-decoded form the interpreter runs.
 //!
 //! When a run starts, every method's blocks are flattened into one array
-//! of [`Op`]s: each instruction, then the block's terminator, block after
-//! block. Terminators are ops, and jump targets and method entries are op
-//! indices, so control flow is an index assignment. Names are resolved
-//! into small keys: a field access or a send carries one, and its slot or
-//! target is found by hashing `(class, key)` into a table of the pairs
-//! that exist, with no search of a class's names.
+//! of [`Op`]s, one per instruction and one per block terminator, block
+//! after block. Terminators are ops, and jump targets and method entries
+//! are op indices, so control flow is an index assignment. Names are
+//! resolved into small keys: a field access or a send carries one, and
+//! its slot or target is found by hashing `(class, key)` into a table of
+//! the pairs that exist, with no search of a class's names.
 //!
 //! The pair tables are filled straight from the program: a class's field
 //! slots from its full layout, its send targets from its own and its
 //! ancestors' methods, most-derived first, as [`Program::lookup_method`]
 //! searches.
-//!
-//! A `MakeInterior`/`MakeInteriorElem` whose temp the next instruction's
-//! `GetField`/`SetField` reads as its object becomes one fused op, with
-//! the child-field index resolved here. The fused op stands in the first
-//! half's place and the plain access stays at the next index, so a fuel
-//! slice that ends between the two halves resumes there.
 
 use crate::value::Value;
 use oi_ir::{
-    BinOp, BlockId, Builtin, ClassId, ConstValue, Instr, LayoutId, MethodId, Program, SiteId,
-    Terminator, UnOp,
+    BinOp, BlockId, Builtin, ClassId, ConstValue, Instr, MethodId, Program, SiteId, Terminator,
+    UnOp,
 };
 use oi_support::Symbol;
 use std::collections::HashMap;
 
-/// Marks an absent slot, target, `init` or child field in a table or op.
+/// Marks an absent slot, target or `init` in a table or op.
 pub(crate) const MISSING: u32 = u32::MAX;
 
 /// A call's argument temps: `Code::args[start..start + len]`.
@@ -41,14 +35,6 @@ pub(crate) struct Args {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Key {
     pub(crate) key: u32,
-    pub(crate) name: Symbol,
-}
-
-/// A field of an inline child: its index `j` among the layout's child
-/// fields ([`MISSING`] when the child has no such field), and its name.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Child {
-    pub(crate) j: u32,
     pub(crate) name: Symbol,
 }
 
@@ -153,40 +139,6 @@ pub(crate) enum Op {
     Print {
         src: u32,
     },
-    /// `MakeInterior` into `tmp`, then `GetField` of `field` through it.
-    InteriorGet {
-        tmp: u32,
-        obj: u32,
-        layout: u32,
-        dst: u32,
-        field: Child,
-    },
-    /// `MakeInterior` into `tmp`, then `SetField` of `field` through it.
-    InteriorSet {
-        tmp: u32,
-        obj: u32,
-        layout: u32,
-        field: Child,
-        src: u32,
-    },
-    /// `MakeInteriorElem` into `tmp`, then `GetField` through it.
-    ElemGet {
-        tmp: u32,
-        arr: u32,
-        idx: u32,
-        layout: u32,
-        dst: u32,
-        field: Child,
-    },
-    /// `MakeInteriorElem` into `tmp`, then `SetField` through it.
-    ElemSet {
-        tmp: u32,
-        arr: u32,
-        idx: u32,
-        layout: u32,
-        field: Child,
-        src: u32,
-    },
     Jump {
         target: u32,
     },
@@ -289,8 +241,8 @@ impl Code {
                 next += block.instrs.len() as u32 + 1;
             }
             for block in m.blocks.iter() {
-                for (i, instr) in block.instrs.iter().enumerate() {
-                    ops.push(decoder.instr(instr, block.instrs.get(i + 1)));
+                for instr in block.instrs.iter() {
+                    ops.push(decoder.instr(instr));
                 }
                 // A target outside the method (unverified IR) indexes
                 // past the ops: it fails only if taken, as before decoding.
@@ -490,22 +442,8 @@ impl Decoder<'_> {
         }
     }
 
-    /// Child field `field` of program layout `layout`.
-    fn child(&self, layout: LayoutId, field: Symbol) -> Child {
-        let j = self
-            .program
-            .layouts
-            .get(layout)
-            .and_then(|l| l.child_fields.iter().position(|&f| f == field));
-        Child {
-            j: j.map_or(MISSING, |j| j as u32),
-            name: field,
-        }
-    }
-
-    /// Decodes `instr`, fusing it with `next` when `instr` forms an
-    /// interior reference that `next` accesses a field through.
-    fn instr(&mut self, instr: &Instr, next: Option<&Instr>) -> Op {
+    /// Decodes `instr` into its one op.
+    fn instr(&mut self, instr: &Instr) -> Op {
         match *instr {
             Instr::Const { dst, value } => Op::Const {
                 dst: t(dst),
@@ -630,71 +568,21 @@ impl Decoder<'_> {
                 builtin,
                 args: self.args(args),
             },
-            Instr::MakeInterior { dst, obj, layout } => match next {
-                Some(&Instr::GetField {
-                    dst: out,
-                    obj: through,
-                    field,
-                }) if through == dst => Op::InteriorGet {
-                    tmp: t(dst),
-                    obj: t(obj),
-                    layout: layout.index() as u32,
-                    dst: t(out),
-                    field: self.child(layout, field),
-                },
-                Some(&Instr::SetField {
-                    obj: through,
-                    field,
-                    src,
-                }) if through == dst => Op::InteriorSet {
-                    tmp: t(dst),
-                    obj: t(obj),
-                    layout: layout.index() as u32,
-                    field: self.child(layout, field),
-                    src: t(src),
-                },
-                _ => Op::MakeInterior {
-                    dst: t(dst),
-                    obj: t(obj),
-                    layout: layout.index() as u32,
-                },
+            Instr::MakeInterior { dst, obj, layout } => Op::MakeInterior {
+                dst: t(dst),
+                obj: t(obj),
+                layout: layout.index() as u32,
             },
             Instr::MakeInteriorElem {
                 dst,
                 arr,
                 idx,
                 layout,
-            } => match next {
-                Some(&Instr::GetField {
-                    dst: out,
-                    obj: through,
-                    field,
-                }) if through == dst => Op::ElemGet {
-                    tmp: t(dst),
-                    arr: t(arr),
-                    idx: t(idx),
-                    layout: layout.index() as u32,
-                    dst: t(out),
-                    field: self.child(layout, field),
-                },
-                Some(&Instr::SetField {
-                    obj: through,
-                    field,
-                    src,
-                }) if through == dst => Op::ElemSet {
-                    tmp: t(dst),
-                    arr: t(arr),
-                    idx: t(idx),
-                    layout: layout.index() as u32,
-                    field: self.child(layout, field),
-                    src: t(src),
-                },
-                _ => Op::MakeInteriorElem {
-                    dst: t(dst),
-                    arr: t(arr),
-                    idx: t(idx),
-                    layout: layout.index() as u32,
-                },
+            } => Op::MakeInteriorElem {
+                dst: t(dst),
+                arr: t(arr),
+                idx: t(idx),
+                layout: layout.index() as u32,
             },
             Instr::Print { src } => Op::Print { src: t(src) },
         }
@@ -713,7 +601,8 @@ mod tests {
     /// program's own lookups, for every class, hits and misses alike: the
     /// field slot as `Program::layout_of` places it (the last of a name
     /// declared twice), the send target and `init` as
-    /// `Program::lookup_method` finds them.
+    /// `Program::lookup_method` finds them. Every IR instruction and block
+    /// terminator decodes to exactly one op.
     fn check(name: &str, p: &Program) {
         // Every interned name plus one the interner never handed out,
         // keyed first so that symbol `symbols[k]` has key `k`.
@@ -779,6 +668,21 @@ mod tests {
             })
             .collect();
         assert_eq!(decoded, expected, "{name}: `New` targets");
+        let ends = code.methods.iter().skip(1).map(|m| m.entry as usize);
+        let ends = ends.chain([code.ops.len()]);
+        for ((m, method), end) in code.methods.iter().zip(p.methods.ids()).zip(ends) {
+            let ops: usize = p.methods[method]
+                .blocks
+                .iter()
+                .map(|b| b.instrs.len() + 1)
+                .sum();
+            assert_eq!(
+                end - m.entry as usize,
+                ops,
+                "{name}: ops of {}",
+                p.method_display(method)
+            );
+        }
     }
 
     /// The lowered program and both builds of `source`.
@@ -861,62 +765,5 @@ mod tests {
         main.push_str(" print s; }");
         source.push_str(&main);
         check_source("many-classes", &source);
-    }
-
-    /// An interior formed and consumed by the next instruction decodes to
-    /// one fused op, and the plain access stays right behind it.
-    #[test]
-    fn interior_then_access_fuses() {
-        let mut program =
-            compile("class P { field x; } fn main() { var p = new P(); print p.x; }").unwrap();
-        let p = program.class_by_name("P").unwrap();
-        let x = program.interner.get("x").unwrap();
-        let layout = program.layouts.push(oi_ir::InlineLayout {
-            child_class: p,
-            child_fields: vec![x],
-            slots: vec![0],
-            array_kind: None,
-        });
-        let main = program.entry;
-        let method = &mut program.methods[main];
-        let tmp = oi_ir::Temp::new(method.temp_count as usize);
-        method.temp_count += 1;
-        let block = method
-            .blocks
-            .iter_mut()
-            .find(|b| b.instrs.iter().any(|i| matches!(i, Instr::GetField { .. })))
-            .unwrap();
-        let at = block
-            .instrs
-            .iter()
-            .position(|i| matches!(i, Instr::GetField { .. }))
-            .unwrap();
-        let Instr::GetField { dst, obj, field } = block.instrs[at] else {
-            unreachable!()
-        };
-        block.instrs[at] = Instr::GetField {
-            dst,
-            obj: tmp,
-            field,
-        };
-        block.instrs.insert(
-            at,
-            Instr::MakeInterior {
-                dst: tmp,
-                obj,
-                layout,
-            },
-        );
-        let code = Code::new(&program);
-        let fused = code
-            .ops
-            .iter()
-            .position(|op| matches!(op, Op::InteriorGet { .. }))
-            .expect("a fused op");
-        assert!(matches!(code.ops[fused + 1], Op::GetField { .. }));
-        assert!(!code
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::MakeInterior { .. })));
     }
 }

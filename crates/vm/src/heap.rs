@@ -1,9 +1,14 @@
-//! The flat, word-addressed heap.
+//! The heap: host storage plus a modeled, word-addressed address space.
 //!
-//! Objects receive sequential byte addresses from a bump allocator (one
-//! header word plus one word per slot), so the cache simulator sees a
-//! realistic address stream: objects allocated together are adjacent, and an
-//! inline-allocated child literally occupies words of its container.
+//! Objects receive sequential modeled byte addresses from a bump allocator
+//! (one header word plus one word per slot), so the cache simulator sees a
+//! realistic address stream: objects allocated together are adjacent, and
+//! an inline-allocated child's fields are words of its container's address
+//! range. That flat layout is the model's. Host storage is not flat: every
+//! object is its own [`HeapObject`] whose slots live in a separate
+//! `Vec<Value>`, so objects allocated together need not be adjacent in host
+//! memory, and every slot access loads the object's record before its
+//! payload. An inline child's fields are slots of its container's payload.
 
 use crate::error::VmError;
 use crate::value::{ObjId, Value};

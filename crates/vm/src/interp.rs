@@ -2,16 +2,14 @@
 
 use crate::cache::{CacheConfig, CacheSim};
 use crate::cost::CostModel;
-use crate::decode::{Child, Code, Key, MethodCode, Op, MISSING};
+use crate::decode::{Code, Key, MethodCode, Op, MISSING};
 use crate::error::VmError;
 use crate::heap::{Heap, HeapCensus, ObjKind};
 use crate::metrics::Metrics;
 use crate::sanitizer::{CheckLevel, Sanitizer, SanitizerReport};
-use crate::tables::{compose, resolve_layouts, Repr, ResolvedLayout};
+use crate::tables::{compose, resolve_layouts, ResolvedLayout};
 use crate::value::{ObjId, Value};
-use oi_ir::{
-    ArrayLayoutKind, BinOp, Builtin, ClassId, Instr, LayoutId, MethodId, Program, SiteId, UnOp,
-};
+use oi_ir::{BinOp, Builtin, ClassId, Instr, LayoutId, MethodId, Program, SiteId, UnOp};
 use oi_support::Symbol;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -450,8 +448,7 @@ fn build_profile(program: &Program, state: &ProfileState) -> crate::profile::Pro
 /// Names for the per-opcode dispatch histogram, indexed by the `OP_*`
 /// slots below. The last two are pseudo-opcodes: `branch` receives
 /// block-terminator charges, `other` any charge issued outside an
-/// instruction dispatch (e.g. frame entry before the first opcode). A
-/// fused op counts in the slots of both instructions it stands for.
+/// instruction dispatch (e.g. frame entry before the first opcode).
 const OPCODE_NAMES: [&str; 21] = [
     "const",
     "move",
@@ -754,19 +751,11 @@ impl Vm {
     // -- layout machinery ---------------------------------------------------
 
     /// Container slot index for child field `j` of the interior reference
-    /// `(obj, index, layout)`.
+    /// `at`.
     #[inline(always)]
-    fn interior_slot(&self, obj: ObjId, layout: u32, index: u32, j: usize) -> usize {
-        match &self.layouts[layout as usize].repr {
-            Repr::Object { slots } => slots[j],
-            Repr::Array { kind, width, map } => match kind {
-                ArrayLayoutKind::Interleaved => index as usize * *width + map[j],
-                ArrayLayoutKind::Parallel => {
-                    let len = self.heap.get(obj).array_len().unwrap_or(0);
-                    map[j] * len + index as usize
-                }
-            },
-        }
+    fn interior_slot(&self, at: Interior, j: usize) -> usize {
+        let elem_len = self.heap.get(at.obj).array_len().unwrap_or(0);
+        self.layouts[at.layout as usize].slot(j, at.index, elem_len)
     }
 
     /// Forms the interior reference `&container.<layout>`: address
@@ -980,15 +969,11 @@ impl Vm {
 
     /// Child field `name`'s index in the (possibly composed) layout of an
     /// interior reference, found by search.
-    fn child_field(&self, layout: u32, name: Symbol) -> Child {
-        let j = self.layouts[layout as usize]
+    fn child_field(&self, layout: u32, name: Symbol) -> Option<usize> {
+        self.layouts[layout as usize]
             .child_fields
             .iter()
-            .position(|&f| f == name);
-        Child {
-            j: j.map_or(MISSING, |j| j as u32),
-            name,
-        }
+            .position(|&f| f == name)
     }
 
     #[inline(always)]
@@ -1022,8 +1007,19 @@ impl Vm {
                     index,
                     layout: layout.index() as u32,
                 };
-                let child = self.child_field(at.layout, field.name);
-                self.interior_get::<OBSERVED>(program, at, child)
+                let child = self.layouts[at.layout as usize].child_class;
+                let j = self
+                    .child_field(at.layout, field.name)
+                    .ok_or_else(|| no_such_field(program, child, field.name))?;
+                let slot = self.interior_slot(at, j);
+                if OBSERVED && self.sanitizer.is_some() {
+                    self.checked_access(program, at, j, slot, true, "GetField")?;
+                }
+                let addr = self.heap.get(obj).slot_addr(slot);
+                let hit = self.mem_read::<OBSERVED>(addr);
+                self.note_inline_access(hit);
+                self.profile_access::<OBSERVED>(child, field.name, true, false, hit);
+                Ok(self.heap.get(obj).slots[slot])
             }
             Value::Nil => Err(VmError::NilDereference {
                 context: format!("field access `{}`", sym_name(program, field.name)),
@@ -1033,30 +1029,6 @@ impl Vm {
                 found: other.type_name().to_owned(),
             }),
         }
-    }
-
-    /// Reads child field `field` through the interior reference `at`.
-    #[inline(always)]
-    fn interior_get<const OBSERVED: bool>(
-        &mut self,
-        program: &Program,
-        at: Interior,
-        field: Child,
-    ) -> Result<Value, VmError> {
-        let child = self.layouts[at.layout as usize].child_class;
-        if field.j == MISSING {
-            return Err(no_such_field(program, child, field.name));
-        }
-        let j = field.j as usize;
-        let slot = self.interior_slot(at.obj, at.layout, at.index, j);
-        if OBSERVED && self.sanitizer.is_some() {
-            self.checked_access(program, at, j, slot, true, "GetField")?;
-        }
-        let addr = self.heap.get(at.obj).slot_addr(slot);
-        let hit = self.mem_read::<OBSERVED>(addr);
-        self.note_inline_access(hit);
-        self.profile_access::<OBSERVED>(child, field.name, true, false, hit);
-        Ok(self.heap.get(at.obj).slots[slot])
     }
 
     #[inline(always)]
@@ -1098,8 +1070,20 @@ impl Vm {
                     index,
                     layout: layout.index() as u32,
                 };
-                let child = self.child_field(at.layout, field.name);
-                self.interior_set::<OBSERVED>(program, at, child, value)
+                let child = self.layouts[at.layout as usize].child_class;
+                let j = self
+                    .child_field(at.layout, field.name)
+                    .ok_or_else(|| no_such_field(program, child, field.name))?;
+                let slot = self.interior_slot(at, j);
+                if OBSERVED && self.sanitizer.is_some() {
+                    self.checked_access(program, at, j, slot, false, "SetField")?;
+                }
+                let addr = self.heap.get(obj).slot_addr(slot);
+                let hit = self.mem_write::<OBSERVED>(addr);
+                self.note_inline_access(hit);
+                self.profile_access::<OBSERVED>(child, field.name, true, true, hit);
+                self.heap.get_mut(obj).slots[slot] = value;
+                Ok(())
             }
             Value::Nil => Err(VmError::NilDereference {
                 context: format!("field store `{}`", sym_name(program, field.name)),
@@ -1109,32 +1093,6 @@ impl Vm {
                 found: other.type_name().to_owned(),
             }),
         }
-    }
-
-    /// Writes child field `field` through the interior reference `at`.
-    #[inline(always)]
-    fn interior_set<const OBSERVED: bool>(
-        &mut self,
-        program: &Program,
-        at: Interior,
-        field: Child,
-        value: Value,
-    ) -> Result<(), VmError> {
-        let child = self.layouts[at.layout as usize].child_class;
-        if field.j == MISSING {
-            return Err(no_such_field(program, child, field.name));
-        }
-        let j = field.j as usize;
-        let slot = self.interior_slot(at.obj, at.layout, at.index, j);
-        if OBSERVED && self.sanitizer.is_some() {
-            self.checked_access(program, at, j, slot, false, "SetField")?;
-        }
-        let addr = self.heap.get(at.obj).slot_addr(slot);
-        let hit = self.mem_write::<OBSERVED>(addr);
-        self.note_inline_access(hit);
-        self.profile_access::<OBSERVED>(child, field.name, true, true, hit);
-        self.heap.get_mut(at.obj).slots[slot] = value;
-        Ok(())
     }
 
     // -- allocation ----------------------------------------------------------
@@ -1375,9 +1333,7 @@ impl Vm {
     /// there are no other limit branches. Terminators must be metered:
     /// a cycle of empty blocks (jump/branch only, zero instructions)
     /// would otherwise spin forever without ever touching the quota,
-    /// escaping both `max_instructions` and fuel slicing. A fused op is
-    /// two dispatches and meters each half; when the quota runs out after
-    /// the first, the frame parks on the plain second half.
+    /// escaping both `max_instructions` and fuel slicing.
     fn drive(&mut self, program: &Program, quota: &mut u64) -> Result<StepEnd, VmError> {
         // The stack moves out of `self` for the slice so dispatch can
         // borrow the top frame's temps alongside `self`.
@@ -1605,88 +1561,6 @@ impl Vm {
                         self.output.push_str(&text);
                         self.output.push('\n');
                     }
-                    Op::InteriorGet {
-                        tmp,
-                        obj,
-                        layout,
-                        dst,
-                        field,
-                    } => {
-                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR);
-                        let at =
-                            self.make_interior::<OBSERVED>(program, locals[obj as usize], layout)?;
-                        locals[tmp as usize] = at.value();
-                        if *quota == 0 {
-                            self.park(ip);
-                            return Ok(StepEnd::OutOfFuel);
-                        }
-                        *quota -= 1;
-                        self.dispatched::<OBSERVED>(OP_GET_FIELD);
-                        locals[dst as usize] = self.interior_get::<OBSERVED>(program, at, field)?;
-                        ip += 1;
-                    }
-                    Op::InteriorSet {
-                        tmp,
-                        obj,
-                        layout,
-                        field,
-                        src,
-                    } => {
-                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR);
-                        let at =
-                            self.make_interior::<OBSERVED>(program, locals[obj as usize], layout)?;
-                        locals[tmp as usize] = at.value();
-                        if *quota == 0 {
-                            self.park(ip);
-                            return Ok(StepEnd::OutOfFuel);
-                        }
-                        *quota -= 1;
-                        self.dispatched::<OBSERVED>(OP_SET_FIELD);
-                        self.interior_set::<OBSERVED>(program, at, field, locals[src as usize])?;
-                        ip += 1;
-                    }
-                    Op::ElemGet {
-                        tmp,
-                        arr,
-                        idx,
-                        layout,
-                        dst,
-                        field,
-                    } => {
-                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR_ELEM);
-                        let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem::<OBSERVED>(program, a, i, layout)?;
-                        locals[tmp as usize] = at.value();
-                        if *quota == 0 {
-                            self.park(ip);
-                            return Ok(StepEnd::OutOfFuel);
-                        }
-                        *quota -= 1;
-                        self.dispatched::<OBSERVED>(OP_GET_FIELD);
-                        locals[dst as usize] = self.interior_get::<OBSERVED>(program, at, field)?;
-                        ip += 1;
-                    }
-                    Op::ElemSet {
-                        tmp,
-                        arr,
-                        idx,
-                        layout,
-                        field,
-                        src,
-                    } => {
-                        self.dispatched::<OBSERVED>(OP_MAKE_INTERIOR_ELEM);
-                        let (a, i) = (locals[arr as usize], locals[idx as usize]);
-                        let at = self.make_interior_elem::<OBSERVED>(program, a, i, layout)?;
-                        locals[tmp as usize] = at.value();
-                        if *quota == 0 {
-                            self.park(ip);
-                            return Ok(StepEnd::OutOfFuel);
-                        }
-                        *quota -= 1;
-                        self.dispatched::<OBSERVED>(OP_SET_FIELD);
-                        self.interior_set::<OBSERVED>(program, at, field, locals[src as usize])?;
-                        ip += 1;
-                    }
                     Op::Jump { target } => {
                         *terminators += 1;
                         self.branched::<OBSERVED>();
@@ -1843,7 +1717,7 @@ impl Vm {
                 }
                 for (j, &field) in code.layout_fields[layout as usize].iter().enumerate() {
                     let v = self.get_field::<OBSERVED>(program, value, field)?;
-                    let slot = self.interior_slot(o, layout, i as u32, j);
+                    let slot = self.interior_slot(at, j);
                     if OBSERVED && self.sanitizer.is_some() {
                         self.checked_access(program, at, j, slot, false, "ArraySet")?;
                     }

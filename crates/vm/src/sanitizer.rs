@@ -51,7 +51,7 @@ use crate::heap::{Heap, ObjKind};
 use crate::interp::class_name;
 use crate::tables::{Repr, ResolvedLayout};
 use crate::value::ObjId;
-use oi_ir::{ArrayLayoutKind, ClassId, MethodId, Program};
+use oi_ir::{ClassId, MethodId, Program};
 use std::collections::{HashMap, HashSet};
 
 /// How much checking the interpreter performs.
@@ -330,16 +330,9 @@ impl Sanitizer {
         elem_len: usize,
     ) -> Vec<usize> {
         let resolved = &layouts[layout as usize];
-        let mut slots: Vec<usize> = match &resolved.repr {
-            Repr::Object { slots } => slots.clone(),
-            Repr::Array { kind, width, map } => map
-                .iter()
-                .map(|&m| match kind {
-                    ArrayLayoutKind::Interleaved => index as usize * *width + m,
-                    ArrayLayoutKind::Parallel => m * elem_len + index as usize,
-                })
-                .collect(),
-        };
+        let mut slots: Vec<usize> = (0..resolved.child_fields.len())
+            .map(|j| resolved.slot(j, index, elem_len))
+            .collect();
         slots.sort_unstable();
         slots
     }
@@ -576,21 +569,12 @@ impl Sanitizer {
         elem_len: usize,
     ) -> Vec<(usize, oi_support::Symbol)> {
         let resolved = &layouts[layout as usize];
-        let fields = resolved.child_fields.iter().copied();
-        match &resolved.repr {
-            Repr::Object { slots } => slots.iter().copied().zip(fields).collect(),
-            Repr::Array { kind, width, map } => map
-                .iter()
-                .zip(fields)
-                .map(|(&m, f)| {
-                    let s = match kind {
-                        ArrayLayoutKind::Interleaved => index as usize * *width + m,
-                        ArrayLayoutKind::Parallel => m * elem_len + index as usize,
-                    };
-                    (s, f)
-                })
-                .collect(),
-        }
+        resolved
+            .child_fields
+            .iter()
+            .enumerate()
+            .map(|(j, &f)| (resolved.slot(j, index, elem_len), f))
+            .collect()
     }
 
     /// `true` when one of the two coinciding regions is a legal nested

@@ -34,6 +34,22 @@ pub(crate) struct ResolvedLayout {
     composed: Vec<(LayoutId, u32)>,
 }
 
+impl ResolvedLayout {
+    /// Container slot of child field `j` of element `index` (0 in an
+    /// object container). `elem_len` is an inline-array container's
+    /// element count; only the parallel kind reads it.
+    #[inline(always)]
+    pub(crate) fn slot(&self, j: usize, index: u32, elem_len: usize) -> usize {
+        match &self.repr {
+            Repr::Object { slots } => slots[j],
+            Repr::Array { kind, width, map } => match kind {
+                ArrayLayoutKind::Interleaved => index as usize * width + map[j],
+                ArrayLayoutKind::Parallel => map[j] * elem_len + index as usize,
+            },
+        }
+    }
+}
+
 /// Resolves every inline layout of `program`; the result is indexed by
 /// [`LayoutId`], and [`compose`] appends to it.
 pub(crate) fn resolve_layouts(program: &Program) -> Vec<ResolvedLayout> {

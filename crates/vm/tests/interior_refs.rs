@@ -444,10 +444,11 @@ fn trap(program: &Program) -> (VmError, u64) {
     seen.unwrap()
 }
 
-/// An interior formed over a nil container and consumed at once by a
-/// field access fails at the interior, before the field is looked at.
+/// An interior formed over a nil container and read or written through by
+/// the next instruction traps at the `MakeInterior*`, before the
+/// `GetField`/`SetField` dispatches.
 #[test]
-fn fused_access_on_nil_container_traps_at_the_interior() {
+fn access_through_interior_of_nil_container_traps_at_the_interior() {
     for read in [true, false] {
         let mut fx = Fixture::new();
         let pt = fx.add_class("Pt", &["x"]);
@@ -541,10 +542,12 @@ fn push_access(
     }
 }
 
-/// A field the inline child does not have, named through a composed
-/// object-in-object layout (a `Pt` inline in a `Rect` inline in a `Box`).
+/// A field the inline child does not have, named by a plain
+/// `GetField`/`SetField` through a composed object-in-object layout (a
+/// `Pt` inline in a `Rect` inline in a `Box`): the child-field search
+/// misses and the access traps naming the child class.
 #[test]
-fn fused_access_to_missing_field_through_composed_layout() {
+fn access_to_missing_field_through_composed_layout() {
     for read in [true, false] {
         let mut fx = Fixture::new();
         let boxc = fx.add_class("Box", &["b0", "b1", "b2", "b3"]);
@@ -618,10 +621,10 @@ fn fused_access_to_missing_field_through_composed_layout() {
     }
 }
 
-/// The same missing field, named through an element of a parallel
-/// inline array.
+/// The same missing field, named by a plain access through an element of
+/// a parallel inline array.
 #[test]
-fn fused_access_to_missing_field_through_parallel_array() {
+fn access_to_missing_field_through_parallel_array() {
     for read in [true, false] {
         let mut fx = Fixture::new();
         let pt = fx.add_class("Pt", &["x", "y"]);

@@ -2,8 +2,7 @@
 //! one-shot run. Over synth programs of random shape, both builds, with
 //! and without profiling and checking, every random slice sequence must
 //! reproduce the one-shot output, `Metrics`, profile, sanitizer report and
-//! fuel total. Slices of 0–3 dispatches land inside fused interior
-//! accesses and on block terminators.
+//! fuel total. Slices of 0–3 dispatches land on block terminators.
 //!
 //! Cases come from the in-repo seeded PRNG, so a failure reproduces from
 //! the seed in its message.
